@@ -70,12 +70,11 @@ def _bounds_from_args(args, formulas) -> SearchBounds:
     for f in formulas:
         atoms |= atoms_of(f)
     return SearchBounds(args.max_worlds, tuple(sorted(atoms)) or (0,),
-                        getattr(args, "max_indices", 2) or 2,
-                        getattr(args, "timeout", None))
+                        args.max_indices, args.timeout)
 
 
-def _run_search(logic: Logic, gamma, delta, bounds, jobs) -> int:
-    outcome = find_countermodel(logic, consecution(gamma, delta), bounds, jobs)
+def _run_search(logic: Logic, gamma, delta, bounds) -> int:
+    outcome = find_countermodel(logic, consecution(gamma, delta), bounds)
     if outcome.status is Status.FOUND:
         pm = outcome.witness
         sys.stdout.write(serialize_model(pm.model, pm.point))
@@ -99,14 +98,14 @@ def cmd_countermodel(args) -> int:
     if not gamma and not delta:
         raise CnxError("give at least one --gamma or --delta formula")
     bounds = _bounds_from_args(args, gamma + delta)
-    return _run_search(logic, gamma, delta, bounds, args.jobs)
+    return _run_search(logic, gamma, delta, bounds)
 
 
 def cmd_valid(args) -> int:
     logic = logic_from_name(args.logic)
     f = parse(args.formula)
     bounds = _bounds_from_args(args, [f])
-    return _run_search(logic, [], [f], bounds, args.jobs)
+    return _run_search(logic, [], [f], bounds)
 
 
 def cmd_prove(args) -> int:
@@ -204,7 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--max-worlds", type=int, required=True)
     q.add_argument("--max-indices", type=int, default=2)
     q.add_argument("--timeout", type=float)
-    q.add_argument("--jobs", type=int, default=1)
     q.set_defaults(fn=cmd_countermodel)
 
     q = sub.add_parser("valid", help="bounded validity evidence for a formula")
@@ -212,7 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--max-worlds", type=int, required=True)
     q.add_argument("--max-indices", type=int, default=2)
     q.add_argument("--timeout", type=float)
-    q.add_argument("--jobs", type=int, default=1)
     q.add_argument("formula")
     q.set_defaults(fn=cmd_valid)
 

@@ -35,6 +35,10 @@ class KindMismatch(CnxError):
     """Models of different kinds where identical kinds are required."""
 
 
+class EvidenceError(CnxError):
+    """Evidence for a verdict failed its re-check at report time."""
+
+
 class FrameViolation(CnxError):
     """A model fails the frame-class validation required by an operation."""
 

@@ -22,8 +22,9 @@ from .logics import Logic
 from .model import (FIXTURE_NAMES, Kind, KripkeModel, PointedModel,
                     get_fixture, validate_model)
 from .proof import system_includes
-from .search import SearchBounds, Status, find_countermodel
-from .semantics import Consecution, check_consecution, consecution, sat
+from .search import (SearchBounds, Status, check_evidence, find_countermodel,
+                     refuting_point)
+from .semantics import Consecution, consecution
 from .syntax import (Atom, Formula, Neg, WouldTo, MightTo, Imp,
                      strong_imp, strict_imp, strong_strict_imp, strong_would,
                      strong_might)
@@ -221,19 +222,6 @@ def _candidate_fixtures(logic: Logic):
     return out
 
 
-def _refutes(pm: PointedModel, instance) -> Optional[PointedModel]:
-    """A point of pm's model witnessing failure of the instance, if any."""
-    m = pm.model
-    for w in sorted(m.worlds):
-        if isinstance(instance, Consecution):
-            if check_consecution(PointedModel(m, w), instance):
-                return PointedModel(m, w)
-        else:
-            if not sat(m, w, instance):
-                return PointedModel(m, w)
-    return None
-
-
 def _as_consecution(instance) -> Consecution:
     if isinstance(instance, Consecution):
         return instance
@@ -243,45 +231,32 @@ def _as_consecution(instance) -> Consecution:
 def run_thesis(logic: Logic, conn: str, thesis: Thesis,
                bounds: SearchBounds) -> ThesisStatus:
     instance = thesis_instance(conn, thesis)
-    for f in (instance.gamma | instance.delta
-              if isinstance(instance, Consecution) else [instance]):
+    c = _as_consecution(instance)
+    for f in c.gamma | c.delta:
         logic.require(f)
+    frame = logic.frame_class
 
     name = PROOF_EVIDENCE.get((conn, thesis))
     if name is not None:
         proof = corpus_proof(name)
         if proof is not None and system_includes(proof.system, logic.value):
-            _assert_proof_matches(proof, instance, name)
+            check_evidence(frame, c, proof)
             return ThesisStatus(thesis, "holds", ProofEvidence(name, proof.system))
 
     for fixture_name, pm in _candidate_fixtures(logic):
-        hit = _refutes(pm, instance)
-        if hit is not None:
-            _assert_countermodel(logic, hit, instance)
+        w = refuting_point(pm.model, c)
+        if w is not None:
+            hit = PointedModel(pm.model, w)
+            check_evidence(frame, c, hit)
             return ThesisStatus(thesis, "fails",
                                 CountermodelEvidence(hit, instance, fixture_name))
 
-    outcome = find_countermodel(logic, _as_consecution(instance), bounds)
+    outcome = find_countermodel(logic, c, bounds)
     if outcome.status is Status.FOUND:
-        _assert_countermodel(logic, outcome.witness, instance)
+        check_evidence(frame, c, outcome.witness)
         return ThesisStatus(thesis, "fails",
                             CountermodelEvidence(outcome.witness, instance, None))
     return ThesisStatus(thesis, "holds", BoundedEvidence(bounds))
-
-
-def _assert_proof_matches(proof, instance, name: str) -> None:
-    if isinstance(instance, Consecution):
-        assert set(proof.hypotheses) == set(instance.gamma), name
-        assert set(proof.goals) <= set(instance.delta), name
-    else:
-        assert proof.kind == "theorem" and proof.goals[0] == instance, name
-
-
-def _assert_countermodel(logic: Logic, pm: PointedModel, instance) -> None:
-    report = validate_model(pm.model, logic.frame_class)
-    assert report.ok, f"evidence model fails {logic.frame_class.value} validation"
-    assert check_consecution(pm, _as_consecution(instance)), \
-        "evidence model does not refute the instance"
 
 
 DEFAULT_BOUNDS = SearchBounds(max_worlds=2, atoms=(0, 1), max_cond_indices=2)

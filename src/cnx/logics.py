@@ -5,7 +5,7 @@ from __future__ import annotations
 from enum import Enum
 
 from .errors import LanguageMismatch
-from .model import FrameClass
+from .model import LANGUAGES, FrameClass
 from .syntax import Formula, LanguageTag, language_of
 
 
@@ -26,11 +26,7 @@ class Logic(Enum):
 
     @property
     def languages(self) -> frozenset[LanguageTag]:
-        if self is Logic.C:
-            return frozenset({LanguageTag.PL})
-        if self is Logic.CnK:
-            return frozenset({LanguageTag.PL, LanguageTag.MD})
-        return frozenset({LanguageTag.PL, LanguageTag.CN})
+        return LANGUAGES[self.frame_class.kind]
 
     def admits(self, f: Formula) -> bool:
         return language_of(f) in self.languages

@@ -14,12 +14,22 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ModelFormatError, StructuralError, UnknownFixture
+from .syntax import LanguageTag
 
 
 class Kind(Enum):
     PROP = "prop"
     MODAL = "modal"
     COND = "cond"
+
+
+# the formula languages each model kind can evaluate, and hence each logic and
+# proof system over that kind admits
+LANGUAGES: dict[Kind, frozenset[LanguageTag]] = {
+    Kind.PROP: frozenset({LanguageTag.PL}),
+    Kind.MODAL: frozenset({LanguageTag.PL, LanguageTag.MD}),
+    Kind.COND: frozenset({LanguageTag.PL, LanguageTag.CN}),
+}
 
 
 class FrameClass(Enum):
@@ -53,10 +63,6 @@ class BiSet:
 
 def bi(pos, neg) -> BiSet:
     return BiSet(frozenset(pos), frozenset(neg))
-
-
-def _sorted_pairs(pairs):
-    return sorted(pairs)
 
 
 class KripkeModel:
@@ -187,28 +193,32 @@ class ValidationReport:
     violations: tuple[Violation, ...] = ()
 
 
+def _up_sets(worlds, leq) -> list[frozenset]:
+    """The leq-up-closed subsets of worlds, in bitmask order over the sorted
+    worlds.  With an empty leq that is every subset."""
+    ordered = sorted(worlds)
+    out = []
+    for mask in range(1 << len(ordered)):
+        s = frozenset(w for i, w in enumerate(ordered) if mask >> i & 1)
+        if all(v in s for (u, v) in leq if u in s):
+            out.append(s)
+    return out
+
+
 def _fs_violations(worlds, leq, rel, tag=""):
-    """Fischer-Servi completion checks for one binary relation.
+    """Fischer-Servi completion checks for one binary relation, lazily.
 
     c1: w <= w' and w R v imply some v' with w' R v' and v <= v'.
     c2: w R v and v <= v' imply some w' with w <= w' and w' R v'.
     """
-    out = []
     for (w, wp) in leq:
         for (u, v) in rel:
-            if u != w:
-                continue
-            if not any((wp, vp) in rel and (v, vp) in leq for vp in worlds):
-                out.append(Violation(
-                    "c1", f"{tag}no completion for {w}<={wp} and r({w},{v})"))
+            if u == w and not any((wp, vp) in rel and (v, vp) in leq for vp in worlds):
+                yield Violation("c1", f"{tag}no completion for {w}<={wp} and r({w},{v})")
     for (u, v) in rel:
         for (x, vp) in leq:
-            if x != v:
-                continue
-            if not any((u, wp) in leq and (wp, vp) in rel for wp in worlds):
-                out.append(Violation(
-                    "c2", f"{tag}no completion for r({u},{v}) and {v}<={vp}"))
-    return out
+            if x == v and not any((u, wp) in leq and (wp, vp) in rel for wp in worlds):
+                yield Violation("c2", f"{tag}no completion for r({u},{v}) and {v}<={vp}")
 
 
 def validate_model(m: KripkeModel, cls: FrameClass) -> ValidationReport:
@@ -224,8 +234,8 @@ def validate_model(m: KripkeModel, cls: FrameClass) -> ValidationReport:
     for w in sorted(m.worlds):
         if (w, w) not in m.leq:
             out.append(Violation("not-reflexive", f"missing {w}<={w}"))
-    for (a, b) in _sorted_pairs(m.leq):
-        for (c, d) in _sorted_pairs(m.leq):
+    for (a, b) in sorted(m.leq):
+        for (c, d) in sorted(m.leq):
             if b == c and (a, d) not in m.leq:
                 out.append(Violation("not-transitive",
                                      f"{a}<={b} and {b}<={d} but not {a}<={d}"))
@@ -233,7 +243,7 @@ def validate_model(m: KripkeModel, cls: FrameClass) -> ValidationReport:
     for sign, table in (("+", m.val_pos), ("-", m.val_neg)):
         for atom in sorted(table):
             ws = table[atom]
-            for (a, b) in _sorted_pairs(m.leq):
+            for (a, b) in sorted(m.leq):
                 if a in ws and b not in ws:
                     out.append(Violation(
                         "heredity", f"val{sign} p{atom} holds at {a} but not at {b}>={a}"))
@@ -246,7 +256,7 @@ def validate_model(m: KripkeModel, cls: FrameClass) -> ValidationReport:
             tag = f"index ({set(idx.pos) or '{}'},{set(idx.neg) or '{}'}): "
             out.extend(_fs_violations(m.worlds, m.leq, rel, tag))
             if cls is FrameClass.FSC_R:
-                for (w, v) in _sorted_pairs(rel):
+                for (w, v) in sorted(rel):
                     if v not in idx.pos:
                         out.append(Violation(
                             "refl-target",
@@ -360,11 +370,11 @@ def serialize_model(m: KripkeModel, point: str | None = None) -> str:
     lines = [f"kind {m.kind.value}"]
     for w in sorted(m.worlds):
         lines.append(f"world {w}")
-    for (a, b) in _sorted_pairs(m.leq):
+    for (a, b) in sorted(m.leq):
         if a != b:
             lines.append(f"leq {a} {b}")
     if m.kind is Kind.MODAL:
-        for (a, b) in _sorted_pairs(m.access):
+        for (a, b) in sorted(m.access):
             lines.append(f"r {a} {b}")
     elif m.kind is Kind.COND:
         entries = []

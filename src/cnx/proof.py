@@ -21,9 +21,10 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import ProofFormatError
-from .syntax import (And, Atom, Box, Dia, Formula, Imp, LanguageTag, MightTo,
-                     Neg, Or, Token, WouldTo, _lex, iff, language_of,
-                     parse_prefix, render, strong_iff)
+from .model import LANGUAGES, Kind
+from .syntax import (And, Atom, Box, Dia, Formula, Imp, MightTo, Neg, Or, Token,
+                     WouldTo, _lex, iff, language_of, map_formula, parse_prefix,
+                     render, strong_iff)
 
 PHI, PSI, CHI = Atom(0), Atom(1), Atom(2)
 METAVARS = {0: "phi", 1: "psi", 2: "chi"}
@@ -88,23 +89,23 @@ class ProofSystem:
     name: str
     axioms: frozenset[str]
     rules: frozenset[str]
-    language: LanguageTag
+    kind: Kind                  # the model kind whose language the system speaks
 
 
 _S0_AX = frozenset(f"a{i}" for i in range(1, 9))
 _C_AX = _S0_AX | {f"a{i}" for i in range(9, 13)}
 
 SYSTEMS: dict[str, ProofSystem] = {
-    "S0": ProofSystem("S0", _S0_AX, frozenset({"mp"}), LanguageTag.PL),
-    "C": ProofSystem("C", _C_AX, frozenset({"mp"}), LanguageTag.PL),
+    "S0": ProofSystem("S0", _S0_AX, frozenset({"mp"}), Kind.PROP),
+    "C": ProofSystem("C", _C_AX, frozenset({"mp"}), Kind.PROP),
     "CnK": ProofSystem("CnK", _C_AX | {f"b{i}" for i in range(1, 7)},
-                       frozenset({"mp", "nec"}), LanguageTag.MD),
+                       frozenset({"mp", "nec"}), Kind.MODAL),
     "CnCK": ProofSystem("CnCK", _C_AX | {f"g{i}" for i in range(1, 8)},
                         frozenset({"mp", "ra-box", "rc-box", "ra-dia", "rc-dia"}),
-                        LanguageTag.CN),
+                        Kind.COND),
     "CnCKR": ProofSystem("CnCKR", _C_AX | {f"g{i}" for i in range(1, 9)},
                          frozenset({"mp", "ra-box", "rc-box", "ra-dia", "rc-dia"}),
-                         LanguageTag.CN),
+                         Kind.COND),
 }
 
 
@@ -112,13 +113,6 @@ def system_includes(sub: str, sup: str) -> bool:
     """Scheme-set inclusion between named systems."""
     a, b = SYSTEMS[sub], SYSTEMS[sup]
     return a.axioms <= b.axioms and a.rules <= b.rules
-
-
-def _language_ok(system: ProofSystem, f: Formula) -> bool:
-    tag = language_of(f)
-    if tag is LanguageTag.PL:
-        return True
-    return tag is system.language
 
 
 # ---------------------------------------------------------------------------
@@ -150,30 +144,7 @@ def match_scheme(f: Formula, template: Formula) -> Optional[dict[str, Formula]]:
 
 def instantiate(template: Formula, binding: dict[str, Formula]) -> Formula:
     table = {_NAMES[name]: f for name, f in binding.items()}
-    return _subst_many(template, table)
-
-
-def _subst_many(f: Formula, table: dict[int, Formula]) -> Formula:
-    match f:
-        case Atom(index):
-            return table.get(index, f)
-        case Neg(body):
-            return Neg(_subst_many(body, table))
-        case Box(body):
-            return Box(_subst_many(body, table))
-        case Dia(body):
-            return Dia(_subst_many(body, table))
-        case And(left, right):
-            return And(_subst_many(left, table), _subst_many(right, table))
-        case Or(left, right):
-            return Or(_subst_many(left, table), _subst_many(right, table))
-        case Imp(left, right):
-            return Imp(_subst_many(left, table), _subst_many(right, table))
-        case WouldTo(left, right):
-            return WouldTo(_subst_many(left, table), _subst_many(right, table))
-        case MightTo(left, right):
-            return MightTo(_subst_many(left, table), _subst_many(right, table))
-    raise TypeError(f"not a formula: {f!r}")
+    return map_formula(template, lambda g: table.get(g.index, g) if isinstance(g, Atom) else g)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +267,7 @@ def check_proof(proof: Proof, registry: Registry | None = None) -> CheckResult:
         return _bad(None, "empty-proof", "a proof needs at least one line")
 
     for f in proof.hypotheses + proof.goals + tuple(l.formula for l in proof.lines):
-        if not _language_ok(system, f):
+        if language_of(f) not in LANGUAGES[system.kind]:
             return _bad(None, "language-mismatch",
                         f"{render(f)} is outside the language of {proof.system}")
 

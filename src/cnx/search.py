@@ -12,15 +12,15 @@ theoremhood claim in any case.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations, product
 from typing import Iterator
 
+from .errors import EvidenceError
 from .logics import Logic
 from .model import (BiSet, FrameClass, Kind, KripkeModel, PointedModel,
-                    _trusted_model, validate_model)
+                    _fs_violations, _trusted_model, _up_sets, validate_model)
 from .semantics import Consecution, check_consecution
 
 
@@ -34,6 +34,10 @@ class SearchBounds:
     def __post_init__(self):
         if self.max_worlds < 1:
             raise ValueError("max_worlds must be at least 1")
+        if self.max_cond_indices < 0:
+            raise ValueError("max_cond_indices must not be negative")
+        if self.time_limit is not None and self.time_limit <= 0:
+            raise ValueError("time_limit must be positive")
 
 
 class Status(Enum):
@@ -80,28 +84,6 @@ def _preorders(worlds) -> list[frozenset]:
     return out
 
 
-def _up_sets(worlds, leq) -> list[frozenset]:
-    ordered = sorted(worlds)
-    out = []
-    for mask in range(1 << len(ordered)):
-        s = frozenset(w for i, w in enumerate(ordered) if mask >> i & 1)
-        if all(v in s for (u, v) in leq if u in s):
-            out.append(s)
-    return out
-
-
-def _fs_ok(worlds, leq, rel) -> bool:
-    for (w, wp) in leq:
-        for (u, v) in rel:
-            if u == w and not any((wp, vp) in rel and (v, vp) in leq for vp in worlds):
-                return False
-    for (u, v) in rel:
-        for (x, vp) in leq:
-            if x == v and not any((u, wp) in leq and (wp, vp) in rel for wp in worlds):
-                return False
-    return True
-
-
 def _valuations(atoms, up_sets) -> Iterator[tuple[dict, dict]]:
     if not atoms:
         yield {}, {}
@@ -130,7 +112,7 @@ def enumerate_models(frame: FrameClass, bounds: SearchBounds) -> Iterator[Kripke
 
             if frame is FrameClass.FSM:
                 rels = [_decode(mask, pairs) for mask in range(1 << len(pairs))]
-                rels = [r for r in rels if _fs_ok(worlds, leq, r)]
+                rels = [r for r in rels if not any(_fs_violations(worlds, leq, r))]
                 for vp, vn in _valuations(atoms, ups):
                     for rel in rels:
                         yield _trusted_model(Kind.MODAL, wset, leq, rel, vp, vn)
@@ -138,7 +120,7 @@ def enumerate_models(frame: FrameClass, bounds: SearchBounds) -> Iterator[Kripke
 
             # conditional classes
             nonempty = [_decode(mask, pairs) for mask in range(1, 1 << len(pairs))]
-            nonempty = [r for r in nonempty if _fs_ok(worlds, leq, r)]
+            nonempty = [r for r in nonempty if not any(_fs_violations(worlds, leq, r))]
             indices = [BiSet(x, y) for x in ups for y in ups]
             per_index = {}
             for idx in indices:
@@ -162,26 +144,35 @@ def enumerate_models(frame: FrameClass, bounds: SearchBounds) -> Iterator[Kripke
 # ---------------------------------------------------------------------------
 # countermodel search
 
-def default_bounds_for(c: Consecution, max_worlds: int = 2,
-                       max_cond_indices: int = 2,
-                       time_limit: float | None = None) -> SearchBounds:
-    atoms = set()
-    for f in c.gamma | c.delta:
-        from .syntax import atoms_of
-        atoms |= atoms_of(f)
-    return SearchBounds(max_worlds, tuple(sorted(atoms)) or (0,),
-                        max_cond_indices, time_limit)
-
-
-def _refuting_point(m: KripkeModel, c: Consecution) -> str | None:
+def refuting_point(m: KripkeModel, c: Consecution) -> str | None:
+    """The first world, in sorted order, at which m refutes c."""
     for w in sorted(m.worlds):
         if check_consecution(PointedModel(m, w), c):
             return w
     return None
 
 
-def find_countermodel(logic: Logic, c: Consecution, bounds: SearchBounds,
-                      jobs: int = 1) -> SearchOutcome:
+def check_evidence(frame: FrameClass, c: Consecution, evidence) -> None:
+    """Re-check the evidence for a verdict on c, raising EvidenceError if it
+    does not back the verdict.  A pointed model must pass validate_model for
+    the frame class and refute c at its point.  A proof must have c's gamma as
+    its hypotheses and some of c's delta as its goals; a proof of a bare
+    formula (empty gamma) must be a theorem proof.  The checks raise rather
+    than assert, so they also run under python -O."""
+    if isinstance(evidence, PointedModel):
+        report = validate_model(evidence.model, frame)
+        if not report.ok:
+            raise EvidenceError(f"evidence model fails {frame.value} validation: "
+                                f"{report.violations[0]}")
+        if not check_consecution(evidence, c):
+            raise EvidenceError("evidence model does not refute the instance")
+    elif not (evidence.goals and set(evidence.hypotheses) == c.gamma
+              and set(evidence.goals) <= c.delta
+              and (c.gamma or evidence.kind == "theorem")):
+        raise EvidenceError(f"proof {evidence.name} does not prove the instance")
+
+
+def find_countermodel(logic: Logic, c: Consecution, bounds: SearchBounds) -> SearchOutcome:
     """Search for a pointed model of the logic's class that satisfies every
     gamma member and refutes every delta member.  Found outcomes re-validate
     and re-check before being reported; exhausting the bounds refutes only
@@ -190,40 +181,14 @@ def find_countermodel(logic: Logic, c: Consecution, bounds: SearchBounds,
     for f in c.gamma | c.delta:
         logic.require(f)
     frame = logic.frame_class
-    deadline = time.monotonic() + bounds.time_limit if bounds.time_limit else None
-
-    def finish(m: KripkeModel, w: str) -> SearchOutcome:
-        pm = PointedModel(m, w)
-        report = validate_model(m, frame)
-        assert report.ok, f"enumerator produced an invalid model: {report.violations}"
-        assert check_consecution(pm, c), "refutation failed to re-check"
-        return SearchOutcome(Status.FOUND, pm, bounds)
-
-    stream = enumerate_models(frame, bounds)
-    if jobs <= 1:
-        for m in stream:
-            if deadline and time.monotonic() > deadline:
-                return SearchOutcome(Status.TIMED_OUT, None, bounds)
-            w = _refuting_point(m, c)
-            if w is not None:
-                return finish(m, w)
-        return SearchOutcome(Status.EXHAUSTED, None, bounds)
-
-    # Parallel mode: evaluate fixed-size blocks concurrently and reconcile to
-    # the least enumeration index, so the reported model matches jobs=1.
-    block = 256
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        while True:
-            chunk = []
-            for m in stream:
-                chunk.append(m)
-                if len(chunk) == block:
-                    break
-            if not chunk:
-                return SearchOutcome(Status.EXHAUSTED, None, bounds)
-            if deadline and time.monotonic() > deadline:
-                return SearchOutcome(Status.TIMED_OUT, None, bounds)
-            hits = list(pool.map(lambda m: _refuting_point(m, c), chunk))
-            for m, w in zip(chunk, hits):
-                if w is not None:
-                    return finish(m, w)
+    deadline = (time.monotonic() + bounds.time_limit
+                if bounds.time_limit is not None else None)
+    for m in enumerate_models(frame, bounds):
+        if deadline is not None and time.monotonic() > deadline:
+            return SearchOutcome(Status.TIMED_OUT, None, bounds)
+        w = refuting_point(m, c)
+        if w is not None:
+            pm = PointedModel(m, w)
+            check_evidence(frame, c, pm)
+            return SearchOutcome(Status.FOUND, pm, bounds)
+    return SearchOutcome(Status.EXHAUSTED, None, bounds)

@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import LanguageMismatch, UnknownWorld
-from .model import BiSet, Kind, KripkeModel, PointedModel
-from .syntax import (And, Atom, Box, Dia, Formula, Imp, LanguageTag, MightTo,
-                     Neg, Or, WouldTo, language_of)
+from .model import LANGUAGES, BiSet, KripkeModel, PointedModel
+from .syntax import (And, Atom, Box, Dia, Formula, Imp, MightTo, Neg, Or,
+                     WouldTo, language_of)
 
 SIGNS = ("+", "-")
 
@@ -31,14 +31,9 @@ def consecution(gamma, delta) -> Consecution:
 
 def _check_language(m: KripkeModel, f: Formula) -> None:
     tag = language_of(f)
-    if tag is LanguageTag.PL:
-        return
-    if tag is LanguageTag.MD and m.kind is Kind.MODAL:
-        return
-    if tag is LanguageTag.CN and m.kind is Kind.COND:
-        return
-    raise LanguageMismatch(
-        f"{tag.value} formula cannot be evaluated on a {m.kind.value} model")
+    if tag not in LANGUAGES[m.kind]:
+        raise LanguageMismatch(
+            f"{tag.value} formula cannot be evaluated on a {m.kind.value} model")
 
 
 def biextension(m: KripkeModel, f: Formula) -> BiSet:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Union
+from typing import Callable, Iterator, Union
 
 from .errors import FormulaSyntaxError
 
@@ -197,28 +197,22 @@ def language_of(f: Formula) -> LanguageTag:
     return tag
 
 
+def map_formula(f: Formula, fn: Callable[[Formula], Formula]) -> Formula:
+    """Rebuild f bottom up: each node is first rebuilt from its mapped
+    children, then replaced by fn(node).  What fn returns is not walked again."""
+    cls = type(f)
+    if cls in _PREFIX_OPS:
+        f = cls(map_formula(f.body, fn))
+    elif cls in _BINARY_OPS:
+        f = cls(map_formula(f.left, fn), map_formula(f.right, fn))
+    elif cls is not Atom:
+        raise TypeError(f"not a formula: {f!r}")
+    return fn(f)
+
+
 def substitute(phi: Formula, psi: Formula, p: int) -> Formula:
     """phi with every occurrence of atom p replaced by psi."""
-    match phi:
-        case Atom(index):
-            return psi if index == p else phi
-        case Neg(body):
-            return Neg(substitute(body, psi, p))
-        case Box(body):
-            return Box(substitute(body, psi, p))
-        case Dia(body):
-            return Dia(substitute(body, psi, p))
-        case And(left, right):
-            return And(substitute(left, psi, p), substitute(right, psi, p))
-        case Or(left, right):
-            return Or(substitute(left, psi, p), substitute(right, psi, p))
-        case Imp(left, right):
-            return Imp(substitute(left, psi, p), substitute(right, psi, p))
-        case WouldTo(left, right):
-            return WouldTo(substitute(left, psi, p), substitute(right, psi, p))
-        case MightTo(left, right):
-            return MightTo(substitute(left, psi, p), substitute(right, psi, p))
-    raise TypeError(f"not a formula: {phi!r}")
+    return map_formula(phi, lambda g: psi if isinstance(g, Atom) and g.index == p else g)
 
 
 def depth(f: Formula) -> int:
@@ -241,7 +235,8 @@ class Token:
     pos: int
 
 
-# ordered for longest match
+# ordered for longest match: a regex alternation takes the first alternative
+# that matches
 _OPERATORS = [
     "<#=>", "<#>", "<=>", "<->", "<>", "[]",
     "#=>", "#>", "@=>", "@>", "?=>", "?>", "=>", "->",
@@ -251,60 +246,55 @@ _OPERATORS = [
 _ARROWS = {"->", "=>", "#>", "#=>", "@>", "?>", "@=>", "?=>"}
 _EQUIVS = {"<->", "<=>", "<#>", "<#=>"}
 
-_ATOM_RE = re.compile(r"p(\d+)(?![\w])")
-_WORD_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_\-]*")
-_NUM_RE = re.compile(r"\d+")
+_TOKENS = (r"(?P<space>[ \t]+)|(?P<atom>p\d+(?!\w))|(?P<op>"
+           + "|".join(map(re.escape, _OPERATORS)) + ")")
+_TOKEN_RE = re.compile(_TOKENS + r"|(?P<bad>.)", re.DOTALL)
+_EXTENDED_TOKEN_RE = re.compile(
+    _TOKENS + r"|(?P<word>[A-Za-z_][A-Za-z0-9_\-]*)|(?P<num>\d+)|(?P<eq>=)|(?P<bad>.)",
+    re.DOTALL)
 
 
 def _lex(text: str, extended: bool = False) -> list[Token]:
     """Tokenize formula text; `extended` additionally admits bare words,
     numbers and '=' so proof-file lines can carry a trailing justification."""
     out = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c in " \t":
-            i += 1
+    for m in (_EXTENDED_TOKEN_RE if extended else _TOKEN_RE).finditer(text):
+        kind = m.lastgroup
+        if kind == "space":
             continue
-        m = _ATOM_RE.match(text, i)
-        if m:
-            out.append(Token("atom", m.group(0), i))
-            i = m.end()
-            continue
-        for op in _OPERATORS:
-            if text.startswith(op, i):
-                out.append(Token("op", op, i))
-                i += len(op)
-                break
-        else:
-            if extended:
-                m = _WORD_RE.match(text, i)
-                if m:
-                    out.append(Token("word", m.group(0), i))
-                    i = m.end()
-                    continue
-                m = _NUM_RE.match(text, i)
-                if m:
-                    out.append(Token("num", m.group(0), i))
-                    i = m.end()
-                    continue
-                if c == "=":
-                    out.append(Token("eq", "=", i))
-                    i += 1
-                    continue
-            raise FormulaSyntaxError(f"unexpected character {c!r}", i,
+        if kind == "bad":
+            raise FormulaSyntaxError(f"unexpected character {m.group()!r}", m.start(),
                                      expected="an atom p0, p1, ... or an operator")
+        out.append(Token(kind, m.group(), m.start()))
     return out
 
 
 # ---------------------------------------------------------------------------
 # parser (recursive descent; precedence: prefix > & > | > arrows > equivalences)
 
+# Cap on formula depth (connectives after sugar expansion) and on parenthesis
+# nesting.  Parsing recurses about five frames per parenthesis, and render and
+# evaluation one frame per connective, so the cap keeps all of them far from
+# the interpreter's recursion limit.  The deepest corpus formula is 13 deep.
+MAX_DEPTH = 100
+
+_PREFIX = {op: cls for cls, op in _PREFIX_OPS.items()}
+_BINARY = {**{op: cls for cls, op in _BINARY_OPS.items()}, **SUGAR}
+# at most this many levels are added above an operand once the operator is
+# expanded into the core
+_BINARY_DEPTH = {op: depth(make(Atom(0), Atom(0))) for op, make in _BINARY.items()}
+
+
 class _Parser:
+    """Each level returns (formula, depth), so the depth cap is checked as
+    nodes are built.  Prefix and arrow chains are folded in loops; only
+    parentheses recurse."""
+
     def __init__(self, tokens: list[Token], text_len: int):
         self.toks = tokens
         self.i = 0
         self.end = text_len
+        self.parens = 0
 
     def peek(self) -> Token | None:
         return self.toks[self.i] if self.i < len(self.toks) else None
@@ -320,7 +310,20 @@ class _Parser:
             return t.text
         return None
 
-    def equiv(self) -> Formula:
+    def _too_deep(self) -> FormulaSyntaxError:
+        return FormulaSyntaxError(f"formula nested more than {MAX_DEPTH} levels deep",
+                                  self._pos())
+
+    def _binary(self, op: str, left, right) -> tuple[Formula, int]:
+        d = max(left[1], right[1]) + _BINARY_DEPTH[op]
+        if d > MAX_DEPTH:
+            raise self._too_deep()
+        return _BINARY[op](left[0], right[0]), d
+
+    def formula(self) -> Formula:
+        return self.equiv()[0]
+
+    def equiv(self) -> tuple[Formula, int]:
         left = self.arrow()
         op = self.take_op(_EQUIVS)
         if op is None:
@@ -329,68 +332,68 @@ class _Parser:
         if self.peek() and self.peek().kind == "op" and self.peek().text in _EQUIVS:
             raise FormulaSyntaxError("equivalences do not associate", self._pos(),
                                      expected="parentheses around the inner equivalence")
-        return SUGAR[op](left, right)
+        return self._binary(op, left, right)
 
-    def arrow(self) -> Formula:
-        left = self.disj()
-        op = self.take_op(_ARROWS)
-        if op is None:
-            return left
-        right = self.arrow()  # right-associative across the whole family
-        if op == "->":
-            return Imp(left, right)
-        if op == "@>":
-            return WouldTo(left, right)
-        if op == "?>":
-            return MightTo(left, right)
-        return SUGAR[op](left, right)
+    def arrow(self) -> tuple[Formula, int]:
+        # right-associative across the whole family
+        operands = [self.disj()]
+        ops = []
+        while (op := self.take_op(_ARROWS)) is not None:
+            ops.append(op)
+            operands.append(self.disj())
+        f = operands.pop()
+        while ops:
+            f = self._binary(ops.pop(), operands.pop(), f)
+        return f
 
-    def disj(self) -> Formula:
+    def disj(self) -> tuple[Formula, int]:
         f = self.conj()
         while self.take_op({"|"}):
-            f = Or(f, self.conj())
+            f = self._binary("|", f, self.conj())
         return f
 
-    def conj(self) -> Formula:
+    def conj(self) -> tuple[Formula, int]:
         f = self.unary()
         while self.take_op({"&"}):
-            f = And(f, self.unary())
+            f = self._binary("&", f, self.unary())
         return f
 
-    def unary(self) -> Formula:
+    def unary(self) -> tuple[Formula, int]:
+        prefixes = []
+        while (op := self.take_op(_PREFIX)) is not None:
+            prefixes.append(_PREFIX[op])
         t = self.peek()
         if t is None:
             raise FormulaSyntaxError("formula ended unexpectedly", self.end,
                                      expected="an atom, '~', '[]', '<>' or '('")
         if t.kind == "atom":
             self.i += 1
-            return Atom(int(t.text[1:]))
-        if t.kind == "op":
-            if t.text == "~":
-                self.i += 1
-                return Neg(self.unary())
-            if t.text == "[]":
-                self.i += 1
-                return Box(self.unary())
-            if t.text == "<>":
-                self.i += 1
-                return Dia(self.unary())
-            if t.text == "(":
-                self.i += 1
-                f = self.equiv()
-                if not self.take_op({")"}):
-                    raise FormulaSyntaxError("unclosed parenthesis", self._pos(),
-                                             expected="')'")
-                return f
-        raise FormulaSyntaxError(f"unexpected token {t.text!r}", t.pos,
-                                 expected="an atom, '~', '[]', '<>' or '('")
+            f, d = Atom(int(t.text[1:])), 0
+        elif t.kind == "op" and t.text == "(":
+            self.parens += 1
+            if self.parens > MAX_DEPTH:
+                raise self._too_deep()
+            self.i += 1
+            f, d = self.equiv()
+            if not self.take_op({")"}):
+                raise FormulaSyntaxError("unclosed parenthesis", self._pos(),
+                                         expected="')'")
+            self.parens -= 1
+        else:
+            raise FormulaSyntaxError(f"unexpected token {t.text!r}", t.pos,
+                                     expected="an atom, '~', '[]', '<>' or '('")
+        if d + len(prefixes) > MAX_DEPTH:
+            raise self._too_deep()
+        for cls in reversed(prefixes):
+            f = cls(f)
+        return f, d + len(prefixes)
 
 
 def parse(text: str) -> Formula:
     """Parse formula text into a core Formula with all sugar expanded."""
     toks = _lex(text)
     p = _Parser(toks, len(text))
-    f = p.equiv()
+    f = p.formula()
     t = p.peek()
     if t is not None:
         raise FormulaSyntaxError(f"trailing input {t.text!r}", t.pos,
@@ -405,7 +408,7 @@ def parse_prefix(tokens: list[Token], start: int, text_len: int) -> tuple[Formul
     on the same line.
     """
     p = _Parser(tokens[start:], text_len)
-    f = p.equiv()
+    f = p.formula()
     return f, start + p.i
 
 

@@ -13,11 +13,11 @@ from itertools import product
 from typing import Optional
 
 from .errors import FrameViolation, KindMismatch, LanguageMismatch, TooManyWorlds
-from .model import (BiSet, FrameClass, Kind, KripkeModel, PointedModel,
-                    validate_model)
+from .model import (LANGUAGES, BiSet, FrameClass, Kind, KripkeModel,
+                    PointedModel, _up_sets, validate_model)
 from .semantics import biextension
-from .syntax import (And, Atom, Box, Dia, Formula, Imp, LanguageTag, MightTo,
-                     Neg, Or, WouldTo, language_of)
+from .syntax import (And, Box, Dia, Formula, Imp, MightTo, WouldTo,
+                     language_of, map_formula)
 
 FULL_LIFT_WORLD_CAP = 4
 
@@ -33,7 +33,7 @@ CLOSED = LiftMode("closed")
 
 
 def refl(anchor: Formula) -> LiftMode:
-    if language_of(anchor) is not LanguageTag.CN and language_of(anchor) is not LanguageTag.PL:
+    if language_of(anchor) not in LANGUAGES[Kind.COND]:
         raise LanguageMismatch("a refl-lift anchor must be a conditional-language formula")
     return LiftMode("refl", anchor)
 
@@ -44,56 +44,36 @@ def refl(anchor: Formula) -> LiftMode:
 def tr_phi(anchor: Formula, f: Formula) -> Formula:
     """Translate a modal formula into the conditional language, reading boxes
     as anchor @> _ and diamonds as anchor ?> _."""
-    if language_of(anchor) not in (LanguageTag.PL, LanguageTag.CN):
+    if language_of(anchor) not in LANGUAGES[Kind.COND]:
         raise LanguageMismatch("anchor must be in the conditional language")
-    if language_of(f) not in (LanguageTag.PL, LanguageTag.MD):
+    if language_of(f) not in LANGUAGES[Kind.MODAL]:
         raise LanguageMismatch("tr_phi translates modal-language formulas")
 
     def go(g: Formula) -> Formula:
         match g:
-            case Atom(_):
-                return g
-            case Neg(body):
-                return Neg(go(body))
-            case And(left, right):
-                return And(go(left), go(right))
-            case Or(left, right):
-                return Or(go(left), go(right))
-            case Imp(left, right):
-                return Imp(go(left), go(right))
             case Box(body):
-                return WouldTo(anchor, go(body))
+                return WouldTo(anchor, body)
             case Dia(body):
-                return MightTo(anchor, go(body))
-        raise TypeError(f"not a modal-language formula: {g!r}")
+                return MightTo(anchor, body)
+        return g
 
-    return go(f)
+    return map_formula(f, go)
 
 
 def i_translate(f: Formula) -> Formula:
     """Interpret conditionals modally: a @> b as [](a -> b), a ?> b as <>(a & b)."""
-    if language_of(f) not in (LanguageTag.PL, LanguageTag.CN):
+    if language_of(f) not in LANGUAGES[Kind.COND]:
         raise LanguageMismatch("i_translate interprets conditional-language formulas")
 
     def go(g: Formula) -> Formula:
         match g:
-            case Atom(_):
-                return g
-            case Neg(body):
-                return Neg(go(body))
-            case And(left, right):
-                return And(go(left), go(right))
-            case Or(left, right):
-                return Or(go(left), go(right))
-            case Imp(left, right):
-                return Imp(go(left), go(right))
             case WouldTo(left, right):
-                return Box(Imp(go(left), go(right)))
+                return Box(Imp(left, right))
             case MightTo(left, right):
-                return Dia(And(go(left), go(right)))
-        raise TypeError(f"not a conditional-language formula: {g!r}")
+                return Dia(And(left, right))
+        return g
 
-    return go(f)
+    return map_formula(f, go)
 
 
 # ---------------------------------------------------------------------------
@@ -104,22 +84,6 @@ def _require(m: KripkeModel, cls: FrameClass) -> None:
     if not report.ok:
         raise FrameViolation(
             f"input fails {cls.value} validation: {report.violations[0]}")
-
-
-def _subsets(ws) -> list[frozenset[str]]:
-    ordered = sorted(ws)
-    return [frozenset(c) for r in range(len(ordered) + 1)
-            for c in _combos(ordered, r)]
-
-
-def _combos(ordered, r):
-    from itertools import combinations
-    return combinations(ordered, r)
-
-
-def _up_closed_subsets(m: KripkeModel) -> list[frozenset[str]]:
-    return [s for s in _subsets(m.worlds)
-            if all(v in s for (u, v) in m.leq if u in s)]
 
 
 def modal_to_conditional(m: KripkeModel, mode: LiftMode) -> KripkeModel:
@@ -139,18 +103,17 @@ def modal_to_conditional(m: KripkeModel, mode: LiftMode) -> KripkeModel:
                 f"full lift materializes 4^|W| indices; |W|={len(m.worlds)} "
                 f"exceeds the cap of {FULL_LIFT_WORLD_CAP}")
         if m.access:
-            for x, y in product(_subsets(m.worlds), repeat=2):
+            for x, y in product(_up_sets(m.worlds, ()), repeat=2):
                 access[BiSet(x, y)] = m.access
     elif mode.style == "closed":
-        ups = _up_closed_subsets(m)
-        for x, y in product(ups, repeat=2):
+        for x, y in product(_up_sets(m.worlds, m.leq), repeat=2):
             rel = frozenset((u, v) for (u, v) in m.access if v in x)
             if rel:
                 access[BiSet(x, y)] = rel
     elif mode.style == "refl":
         if m.access:
             w_all = frozenset(m.worlds)
-            for x in _subsets(m.worlds):
+            for x in _up_sets(m.worlds, ()):
                 access[BiSet(w_all, x)] = m.access
     else:
         raise ValueError(f"unknown lift mode {mode.style!r}")
@@ -244,21 +207,19 @@ def dp_join(pm1: PointedModel, pm2: PointedModel) -> JoinResult:
     elif m1.kind is Kind.MODAL:
         access = set(m1.access) | {(wmap[a], wmap[b]) for (a, b) in m2.access}
     else:
-        w1 = frozenset(m1.worlds)
-        w2 = frozenset(wmap.values())
-        extra = sorted(worlds - set(m1.worlds))
-        extra2 = sorted(worlds - set(wmap.values()))
+        extra = _up_sets(worlds - set(m1.worlds), ())
+        extra2 = _up_sets(worlds - set(wmap.values()), ())
         access = {}
         for idx, rel in m1.access.items():
-            for xe, ye in product(_subsets(extra), repeat=2):
-                j = BiSet(idx.pos | frozenset(xe), idx.neg | frozenset(ye))
+            for xe, ye in product(extra, repeat=2):
+                j = BiSet(idx.pos | xe, idx.neg | ye)
                 access[j] = access.get(j, frozenset()) | rel
         for idx, rel in m2.access.items():
             mapped = frozenset((wmap[a], wmap[b]) for (a, b) in rel)
             pos = frozenset(wmap[w] for w in idx.pos)
             neg = frozenset(wmap[w] for w in idx.neg)
-            for xe, ye in product(_subsets(extra2), repeat=2):
-                j = BiSet(pos | frozenset(xe), neg | frozenset(ye))
+            for xe, ye in product(extra2, repeat=2):
+                j = BiSet(pos | xe, neg | ye)
                 access[j] = access.get(j, frozenset()) | mapped
 
     out = KripkeModel(m1.kind, worlds, leq, access, val_pos, val_neg)

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import random
 
-from cnx.model import BiSet, Kind, KripkeModel
-from cnx.search import _fs_ok, _preorders, _up_sets
+from cnx.model import BiSet, Kind, KripkeModel, _fs_violations, _up_sets
+from cnx.search import _preorders
 from cnx.syntax import (And, Atom, Box, Dia, Formula, Imp, MightTo, Neg, Or,
-                        WouldTo)
+                        WouldTo, map_formula)
 
 PL_CONNS = (Neg, And, Or, Imp)
 MD_CONNS = PL_CONNS + (Box, Dia)
@@ -28,18 +28,7 @@ def random_formula(rnd: random.Random, max_depth: int, atoms=(0, 1),
 def shift_atoms(f: Formula, offset: int) -> Formula:
     if offset == 0:
         return f
-    match f:
-        case Atom(index):
-            return Atom(index + offset)
-        case Neg(b):
-            return Neg(shift_atoms(b, offset))
-        case Box(b):
-            return Box(shift_atoms(b, offset))
-        case Dia(b):
-            return Dia(shift_atoms(b, offset))
-        case _:
-            return type(f)(shift_atoms(f.left, offset),
-                           shift_atoms(f.right, offset))
+    return map_formula(f, lambda g: Atom(g.index + offset) if isinstance(g, Atom) else g)
 
 
 def random_prop_model(rnd: random.Random, max_worlds=2, atoms=(0, 1)) -> KripkeModel:
@@ -58,7 +47,7 @@ def random_modal_model(rnd: random.Random, max_worlds=2, atoms=(0, 1)) -> Kripke
         worlds = sorted(base.worlds)
         pairs = [(a, b) for a in worlds for b in worlds]
         rel = frozenset(p for p in pairs if rnd.random() < 0.4)
-        if _fs_ok(base.worlds, base.leq, rel):
+        if not any(_fs_violations(base.worlds, base.leq, rel)):
             return KripkeModel(Kind.MODAL, base.worlds, base.leq, rel,
                                base.val_pos, base.val_neg)
 
@@ -77,7 +66,7 @@ def random_cond_model(rnd: random.Random, max_worlds=2, atoms=(0, 1),
             rel = frozenset(p for p in pairs if rnd.random() < 0.4)
             if not rel:
                 continue
-            if not _fs_ok(base.worlds, base.leq, rel):
+            if any(_fs_violations(base.worlds, base.leq, rel)):
                 ok = False
                 break
             access[idx] = access.get(idx, frozenset()) | rel

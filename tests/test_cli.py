@@ -162,3 +162,26 @@ def test_usage_error_exit_2(capsys):
     assert code == 2
     code, _, err = run(capsys, "check", "-m", "/nonexistent.kmd", "-w", "w", "p0")
     assert code == 2
+
+
+def test_max_indices_zero_is_taken_as_given(capsys):
+    code, out, _ = run(capsys, "valid", "-L", "CnCK", "--max-worlds", "1",
+                       "--max-indices", "0", "p0 @> p0")
+    assert code == 0
+    assert "at most 0 nonempty" in out
+
+
+def test_negative_bounds_exit_2(capsys):
+    for flags in (("--max-indices", "-1"), ("--timeout", "-1")):
+        code, out, err = run(capsys, "valid", "-L", "CnCK", "--max-worlds", "1",
+                             *flags, "p0 @> p0")
+        assert code == 2, flags
+        assert out == "" and err.startswith("error:"), flags
+
+
+def test_deep_nesting_exit_2_without_traceback(capsys):
+    deep = "~" * 3000 + "p0"
+    for argv in (("parse", deep), ("valid", "-L", "C", "--max-worlds", "1", deep)):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv[0]
+        assert out == "" and err.startswith("error:") and "nested" in err, argv[0]

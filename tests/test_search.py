@@ -1,11 +1,18 @@
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from cnx.errors import LanguageMismatch
+from cnx.errors import EvidenceError, LanguageMismatch
 from cnx.logics import Logic
-from cnx.model import FrameClass, serialize_pointed, validate_model
-from cnx.search import (SearchBounds, Status, enumerate_models,
+from cnx.model import (FrameClass, Kind, KripkeModel, PointedModel, get_fixture,
+                       serialize_pointed, validate_model)
+from cnx.search import (SearchBounds, Status, check_evidence, enumerate_models,
                         find_countermodel)
 from cnx.semantics import check_consecution, consecution
 from cnx.syntax import parse
@@ -113,15 +120,6 @@ def test_search_monotone_in_bounds():
     assert serialize_pointed(small.witness) == serialize_pointed(big.witness)
 
 
-def test_parallel_matches_sequential():
-    c = consecution([parse("p0 ?> (p1 & p2)")], [parse("(p0 & p1) ?> p2")])
-    bounds = SearchBounds(2, (0, 1, 2), max_cond_indices=2)
-    seq = find_countermodel(Logic.CnCK, c, bounds)
-    par = find_countermodel(Logic.CnCK, c, bounds, jobs=4)
-    assert seq.status is par.status is Status.FOUND
-    assert serialize_pointed(seq.witness) == serialize_pointed(par.witness)
-
-
 def test_language_gate():
     with pytest.raises(LanguageMismatch):
         find_countermodel(Logic.C, consecution([], [parse("[]p0")]),
@@ -143,3 +141,68 @@ def test_fsc_r_enumeration_respects_target_condition():
     for m in enumerate_models(FrameClass.FSC_R, bounds):
         for idx, rel in m.access.items():
             assert all(v in idx.pos for (_, v) in rel)
+
+
+def test_bounds_reject_negative_values():
+    with pytest.raises(ValueError):
+        SearchBounds(1, max_cond_indices=-3)
+    for limit in (0, -1.0):
+        with pytest.raises(ValueError):
+            SearchBounds(1, time_limit=limit)
+    assert SearchBounds(1, max_cond_indices=0).max_cond_indices == 0
+
+
+def test_enumeration_counts_per_world_count():
+    expected = {
+        FrameClass.P: {1: 16, 2: 434, 3: 18428},
+        FrameClass.FSM: {1: 32, 2: 5682},
+        FrameClass.FSC: {1: 176},
+        FrameClass.FSC_R: {1: 64},
+    }
+    for frame, sizes in expected.items():
+        bounds = SearchBounds(max(sizes), (0, 1), max_cond_indices=2)
+        counts = Counter(len(m.worlds) for m in enumerate_models(frame, bounds))
+        assert counts == sizes, frame
+
+
+def _tampered_witnesses():
+    """A model that fails P validation, and a valid model whose point does
+    not refute the instance."""
+    c = consecution([], [parse("p0 -> p0")])
+    bad = KripkeModel(Kind.PROP, {"w", "v"}, {("w", "w"), ("v", "v"), ("w", "v")},
+                      val_pos={0: {"w"}})
+    return c, [PointedModel(bad, "w"), get_fixture("M0")]
+
+
+def test_tampered_witness_raises_evidence_error():
+    c, witnesses = _tampered_witnesses()
+    messages = []
+    for pm in witnesses:
+        with pytest.raises(EvidenceError) as e:
+            check_evidence(FrameClass.P, c, pm)
+        messages.append(str(e.value))
+    assert "fails P validation" in messages[0]
+    assert "does not refute" in messages[1]
+
+
+def test_evidence_check_survives_python_O():
+    script = textwrap.dedent("""
+        import sys
+        from test_search import _tampered_witnesses
+        from cnx.errors import EvidenceError
+        from cnx.model import FrameClass
+        from cnx.search import check_evidence
+        c, witnesses = _tampered_witnesses()
+        for pm in witnesses:
+            try:
+                check_evidence(FrameClass.P, c, pm)
+            except EvidenceError:
+                print("raised")
+        print("optimize", sys.flags.optimize)
+        """)
+    here = Path(__file__).resolve().parent
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)])}
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split("\n") == ["raised", "raised", "optimize 1", ""]

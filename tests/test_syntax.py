@@ -4,9 +4,11 @@ import pytest
 
 from conftest import CN_CONNS, MD_CONNS, PL_CONNS, random_formula
 from cnx.errors import FormulaSyntaxError
-from cnx.syntax import (And, Atom, Box, Dia, Imp, LanguageTag, MightTo, Neg,
-                        Or, WouldTo, atoms_of, language_of, parse, render,
-                        strong_iff, substitute)
+from cnx.model import get_fixture
+from cnx.semantics import sat
+from cnx.syntax import (MAX_DEPTH, And, Atom, Box, Dia, Imp, LanguageTag,
+                        MightTo, Neg, Or, WouldTo, atoms_of, depth, language_of,
+                        parse, render, strong_iff, substitute)
 
 p0, p1, p2 = Atom(0), Atom(1), Atom(2)
 
@@ -110,3 +112,23 @@ def test_syntax_errors_carry_offsets():
 
 def test_atoms_of():
     assert atoms_of(parse("p0 -> (p3 & p0)")) == {0, 3}
+
+
+def test_nesting_cap():
+    deepest = ["~" * MAX_DEPTH + "p0",
+               "(" * MAX_DEPTH + "p0" + ")" * MAX_DEPTH,
+               " & ".join(["p0"] * (MAX_DEPTH + 1)),
+               " -> ".join(["p0"] * (MAX_DEPTH + 1)),
+               "[](" * MAX_DEPTH + "p0" + ")" * MAX_DEPTH]
+    m = get_fixture("trivm").model
+    for text in deepest:
+        f = parse(text)
+        assert depth(f) <= MAX_DEPTH
+        assert parse(render(f)) == f
+        assert sat(m, "w", f)
+    for text in ["~" + deepest[0], "(" + deepest[1] + ")", deepest[2] + " & p0",
+                 "p0 -> " + deepest[3], "[]" + deepest[4],
+                 "~" * 3000 + "p0", "(" * 3000 + "p0" + ")" * 3000,
+                 "(p0 <=> " * 30 + "p0" + ")" * 30]:
+        with pytest.raises(FormulaSyntaxError, match="nested more than"):
+            parse(text)
