@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import ModelFormatError, StructuralError, UnknownFixture
 from .syntax import LanguageTag
@@ -66,7 +68,8 @@ def bi(pos, neg) -> BiSet:
 
 
 class KripkeModel:
-    """Immutable after construction; evaluation caches live on the instance.
+    """Immutable after construction; the mask form (masks_of) is cached on
+    the instance.
 
     Construction checks structure only (every referenced id resolves into the
     world set); preorder axioms, valuation heredity and frame conditions are
@@ -126,7 +129,7 @@ class KripkeModel:
         self.val_neg = {a: ws for a, ws in self.val_neg.items() if ws}
         self._up = {w: frozenset(v for (u, v) in self.leq if u == w)
                     for w in self.worlds}
-        self._biext_cache = {}
+        self._masks = None
 
     # -- small accessors -----------------------------------------------------
     def up(self, w: str) -> frozenset[str]:
@@ -150,21 +153,6 @@ class KripkeModel:
         return f"<KripkeModel {self.kind.value} |W|={len(self.worlds)}>"
 
 
-def _trusted_model(kind, worlds, leq, access, val_pos, val_neg) -> KripkeModel:
-    """Construction fast path for generators whose output is sound by
-    construction; fields must already be normalized (frozensets throughout,
-    conditional access keyed by BiSet with nonempty frozenset values)."""
-    m = object.__new__(KripkeModel)
-    m.kind = kind
-    m.worlds = worlds
-    m.leq = leq
-    m.access = access
-    m.val_pos = val_pos
-    m.val_neg = val_neg
-    m._finish_init()
-    return m
-
-
 @dataclass(frozen=True)
 class PointedModel:
     model: KripkeModel
@@ -173,6 +161,110 @@ class PointedModel:
     def __post_init__(self):
         if self.point not in self.model.worlds:
             raise StructuralError(f"point {self.point!r} not a world of the model")
+
+
+# ---------------------------------------------------------------------------
+# mask form: world sets as ints, bit i standing for the i-th world in sorted
+# order (the order refuting points are scanned in)
+
+class Rel(NamedTuple):
+    """A binary relation as per-world successor masks."""
+    succ: tuple[int, ...]      # the successors of each world
+    up_image: tuple[int, ...]  # the successors of the worlds above each world
+
+
+class MaskModel(NamedTuple):
+    """A model with every world set encoded as an int.  Valuations list only
+    nonempty masks; conditional access is keyed by the (pos, neg) masks of
+    its index and lists only nonempty relations."""
+    names: tuple[str, ...]     # the sorted worlds
+    up: tuple[int, ...]        # the worlds above each world
+    val_pos: dict[int, int]
+    val_neg: dict[int, int]
+    access: Rel | dict[tuple[int, int], Rel] | None
+
+
+def world_bits(names) -> dict[str, int]:
+    """Each world's bit; names must be in sorted order."""
+    return {w: 1 << i for i, w in enumerate(names)}
+
+
+def to_mask(bit: dict[str, int], ws) -> int:
+    return sum(bit[w] for w in ws)
+
+
+@lru_cache(maxsize=4096)
+def world_set(names: tuple[str, ...], mask: int) -> frozenset[str]:
+    return frozenset(w for i, w in enumerate(names) if mask >> i & 1)
+
+
+@lru_cache(maxsize=4096)
+def _bi_index(names: tuple[str, ...], pos: int, neg: int) -> BiSet:
+    return BiSet(world_set(names, pos), world_set(names, neg))
+
+
+@lru_cache(maxsize=4096)
+def _pair_set(names: tuple[str, ...], succ: tuple[int, ...]) -> frozenset[tuple[str, str]]:
+    return frozenset((names[i], v) for i, s in enumerate(succ) for v in world_set(names, s))
+
+
+def rel_masks(bit: dict[str, int], up: tuple[int, ...], pairs) -> Rel:
+    """A relation, given as pairs of worlds, in mask form."""
+    succ = dict.fromkeys(bit, 0)
+    for (u, v) in pairs:
+        succ[u] |= bit[v]
+    succ = tuple(succ.values())
+    image = []
+    for u in up:
+        acc = 0
+        for i, s in enumerate(succ):
+            if u >> i & 1:
+                acc |= s
+        image.append(acc)
+    return Rel(succ, tuple(image))
+
+
+def masks_of(m: KripkeModel) -> MaskModel:
+    """The mask form of m, computed once and cached on m."""
+    if m._masks is None:
+        names = tuple(sorted(m.worlds))
+        bit = world_bits(names)
+        up = tuple(to_mask(bit, m.up(w)) for w in names)
+        if m.kind is Kind.MODAL:
+            access = rel_masks(bit, up, m.access)
+        elif m.kind is Kind.COND:
+            access = {(to_mask(bit, idx.pos), to_mask(bit, idx.neg)): rel_masks(bit, up, rel)
+                      for idx, rel in m.access.items()}
+        else:
+            access = None
+        m._masks = MaskModel(names, up,
+                             {a: to_mask(bit, ws) for a, ws in m.val_pos.items()},
+                             {a: to_mask(bit, ws) for a, ws in m.val_neg.items()},
+                             access)
+    return m._masks
+
+
+def from_masks(kind: Kind, mm: MaskModel) -> KripkeModel:
+    """The KripkeModel whose mask form is mm.  It is built without the
+    structural checks of KripkeModel(), which a mask form passes by
+    construction; its own mask form is left to be computed again."""
+    names = mm.names
+    m = object.__new__(KripkeModel)
+    m.kind = kind
+    m.worlds = world_set(names, (1 << len(names)) - 1)
+    m.leq = _pair_set(names, mm.up)
+    if kind is Kind.MODAL:
+        m.access = _pair_set(names, mm.access.succ)
+    elif kind is Kind.COND:
+        m.access = {_bi_index(names, p, n): _pair_set(names, r.succ)
+                    for (p, n), r in mm.access.items()}
+    else:
+        m.access = None
+    m.val_pos = {a: world_set(names, x) for a, x in mm.val_pos.items()}
+    m.val_neg = {a: world_set(names, x) for a, x in mm.val_neg.items()}
+    m._up = {w: world_set(names, u) for w, u in zip(names, mm.up)}
+    m._masks = None
+    return m
 
 
 # ---------------------------------------------------------------------------

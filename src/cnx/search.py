@@ -7,6 +7,10 @@ consulted, since bi-extensions are hereditary) with at most max_cond_indices
 simultaneously nonempty.  Because of that restriction, exhausting the bounds
 for a conditional class is weaker evidence than for P or FSM; it is never a
 theoremhood claim in any case.
+
+Models are generated in mask form (model.MaskModel).  find_countermodel
+evaluates them there with a program compiled once per search, and builds a
+KripkeModel only for the witness; enumerate_models builds one per model.
 """
 
 from __future__ import annotations
@@ -19,9 +23,11 @@ from typing import Iterator
 
 from .errors import EvidenceError
 from .logics import Logic
-from .model import (BiSet, FrameClass, Kind, KripkeModel, PointedModel,
-                    _fs_violations, _trusted_model, _up_sets, validate_model)
-from .semantics import Consecution, check_consecution
+from .model import (FrameClass, KripkeModel, MaskModel, PointedModel, _fs_violations,
+                    _up_sets, from_masks, masks_of, rel_masks, to_mask,
+                    validate_model, world_bits)
+from .semantics import (Consecution, check_consecution, consecution_program,
+                        satisfying_worlds)
 
 
 @dataclass(frozen=True)
@@ -85,48 +91,48 @@ def _preorders(worlds) -> list[frozenset]:
 
 
 def _valuations(atoms, up_sets) -> Iterator[tuple[dict, dict]]:
-    if not atoms:
-        yield {}, {}
-        return
-    per_atom = list(product(up_sets, up_sets))  # (pos, neg), bitmask order
+    """Every valuation of the atoms by up-set masks, as (val_pos, val_neg)
+    listing only nonempty masks; atom by atom, each in bitmask order."""
+    per_atom = list(product(up_sets, up_sets))
     for combo in product(per_atom, repeat=len(atoms)):
-        val_pos = {a: c[0] for a, c in zip(atoms, combo)}
-        val_neg = {a: c[1] for a, c in zip(atoms, combo)}
-        yield val_pos, val_neg
+        yield ({a: p for a, (p, _) in zip(atoms, combo) if p},
+               {a: n for a, (_, n) in zip(atoms, combo) if n})
 
 
-def enumerate_models(frame: FrameClass, bounds: SearchBounds) -> Iterator[KripkeModel]:
-    """Yield every model of the class within the bounds (conditional access
-    restricted to up-closed indices), in a fixed deterministic order."""
+def _mask_models(frame: FrameClass, bounds: SearchBounds) -> Iterator[MaskModel]:
+    """Every model of the class within the bounds, in mask form and in the
+    fixed enumeration order."""
     atoms = tuple(sorted(bounds.atoms))
     for n in range(1, bounds.max_worlds + 1):
         worlds = _world_names(n)
-        wset = frozenset(worlds)
+        names = tuple(sorted(worlds))
+        bit = world_bits(names)
         pairs = _pairs(worlds)
         for leq in _preorders(worlds):
-            ups = _up_sets(worlds, leq)
+            up = tuple(to_mask(bit, (v for (u, v) in leq if u == w)) for w in names)
+            ups = [to_mask(bit, s) for s in _up_sets(worlds, leq)]
             if frame is FrameClass.P:
                 for vp, vn in _valuations(atoms, ups):
-                    yield _trusted_model(Kind.PROP, wset, leq, None, vp, vn)
+                    yield MaskModel(names, up, vp, vn, None)
                 continue
 
+            rels = [_decode(mask, pairs) for mask in range(1 << len(pairs))]
+            rels = [rel_masks(bit, up, r) for r in rels
+                    if not any(_fs_violations(worlds, leq, r))]
             if frame is FrameClass.FSM:
-                rels = [_decode(mask, pairs) for mask in range(1 << len(pairs))]
-                rels = [r for r in rels if not any(_fs_violations(worlds, leq, r))]
                 for vp, vn in _valuations(atoms, ups):
                     for rel in rels:
-                        yield _trusted_model(Kind.MODAL, wset, leq, rel, vp, vn)
+                        yield MaskModel(names, up, vp, vn, rel)
                 continue
 
             # conditional classes
-            nonempty = [_decode(mask, pairs) for mask in range(1, 1 << len(pairs))]
-            nonempty = [r for r in nonempty if not any(_fs_violations(worlds, leq, r))]
-            indices = [BiSet(x, y) for x in ups for y in ups]
+            nonempty = [r for r in rels if any(r.succ)]
+            indices = [(x, y) for x in ups for y in ups]
             per_index = {}
             for idx in indices:
                 if frame is FrameClass.FSC_R:
                     per_index[idx] = [r for r in nonempty
-                                      if all(v in idx.pos for (_, v) in r)]
+                                      if not any(s & ~idx[0] for s in r.succ)]
                 else:
                     per_index[idx] = nonempty
             kmax = min(bounds.max_cond_indices, len(indices))
@@ -137,19 +143,31 @@ def enumerate_models(frame: FrameClass, bounds: SearchBounds) -> Iterator[Kripke
                         if any(not c for c in choices):
                             continue
                         for rels in product(*choices):
-                            access = dict(zip(chosen, rels))
-                            yield _trusted_model(Kind.COND, wset, leq, access, vp, vn)
+                            yield MaskModel(names, up, vp, vn, dict(zip(chosen, rels)))
+
+
+def enumerate_models(frame: FrameClass, bounds: SearchBounds) -> Iterator[KripkeModel]:
+    """Yield every model of the class within the bounds (conditional access
+    restricted to up-closed indices), in a fixed deterministic order."""
+    kind = frame.kind
+    for mm in _mask_models(frame, bounds):
+        m = from_masks(kind, mm)
+        m._masks = mm  # what masks_of(m) would compute, so evaluation skips it
+        yield m
 
 
 # ---------------------------------------------------------------------------
 # countermodel search
 
+def _first_world(mm: MaskModel, worlds: int) -> str:
+    return mm.names[(worlds & -worlds).bit_length() - 1]
+
+
 def refuting_point(m: KripkeModel, c: Consecution) -> str | None:
     """The first world, in sorted order, at which m refutes c."""
-    for w in sorted(m.worlds):
-        if check_consecution(PointedModel(m, w), c):
-            return w
-    return None
+    mm = masks_of(m)
+    hits = satisfying_worlds(consecution_program(c, m.kind), mm)
+    return _first_world(mm, hits) if hits else None
 
 
 def check_evidence(frame: FrameClass, c: Consecution, evidence) -> None:
@@ -180,15 +198,18 @@ def find_countermodel(logic: Logic, c: Consecution, bounds: SearchBounds) -> Sea
     index restriction)."""
     for f in c.gamma | c.delta:
         logic.require(f)
-    frame = logic.frame_class
+    frame, kind = logic.frame_class, logic.frame_class.kind
+    prog = consecution_program(c, kind)
     deadline = (time.monotonic() + bounds.time_limit
                 if bounds.time_limit is not None else None)
-    for m in enumerate_models(frame, bounds):
+    for mm in _mask_models(frame, bounds):
         if deadline is not None and time.monotonic() > deadline:
             return SearchOutcome(Status.TIMED_OUT, None, bounds)
-        w = refuting_point(m, c)
-        if w is not None:
-            pm = PointedModel(m, w)
+        hits = satisfying_worlds(prog, mm)
+        if hits:
+            # the model is decoded afresh, so the evidence re-check also
+            # covers the mask form
+            pm = PointedModel(from_masks(kind, mm), _first_world(mm, hits))
             check_evidence(frame, c, pm)
             return SearchOutcome(Status.FOUND, pm, bounds)
     return SearchOutcome(Status.EXHAUSTED, None, bounds)

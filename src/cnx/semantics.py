@@ -1,20 +1,27 @@
 """The two satisfaction relations, bi-extensions, and consecution satisfaction.
 
-Verification ('+') and falsification ('-') are computed by one mutual
-induction; per formula, whole-model bi-extensions are memoized on the model,
-so conditional antecedents are never re-evaluated.  Results are independent
-of evaluation order and cache state: models are immutable and every cache
-entry is a pure function of (model, formula).
+Verification ('+') and falsification ('-') are computed together by one
+bitset evaluator.  A formula or consecution is compiled once per model kind,
+which is when its language is checked, into a topologically ordered tuple of
+hash-consed subformula nodes: equal subformulas share one node.  A run of the
+program on a model's mask form (model.masks_of, where world sets are ints)
+labels every node with its bi-extension as a (pos, neg) pair of masks, in one
+loop.  Compiled programs are cached per (formula or consecution, kind) and
+the mask form on the model; both are pure functions of their keys, so results
+are independent of evaluation order and cache state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import LanguageMismatch, UnknownWorld
-from .model import LANGUAGES, BiSet, KripkeModel, PointedModel
-from .syntax import (And, Atom, Box, Dia, Formula, Imp, MightTo, Neg, Or,
-                     WouldTo, language_of)
+from .model import (LANGUAGES, BiSet, Kind, KripkeModel, MaskModel, PointedModel,
+                    masks_of, world_set)
+from .syntax import (LANGUAGE_BITS, LANGUAGE_OF_CODE, And, Atom, Box, Dia, Formula,
+                     Imp, MightTo, Neg, Or, WouldTo)
 
 SIGNS = ("+", "-")
 
@@ -29,87 +36,177 @@ def consecution(gamma, delta) -> Consecution:
     return Consecution(frozenset(gamma), frozenset(delta))
 
 
-def _check_language(m: KripkeModel, f: Formula) -> None:
-    tag = language_of(f)
-    if tag not in LANGUAGES[m.kind]:
-        raise LanguageMismatch(
-            f"{tag.value} formula cannot be evaluated on a {m.kind.value} model")
+# ---------------------------------------------------------------------------
+# compilation
+
+_ATOM, _NEG, _AND, _OR, _IMP, _BOX, _DIA, _WOULD, _MIGHT = range(9)
+_OPS = {Neg: _NEG, Box: _BOX, Dia: _DIA,
+        And: _AND, Or: _OR, Imp: _IMP, WouldTo: _WOULD, MightTo: _MIGHT}
+
+
+class Program(NamedTuple):
+    nodes: tuple[tuple[int, int, int], ...]  # (op, child or atom index, child)
+    gamma: tuple[int, ...]                   # the node of each gamma member
+    delta: tuple[int, ...]                   # the node of each delta member
+
+
+def _compile(gamma: tuple, delta: tuple, kind: Kind) -> Program:
+    ids: dict[Formula, int] = {}
+    nodes = []
+    codes = []  # the language code of each node (syntax.LANGUAGE_BITS)
+
+    def node(f) -> int:
+        i = ids.get(f)
+        if i is None:
+            cls = type(f)
+            if cls is Atom:
+                entry, code = (_ATOM, f.index, 0), 0
+            elif cls in (Neg, Box, Dia):
+                a = node(f.body)
+                entry, code = (_OPS[cls], a, 0), codes[a]
+            elif cls in _OPS:
+                a, b = node(f.left), node(f.right)
+                entry, code = (_OPS[cls], a, b), codes[a] | codes[b]
+            else:
+                raise TypeError(f"not a formula: {f!r}")
+            i = ids[f] = len(nodes)
+            nodes.append(entry)
+            codes.append(code | LANGUAGE_BITS.get(cls, 0))
+        return i
+
+    g, d = tuple(map(node, gamma)), tuple(map(node, delta))
+    for i in g + d:
+        tag = LANGUAGE_OF_CODE[codes[i]]
+        if tag not in LANGUAGES[kind]:
+            raise LanguageMismatch(
+                f"{tag.value} formula cannot be evaluated on a {kind.value} model")
+    return Program(tuple(nodes), g, d)
+
+
+@lru_cache(maxsize=4096)
+def _formula_program(f: Formula, kind: Kind) -> Program:
+    """f compiled for models of the kind, as its program's one gamma root."""
+    return _compile((f,), (), kind)
+
+
+@lru_cache(maxsize=4096)
+def consecution_program(c: Consecution, kind: Kind) -> Program:
+    """c compiled for models of the kind; LanguageMismatch if a member of c
+    cannot be evaluated on them."""
+    return _compile(tuple(c.gamma), tuple(c.delta), kind)
+
+
+# ---------------------------------------------------------------------------
+# evaluation
+
+def _every(targets: tuple[int, ...], bad_p: int, bad_n: int) -> tuple[int, int]:
+    """The worlds none of whose targets is in bad_p, and those none of whose
+    targets is in bad_n."""
+    p = n = 0
+    for i, t in enumerate(targets):
+        if not t & bad_p:
+            p |= 1 << i
+        if not t & bad_n:
+            n |= 1 << i
+    return p, n
+
+
+def _some(targets: tuple[int, ...], good_p: int, good_n: int) -> tuple[int, int]:
+    """The worlds some of whose targets is in good_p, and those some of whose
+    targets is in good_n."""
+    p = n = 0
+    for i, t in enumerate(targets):
+        if t & good_p:
+            p |= 1 << i
+        if t & good_n:
+            n |= 1 << i
+    return p, n
+
+
+def _run(prog: Program, mm: MaskModel) -> list[tuple[int, int]]:
+    """The bi-extension of every node of prog on mm, as (pos, neg) masks."""
+    up, vp, vn, acc = mm.up, mm.val_pos, mm.val_neg, mm.access
+    full = (1 << len(up)) - 1
+    vals: list[tuple[int, int]] = []
+    push = vals.append
+    for op, a, b in prog.nodes:
+        if op == _ATOM:
+            r = (vp.get(a, 0), vn.get(a, 0))
+        elif op == _NEG:
+            p, n = vals[a]
+            r = (n, p)
+        elif op == _AND:
+            (ap, an), (bp, bn) = vals[a], vals[b]
+            r = (ap & bp, an | bn)
+        elif op == _OR:
+            (ap, an), (bp, bn) = vals[a], vals[b]
+            r = (ap | bp, an & bn)
+        elif op == _IMP:
+            ap = vals[a][0]
+            bp, bn = vals[b]
+            r = _every(up, ap & ~bp, ap & ~bn)
+        elif op == _BOX:
+            p, n = vals[a]
+            r = _every(acc.up_image, ~p, ~n)
+        elif op == _DIA:
+            p, n = vals[a]
+            r = _some(acc.succ, p, n)
+        else:
+            rel = acc.get(vals[a])
+            bp, bn = vals[b]
+            if op == _WOULD:
+                r = (full, full) if rel is None else _every(rel.up_image, ~bp, ~bn)
+            elif rel is None:
+                r = (0, 0)
+            else:
+                r = _some(rel.succ, bp, bn)
+        push(r)
+    return vals
+
+
+def satisfying_worlds(prog: Program, mm: MaskModel, sign: str = "+") -> int:
+    """The worlds at which every gamma root and no delta root of prog is
+    sign-satisfied."""
+    vals = _run(prog, mm)
+    k = SIGNS.index(sign)
+    out = (1 << len(mm.up)) - 1
+    for i in prog.gamma:
+        out &= vals[i][k]
+    for i in prog.delta:
+        out &= ~vals[i][k]
+    return out
+
+
+def _check_sign(sign: str) -> None:
+    if sign not in SIGNS:
+        raise ValueError(f"sign must be '+' or '-', got {sign!r}")
+
+
+def _has(mm: MaskModel, worlds: int, w: str) -> bool:
+    return bool(worlds >> mm.names.index(w) & 1)
 
 
 def biextension(m: KripkeModel, f: Formula) -> BiSet:
     """The pair (worlds verifying f, worlds falsifying f)."""
-    _check_language(m, f)
-    return _biext(m, f)
-
-
-def _biext(m: KripkeModel, f: Formula) -> BiSet:
-    cached = m._biext_cache.get(f)
-    if cached is not None:
-        return cached
-
-    W = m.worlds
-    match f:
-        case Atom(index):
-            res = BiSet(m.val(index, "+"), m.val(index, "-"))
-        case Neg(body):
-            res = _biext(m, body).swap()
-        case And(left, right):
-            a, b = _biext(m, left), _biext(m, right)
-            res = BiSet(a.pos & b.pos, a.neg | b.neg)
-        case Or(left, right):
-            a, b = _biext(m, left), _biext(m, right)
-            res = BiSet(a.pos | b.pos, a.neg & b.neg)
-        case Imp(left, right):
-            a, b = _biext(m, left), _biext(m, right)
-            pos = frozenset(w for w in W if (m.up(w) & a.pos) <= b.pos)
-            neg = frozenset(w for w in W if (m.up(w) & a.pos) <= b.neg)
-            res = BiSet(pos, neg)
-        case Box(body):
-            a = _biext(m, body)
-            pos = frozenset(w for w in W if _image(m.access, m.up(w)) <= a.pos)
-            neg = frozenset(w for w in W if _image(m.access, m.up(w)) <= a.neg)
-            res = BiSet(pos, neg)
-        case Dia(body):
-            a = _biext(m, body)
-            pos = frozenset(w for w in W if _image(m.access, {w}) & a.pos)
-            neg = frozenset(w for w in W if _image(m.access, {w}) & a.neg)
-            res = BiSet(pos, neg)
-        case WouldTo(left, right):
-            rel = m.slice_at(_biext(m, left))
-            b = _biext(m, right)
-            pos = frozenset(w for w in W if _image(rel, m.up(w)) <= b.pos)
-            neg = frozenset(w for w in W if _image(rel, m.up(w)) <= b.neg)
-            res = BiSet(pos, neg)
-        case MightTo(left, right):
-            rel = m.slice_at(_biext(m, left))
-            b = _biext(m, right)
-            pos = frozenset(w for w in W if _image(rel, {w}) & b.pos)
-            neg = frozenset(w for w in W if _image(rel, {w}) & b.neg)
-            res = BiSet(pos, neg)
-        case _:
-            raise TypeError(f"not a formula: {f!r}")
-
-    m._biext_cache[f] = res
-    return res
-
-
-def _image(rel, sources) -> frozenset[str]:
-    return frozenset(v for (u, v) in rel if u in sources)
+    prog = _formula_program(f, m.kind)
+    mm = masks_of(m)
+    pos, neg = _run(prog, mm)[prog.gamma[0]]
+    return BiSet(world_set(mm.names, pos), world_set(mm.names, neg))
 
 
 def sat(m: KripkeModel, w: str, f: Formula, sign: str = "+") -> bool:
     """Whether f is verified ('+') or falsified ('-') at w."""
     if w not in m.worlds:
         raise UnknownWorld(f"{w!r} is not a world of the model")
-    if sign not in SIGNS:
-        raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-    ext = biextension(m, f)
-    return w in (ext.pos if sign == "+" else ext.neg)
+    _check_sign(sign)
+    mm = masks_of(m)
+    return _has(mm, satisfying_worlds(_formula_program(f, m.kind), mm, sign), w)
 
 
 def check_consecution(pm: PointedModel, c: Consecution, sign: str = "+") -> bool:
     """True iff every member of gamma and no member of delta is sign-satisfied
     at the point."""
-    m, w = pm.model, pm.point
-    return (all(sat(m, w, g, sign) for g in c.gamma)
-            and not any(sat(m, w, d, sign) for d in c.delta))
+    _check_sign(sign)
+    m = pm.model
+    mm = masks_of(m)
+    return _has(mm, satisfying_worlds(consecution_program(c, m.kind), mm, sign), pm.point)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, Union
+from typing import Callable, Iterator, NamedTuple, Union
 
 from .errors import FormulaSyntaxError
 
@@ -176,6 +176,11 @@ def atoms_of(f: Formula) -> frozenset[int]:
     return frozenset(g.index for g in subformulas(f) if isinstance(g, Atom))
 
 
+# the constructors that take a formula out of PL, as bits of a language code,
+# and the tag of each code
+LANGUAGE_BITS = {Box: 1, Dia: 1, WouldTo: 2, MightTo: 2}
+LANGUAGE_OF_CODE = (LanguageTag.PL, LanguageTag.MD, LanguageTag.CN, LanguageTag.MIXED)
+
 _LANG_CACHE: dict = {}
 
 
@@ -183,17 +188,10 @@ def language_of(f: Formula) -> LanguageTag:
     cached = _LANG_CACHE.get(f)
     if cached is not None:
         return cached
-    has_md = any(isinstance(g, (Box, Dia)) for g in subformulas(f))
-    has_cn = any(isinstance(g, (WouldTo, MightTo)) for g in subformulas(f))
-    if has_md and has_cn:
-        tag = LanguageTag.MIXED
-    elif has_md:
-        tag = LanguageTag.MD
-    elif has_cn:
-        tag = LanguageTag.CN
-    else:
-        tag = LanguageTag.PL
-    _LANG_CACHE[f] = tag
+    code = 0
+    for g in subformulas(f):
+        code |= LANGUAGE_BITS.get(type(g), 0)
+    tag = _LANG_CACHE[f] = LANGUAGE_OF_CODE[code]
     return tag
 
 
@@ -228,8 +226,7 @@ def depth(f: Formula) -> int:
 # ---------------------------------------------------------------------------
 # lexer
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     pos: int

@@ -1,10 +1,13 @@
-"""Shared helpers: seeded random formulas and models for property tests."""
+"""Shared helpers: seeded random formulas and models for property tests, and
+a from-the-definition satisfaction relation that the evaluator is tested
+against."""
 
 from __future__ import annotations
 
 import random
 
 from cnx.model import BiSet, Kind, KripkeModel, _fs_violations, _up_sets
+from cnx.semantics import Consecution
 from cnx.search import _preorders
 from cnx.syntax import (And, Atom, Box, Dia, Formula, Imp, MightTo, Neg, Or,
                         WouldTo, map_formula)
@@ -73,3 +76,40 @@ def random_cond_model(rnd: random.Random, max_worlds=2, atoms=(0, 1),
         if ok:
             return KripkeModel(Kind.COND, base.worlds, base.leq, access,
                                base.val_pos, base.val_neg)
+
+
+def ref_sat(m: KripkeModel, w: str, f: Formula, sign: str) -> bool:
+    """Whether f is verified ('+') or falsified ('-') at w, clause by clause
+    from the definition over frozensets, with no caching and no masks."""
+    above = [v for v in sorted(m.worlds) if (w, v) in m.leq]
+    match f:
+        case Atom(i):
+            return w in m.val(i, sign)
+        case Neg(b):
+            return ref_sat(m, w, b, "-" if sign == "+" else "+")
+        case And(a, b):
+            x, y = ref_sat(m, w, a, sign), ref_sat(m, w, b, sign)
+            return (x and y) if sign == "+" else (x or y)
+        case Or(a, b):
+            x, y = ref_sat(m, w, a, sign), ref_sat(m, w, b, sign)
+            return (x or y) if sign == "+" else (x and y)
+        case Imp(a, b):
+            return all(ref_sat(m, v, b, sign) for v in above if ref_sat(m, v, a, "+"))
+        case Box(b):
+            return all(ref_sat(m, x, b, sign) for v in above for (u, x) in m.access if u == v)
+        case Dia(b):
+            return any(ref_sat(m, x, b, sign) for (u, x) in m.access if u == w)
+        case WouldTo(a, b) | MightTo(a, b):
+            idx = BiSet(*(frozenset(v for v in m.worlds if ref_sat(m, v, a, s))
+                          for s in "+-"))
+            rel = m.access.get(idx, ())
+            if type(f) is WouldTo:
+                return all(ref_sat(m, x, b, sign) for v in above for (u, x) in rel if u == v)
+            return any(ref_sat(m, x, b, sign) for (u, x) in rel if u == w)
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def ref_refutes(m: KripkeModel, w: str, c: Consecution) -> bool:
+    """Every gamma member and no delta member is verified at w."""
+    return (all(ref_sat(m, w, g, "+") for g in c.gamma)
+            and not any(ref_sat(m, w, d, "+") for d in c.delta))

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from cnx.cli import main
@@ -55,6 +58,14 @@ def test_countermodel_emits_model_and_exit_1(capsys):
     assert code == 1
     assert out.startswith("kind prop")
     assert "point" in out
+
+
+def test_valid_timeout_exit_2(capsys):
+    code, out, err = run(capsys, "valid", "-L", "CnCK", "--max-worlds", "2",
+                         "--timeout", "0.05", "p0 -> p0")
+    assert code == 2
+    assert out == ""
+    assert "search timed out" in err
 
 
 def test_valid_bounded_wording(capsys):
@@ -146,6 +157,23 @@ def test_suite_golden_table_byte_for_byte(capsys):
     code, out, _ = run(capsys, "suite", "-L", "all")
     assert code == 0
     assert out == (DATA / "golden_suite.txt").read_text()
+
+
+def test_suite_cell_under_python_O():
+    # the cell whose WnonSym verdict rests on the deepest search, with asserts
+    # stripped: the evidence re-checks must still run and the output not change
+    golden = (DATA / "golden_suite.txt").read_text()
+    start = golden.index("logic=CnCKR connective=?=>\n")
+    end = golden.index("\n", golden.index("  label:", start)) + 1
+    script = ("import sys\n"
+              "from cnx.cli import main\n"
+              "sys.exit(main() if sys.flags.optimize else 3)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-O", "-c", script,
+                           "suite", "-L", "CnCKR", "-c", "?=>"],
+                          env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == golden[start:end]
 
 
 def test_stdin_dash(tmp_path, capsys, monkeypatch):

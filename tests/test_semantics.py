@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from conftest import (CN_CONNS, MD_CONNS, random_cond_model, random_formula,
-                      random_modal_model, random_prop_model)
+from conftest import (CN_CONNS, MD_CONNS, PL_CONNS, random_cond_model, random_formula,
+                      random_modal_model, random_prop_model, ref_sat)
 from cnx.errors import LanguageMismatch, UnknownWorld
-from cnx.model import BiSet, KripkeModel, get_fixture
+from cnx.model import BiSet, FrameClass, KripkeModel, get_fixture, masks_of
+from cnx.search import SearchBounds, enumerate_models
 from cnx.semantics import (biextension, check_consecution, consecution, sat)
 from cnx.syntax import Atom, Neg, WouldTo, parse
 
@@ -175,3 +176,52 @@ class TestInvariants:
         a = biextension(m, f1), biextension(m, f2)
         b = biextension(fresh, f2), biextension(fresh, f1)
         assert a == (b[1], b[0])
+
+
+class TestAgainstReference:
+    """The bitset evaluator against conftest.ref_sat, the satisfaction
+    relation from the definition over frozensets, on both signs."""
+
+    @staticmethod
+    def _agree(models, conns, seed, per_model, depth=4):
+        rnd = random.Random(seed)
+        checked = 0
+        for m in models:
+            fresh = KripkeModel(m.kind, m.worlds, m.leq, m.access, m.val_pos, m.val_neg)
+            # the mask form the enumerator attached is the one the model decodes to
+            assert masks_of(fresh) == masks_of(m)
+            for _ in range(per_model):
+                f = random_formula(rnd, depth, (0, 1), conns)
+                ext = biextension(m, f)
+                for w in sorted(m.worlds):
+                    for sign, side in (("+", ext.pos), ("-", ext.neg)):
+                        expected = ref_sat(m, w, f, sign)
+                        assert (w in side) == expected == sat(m, w, f, sign), (f, sign, w)
+            checked += 1
+        return checked
+
+    def test_every_p_and_fsm_model_of_two_worlds(self):
+        bounds = SearchBounds(2, (0, 1))
+        assert self._agree(enumerate_models(FrameClass.P, bounds), PL_CONNS, 31, 3) == 450
+        assert self._agree(enumerate_models(FrameClass.FSM, bounds), MD_CONNS, 37, 2) == 5714
+
+    def test_every_fsc_r_model_of_two_worlds_at_one_index(self):
+        bounds = SearchBounds(2, (0, 1), max_cond_indices=1)
+        models = enumerate_models(FrameClass.FSC_R, bounds)
+        assert self._agree(models, CN_CONNS, 41, 1, depth=3) == 27070
+
+    def test_sample_of_two_world_fsc_models(self):
+        rnd = random.Random(43)
+        bounds = SearchBounds(2, (0, 1), max_cond_indices=1)
+        models = [m for m in enumerate_models(FrameClass.FSC, bounds)
+                  if len(m.worlds) == 2 and rnd.random() < 0.03]
+        assert self._agree(models, CN_CONNS, 43, 3) == len(models) > 2000
+
+    def test_hand_built_models(self):
+        # models with unsorted, non-enumerator world names and several indices
+        rnd = random.Random(47)
+        for maker, conns in ((random_prop_model, PL_CONNS),
+                             (random_modal_model, MD_CONNS),
+                             (random_cond_model, CN_CONNS)):
+            models = [maker(rnd, max_worlds=3) for _ in range(60)]
+            self._agree(models, conns, 53, 3)
