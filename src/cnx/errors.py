@@ -9,6 +9,7 @@ class FormulaSyntaxError(CnxError):
     """Raised on malformed formula text; carries offset and an expected-token hint."""
 
     def __init__(self, message, offset, expected=None):
+        self.message = message
         self.offset = offset
         self.expected = expected
         hint = f" (expected {expected})" if expected else ""

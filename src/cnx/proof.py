@@ -20,11 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .errors import ProofFormatError
+from .errors import FormulaSyntaxError, ProofFormatError
 from .model import LANGUAGES, Kind
-from .syntax import (And, Atom, Box, Dia, Formula, Imp, MightTo, Neg, Or, Token,
-                     WouldTo, _lex, iff, language_of, map_formula, parse_prefix,
-                     render, strong_iff)
+from .syntax import (And, Atom, Box, Dia, Formula, Imp, MightTo, Neg, Or, Parser,
+                     WouldTo, check_lexable, iff, language_of, map_formula, render,
+                     strong_iff)
 
 PHI, PSI, CHI = Atom(0), Atom(1), Atom(2)
 METAVARS = {0: "phi", 1: "psi", 2: "chi"}
@@ -219,12 +219,6 @@ class Registry:
     def get(self, name: str) -> Optional[RegisteredTheorem]:
         return self._store.get(name)
 
-    def names(self):
-        return sorted(self._store)
-
-    def __contains__(self, name):
-        return name in self._store
-
     def __len__(self):
         return len(self._store)
 
@@ -378,99 +372,96 @@ def _check_refs(no: int, refs) -> Optional[CheckResult]:
 # proof file format
 
 def parse_proof(text: str) -> Proof:
-    system = None
-    kind = None
-    name = None
-    hyps: list[Formula] = []
-    goals: list[Formula] = []
-    lines: list[ProofLine] = []
+    header: dict[str, str] = {}  # system, kind and name
+    hyps, goals, lines = [], [], []
+    memo: dict = {}  # one for the file, whose lines repeat each other's groups
 
     for ln, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
+        code = raw.split("#", 1)[0].rstrip()
+        stripped = code.lstrip()
         if not stripped:
             continue
         head = stripped.split(None, 1)[0]
-        rest = stripped[len(head):].strip()
-        if head == "system":
-            system = rest
-        elif head == "kind":
-            kind = rest
-        elif head == "name":
-            name = rest
-        elif head == "hyp":
-            hyps.append(_parse_whole(rest, ln))
-        elif head == "goal":
-            goals.append(_parse_whole(rest, ln))
-        elif head.isdigit():
-            idx = int(head)
-            if idx != len(lines) + 1:
-                raise ProofFormatError(f"line {ln}: expected index {len(lines) + 1}, got {idx}")
-            lines.append(_parse_proof_line(rest, ln))
-        else:
-            raise ProofFormatError(f"line {ln}: unknown directive {head!r}")
+        rest = stripped[len(head):].lstrip()
+        at = len(code) - len(rest)  # where rest starts in the line
+        try:
+            if head in ("system", "kind", "name"):
+                header[head] = rest
+            elif head in ("hyp", "goal"):
+                (hyps if head == "hyp" else goals).append(
+                    _parse_line(code, at, ln, memo, justified=False))
+            elif head.isdigit():
+                idx = int(head)
+                if idx != len(lines) + 1:
+                    raise ProofFormatError(
+                        f"line {ln}: expected index {len(lines) + 1}, got {idx}")
+                lines.append(_parse_line(code, at, ln, memo, justified=True))
+            else:
+                raise ProofFormatError(f"line {ln}: unknown directive {head!r}")
+        except FormulaSyntaxError as e:
+            raise FormulaSyntaxError(f"line {ln}: {e.message}", e.offset, e.expected) from None
 
-    if system is None or kind is None:
+    if "system" not in header or "kind" not in header:
         raise ProofFormatError("proof file needs 'system' and 'kind' lines")
-    return Proof(system, kind, name, tuple(hyps), tuple(goals), tuple(lines))
+    return Proof(header["system"], header["kind"], header.get("name"), tuple(hyps),
+                 tuple(goals), tuple(lines))
 
 
-def _parse_whole(text: str, ln: int) -> Formula:
-    toks = _lex(text)
-    f, nxt = parse_prefix(toks, 0, len(text))
-    if nxt != len(toks):
-        raise ProofFormatError(f"line {ln}: trailing tokens after formula")
-    return f
+def _parse_line(code: str, at: int, ln: int, memo: dict, justified: bool):
+    """The formula at code[at:], with its justification if `justified`."""
+    p = Parser(code, memo, at)
+    try:
+        f = p.formula()
+        if justified:
+            return ProofLine(f, _parse_just(p, ln))
+        if p.kind != "end":
+            raise ProofFormatError(f"line {ln}: trailing tokens after formula")
+        return f
+    except (FormulaSyntaxError, ProofFormatError):
+        check_lexable(code, at, justified)
+        raise
 
 
-def _parse_proof_line(text: str, ln: int) -> ProofLine:
-    toks = _lex(text, extended=True)
-    f, i = parse_prefix(toks, 0, len(text))
-    rest = toks[i:]
-    if not rest or rest[0].kind != "word":
+# what each justification but axiom takes after its name
+_ARGS = {"hyp": ((), "takes no arguments"), "mp": (("num", "num"), "takes two line numbers"),
+         "lemma": (("word",), "takes one name"),
+         **{rule: (("num",), "takes one line number") for rule in RULES}}
+
+
+def _parse_just(p: Parser, ln: int) -> Justification:
+    word = p.tok
+    if p.kind != "word":
         raise ProofFormatError(f"line {ln}: missing justification")
-    word = rest[0].text
-    args = rest[1:]
-
-    if word == "hyp":
-        if args:
-            raise ProofFormatError(f"line {ln}: hyp takes no arguments")
-        return ProofLine(f, HypJust())
-    if word == "mp":
-        if len(args) != 2 or any(a.kind != "num" for a in args):
-            raise ProofFormatError(f"line {ln}: mp takes two line numbers")
-        return ProofLine(f, MpJust(int(args[0].text), int(args[1].text)))
-    if word in RULES:
-        if len(args) != 1 or args[0].kind != "num":
-            raise ProofFormatError(f"line {ln}: {word} takes one line number")
-        return ProofLine(f, RuleJust(word, int(args[0].text)))
-    if word == "lemma":
-        if len(args) != 1 or args[0].kind != "word":
-            raise ProofFormatError(f"line {ln}: lemma takes one name")
-        return ProofLine(f, LemmaJust(args[0].text))
-    if word == "axiom":
-        if not args or args[0].kind != "word":
-            raise ProofFormatError(f"line {ln}: axiom takes a scheme name")
-        ax = args[0].text
-        binding = _parse_binding(args[1:], ln)
-        return ProofLine(f, AxiomJust(ax, binding))
-    raise ProofFormatError(f"line {ln}: unknown justification {word!r}")
-
-
-def _parse_binding(tokens: list[Token], ln: int) -> Optional[dict[str, Formula]]:
-    if not tokens:
-        return None
+    p.seek(p.end)
+    if word != "axiom":
+        args = []
+        while p.kind != "end":
+            args.append((p.kind, p.tok))
+            p.seek(p.end)
+        if word not in _ARGS:
+            raise ProofFormatError(f"line {ln}: unknown justification {word!r}")
+        kinds, usage = _ARGS[word]
+        if tuple(k for k, _ in args) != kinds:
+            raise ProofFormatError(f"line {ln}: {word} {usage}")
+        vals = [int(v) if k == "num" else v for k, v in args]
+        if word in RULES:
+            return RuleJust(word, *vals)
+        return {"hyp": HypJust, "mp": MpJust, "lemma": LemmaJust}[word](*vals)
+    ax = p.tok
+    if p.kind != "word":
+        raise ProofFormatError(f"line {ln}: axiom takes a scheme name")
+    p.seek(p.end)
     binding: dict[str, Formula] = {}
-    i = 0
-    while i < len(tokens):
-        t = tokens[i]
-        if t.kind != "word" or t.text not in _NAMES:
+    while p.kind != "end":
+        name = p.tok
+        if p.kind != "word" or name not in _NAMES:
             raise ProofFormatError(f"line {ln}: expected phi=/psi=/chi= binding")
-        if i + 1 >= len(tokens) or tokens[i + 1].kind != "eq":
-            raise ProofFormatError(f"line {ln}: expected '=' after {t.text}")
-        f, nxt = parse_prefix(tokens, i + 2, 0)
-        binding[t.text] = f
-        i = nxt
-    return binding
+        p.seek(p.end)
+        if p.kind != "eq":
+            raise ProofFormatError(f"line {ln}: expected '=' after {name}")
+        p.seek(p.end)
+        binding[name] = p.formula()
+    return AxiomJust(ax, binding or None)
 
 
 def render_proof(proof: Proof) -> str:

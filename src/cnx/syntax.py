@@ -8,10 +8,11 @@ core formulas.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, NamedTuple, Union
+from typing import Callable, Iterator, Union
 
 from .errors import FormulaSyntaxError
 
@@ -181,18 +182,25 @@ def atoms_of(f: Formula) -> frozenset[int]:
 LANGUAGE_BITS = {Box: 1, Dia: 1, WouldTo: 2, MightTo: 2}
 LANGUAGE_OF_CODE = (LanguageTag.PL, LanguageTag.MD, LanguageTag.CN, LanguageTag.MIXED)
 
-_LANG_CACHE: dict = {}
-
 
 def language_of(f: Formula) -> LanguageTag:
-    cached = _LANG_CACHE.get(f)
-    if cached is not None:
-        return cached
-    code = 0
-    for g in subformulas(f):
-        code |= LANGUAGE_BITS.get(type(g), 0)
-    tag = _LANG_CACHE[f] = LANGUAGE_OF_CODE[code]
-    return tag
+    return LANGUAGE_OF_CODE[_language_code(f)]
+
+
+def _language_code(f: Formula) -> int:
+    # kept on the node like its hash, so a shared subformula is classified once
+    code = f.__dict__.get("_language")
+    if code is None:
+        cls = type(f)
+        if cls in _PREFIX_OPS:
+            code = _language_code(f.body)
+        elif cls in _BINARY_OPS:
+            code = _language_code(f.left) | _language_code(f.right)
+        else:
+            code = 0
+        code |= LANGUAGE_BITS.get(cls, 0)
+        object.__setattr__(f, "_language", code)
+    return code
 
 
 def map_formula(f: Formula, fn: Callable[[Formula], Formula]) -> Formula:
@@ -224,53 +232,41 @@ def depth(f: Formula) -> int:
 
 
 # ---------------------------------------------------------------------------
-# lexer
+# tokens
 
-class Token(NamedTuple):
-    kind: str
-    text: str
-    pos: int
-
-
-# ordered for longest match: a regex alternation takes the first alternative
-# that matches
-_OPERATORS = [
-    "<#=>", "<#>", "<=>", "<->", "<>", "[]",
-    "#=>", "#>", "@=>", "@>", "?=>", "?>", "=>", "->",
-    "~", "&", "|", "(", ")",
-]
+# longest first: a regex alternation takes the first alternative that matches
+_OPERATORS = ["<#=>", "<#>", "<=>", "<->", "<>", "[]", "#=>", "#>", "@=>", "@>",
+              "?=>", "?>", "=>", "->", "~", "&", "|", "(", ")"]
 
 _ARROWS = {"->", "=>", "#>", "#=>", "@>", "?>", "@=>", "?=>"}
 _EQUIVS = {"<->", "<=>", "<#>", "<#=>"}
 
-_TOKENS = (r"(?P<space>[ \t]+)|(?P<atom>p\d+(?!\w))|(?P<op>"
-           + "|".join(map(re.escape, _OPERATORS)) + ")")
-_TOKEN_RE = re.compile(_TOKENS + r"|(?P<bad>.)", re.DOTALL)
-_EXTENDED_TOKEN_RE = re.compile(
-    _TOKENS + r"|(?P<word>[A-Za-z_][A-Za-z0-9_\-]*)|(?P<num>\d+)|(?P<eq>=)|(?P<bad>.)",
-    re.DOTALL)
+# formula tokens, then the words, numbers and '=' of a proof line's justification
+_ATOM, _OP = r"p\d+(?!\w)", "|".join(map(re.escape, _OPERATORS))
+_WORD, _NUM = r"[A-Za-z_][A-Za-z0-9_\-]*", r"\d+"
+# the next token after any blanks, as the group named by its kind
+_TOKEN_RE = re.compile(rf"[ \t]*(?:(?P<atom>{_ATOM})|(?P<op>{_OP})|(?P<word>{_WORD})"
+                       rf"|(?P<num>{_NUM})|(?P<eq>=)|(?P<bad>.)|(?P<end>))", re.DOTALL)
+# the longest run of tokens from a position, without and with the words
+_LEXABLE = (re.compile(rf"(?:[ \t]+|{_ATOM}|{_OP})*"),
+            re.compile(rf"(?:[ \t]+|{_ATOM}|{_OP}|{_WORD}|{_NUM}|=)*"))
 
 
-def _lex(text: str, extended: bool = False) -> list[Token]:
-    """Tokenize formula text; `extended` additionally admits bare words,
-    numbers and '=' so proof-file lines can carry a trailing justification."""
-    out = []
-    for m in (_EXTENDED_TOKEN_RE if extended else _TOKEN_RE).finditer(text):
-        kind = m.lastgroup
-        if kind == "space":
-            continue
-        if kind == "bad":
-            raise FormulaSyntaxError(f"unexpected character {m.group()!r}", m.start(),
-                                     expected="an atom p0, p1, ... or an operator")
-        out.append(Token(kind, m.group(), m.start()))
-    return out
+def check_lexable(text: str, start: int, extended: bool) -> None:
+    """Raise the error for the first character of text[start:] that begins no token
+    (`extended`: of a proof line).  Called when parsing fails, so that a bad
+    character anywhere in the text is reported before any grammar error."""
+    end = _LEXABLE[extended].match(text, start).end()
+    if end < len(text):
+        raise FormulaSyntaxError(f"unexpected character {text[end]!r}", end,
+                                 expected="an atom p0, p1, ... or an operator")
 
 
 # ---------------------------------------------------------------------------
 # parser (recursive descent; precedence: prefix > & > | > arrows > equivalences)
 
 # Cap on formula depth (connectives after sugar expansion) and on parenthesis
-# nesting.  Parsing recurses about five frames per parenthesis, and render and
+# nesting.  Parsing recurses about six frames per parenthesis, and render and
 # evaluation one frame per connective, so the cap keeps all of them far from
 # the interpreter's recursion limit.  The deepest corpus formula is 13 deep.
 MAX_DEPTH = 100
@@ -281,35 +277,45 @@ _BINARY = {**{op: cls for cls, op in _BINARY_OPS.items()}, **SUGAR}
 # expanded into the core
 _BINARY_DEPTH = {op: depth(make(Atom(0), Atom(0))) for op, make in _BINARY.items()}
 
+# a balanced parenthesized group nested at most 16 deep (the corpus nests 13);
+# a deeper group is parsed afresh each time
+_GROUP_RE = re.compile(functools.reduce(
+    lambda inner, _: rf"\([^()]*(?:{inner}[^()]*)*\)", range(15), r"\([^()]*\)"))
 
-class _Parser:
-    """Each level returns (formula, depth), so the depth cap is checked as
-    nodes are built.  Prefix and arrow chains are folded in loops; only
-    parentheses recurse."""
 
-    def __init__(self, tokens: list[Token], text_len: int):
-        self.toks = tokens
-        self.i = 0
-        self.end = text_len
-        self.parens = 0
+class Parser:
+    """Reads formulas from text[pos:], lexing each token when it is needed:
+    the current one is `tok` of `kind` (a group of _TOKEN_RE, "end" at the
+    end), from `start` to `end`.  Each level returns (formula, depth), so the
+    depth cap is checked as nodes are built; only parentheses recurse.  `memo`
+    maps each group's text to (formula, depth, parenthesis depth inside), so
+    a group seen again in the same parse or proof file is neither lexed nor
+    rebuilt, and its formula is shared."""
 
-    def peek(self) -> Token | None:
-        return self.toks[self.i] if self.i < len(self.toks) else None
+    def __init__(self, text: str, memo: dict, pos: int = 0):
+        self.text = text
+        self.memo = memo
+        self.parens = 0   # parentheses open around the current token
+        self.deepest = 0  # the most open at once since the innermost open group began
+        self.seek(pos)
 
-    def _pos(self) -> int:
-        t = self.peek()
-        return t.pos if t else self.end
+    def seek(self, pos: int) -> None:
+        m = _TOKEN_RE.match(self.text, pos)
+        self.kind = kind = m.lastgroup
+        self.tok = m.group(kind)
+        self.start, self.end = m.span(kind)
 
     def take_op(self, ops) -> str | None:
-        t = self.peek()
-        if t and t.kind == "op" and t.text in ops:
-            self.i += 1
-            return t.text
+        # no word, number or bad character is spelled like an operator
+        tok = self.tok
+        if tok in ops:
+            self.seek(self.end)
+            return tok
         return None
 
     def _too_deep(self) -> FormulaSyntaxError:
         return FormulaSyntaxError(f"formula nested more than {MAX_DEPTH} levels deep",
-                                  self._pos())
+                                  self.start)
 
     def _binary(self, op: str, left, right) -> tuple[Formula, int]:
         d = max(left[1], right[1]) + _BINARY_DEPTH[op]
@@ -326,8 +332,8 @@ class _Parser:
         if op is None:
             return left
         right = self.arrow()
-        if self.peek() and self.peek().kind == "op" and self.peek().text in _EQUIVS:
-            raise FormulaSyntaxError("equivalences do not associate", self._pos(),
+        if self.tok in _EQUIVS:
+            raise FormulaSyntaxError("equivalences do not associate", self.start,
                                      expected="parentheses around the inner equivalence")
         return self._binary(op, left, right)
 
@@ -359,25 +365,14 @@ class _Parser:
         prefixes = []
         while (op := self.take_op(_PREFIX)) is not None:
             prefixes.append(_PREFIX[op])
-        t = self.peek()
-        if t is None:
-            raise FormulaSyntaxError("formula ended unexpectedly", self.end,
-                                     expected="an atom, '~', '[]', '<>' or '('")
-        if t.kind == "atom":
-            self.i += 1
-            f, d = Atom(int(t.text[1:])), 0
-        elif t.kind == "op" and t.text == "(":
-            self.parens += 1
-            if self.parens > MAX_DEPTH:
-                raise self._too_deep()
-            self.i += 1
-            f, d = self.equiv()
-            if not self.take_op({")"}):
-                raise FormulaSyntaxError("unclosed parenthesis", self._pos(),
-                                         expected="')'")
-            self.parens -= 1
+        if self.kind == "atom":
+            f, d = Atom(int(self.tok[1:])), 0
+            self.seek(self.end)
+        elif self.tok == "(":
+            f, d = self.group()
         else:
-            raise FormulaSyntaxError(f"unexpected token {t.text!r}", t.pos,
+            raise FormulaSyntaxError("formula ended unexpectedly" if self.kind == "end"
+                                     else f"unexpected token {self.tok!r}", self.start,
                                      expected="an atom, '~', '[]', '<>' or '('")
         if d + len(prefixes) > MAX_DEPTH:
             raise self._too_deep()
@@ -385,28 +380,41 @@ class _Parser:
             f = cls(f)
         return f, d + len(prefixes)
 
+    def group(self) -> tuple[Formula, int]:
+        start, outer = self.start, self.parens
+        m = _GROUP_RE.match(self.text, start)
+        hit = m and self.memo.get(m.group())
+        # a group reused deeper than the cap is parsed again, to fail there
+        if hit and outer + hit[2] <= MAX_DEPTH:
+            self.deepest = max(self.deepest, outer + hit[2])
+            self.seek(m.end())
+            return hit[:2]
+        self.parens = inner = outer + 1
+        if inner > MAX_DEPTH:
+            raise self._too_deep()
+        enclosing, self.deepest = self.deepest, inner
+        self.seek(self.end)
+        f, d = self.equiv()
+        if self.tok != ")":
+            raise FormulaSyntaxError("unclosed parenthesis", self.start, expected="')'")
+        self.memo[self.text[start:self.end]] = f, d, self.deepest - outer
+        self.parens, self.deepest = outer, max(enclosing, self.deepest)
+        self.seek(self.end)
+        return f, d
+
 
 def parse(text: str) -> Formula:
     """Parse formula text into a core Formula with all sugar expanded."""
-    toks = _lex(text)
-    p = _Parser(toks, len(text))
-    f = p.formula()
-    t = p.peek()
-    if t is not None:
-        raise FormulaSyntaxError(f"trailing input {t.text!r}", t.pos,
-                                 expected="end of formula")
+    p = Parser(text, {})
+    try:
+        f = p.formula()
+        if p.kind != "end":
+            raise FormulaSyntaxError(f"trailing input {p.tok!r}", p.start,
+                                     expected="end of formula")
+    except FormulaSyntaxError:
+        check_lexable(text, 0, False)
+        raise
     return f
-
-
-def parse_prefix(tokens: list[Token], start: int, text_len: int) -> tuple[Formula, int]:
-    """Parse a formula from tokens[start:], returning (formula, next index).
-
-    Used by the proof-file reader, where a justification follows the formula
-    on the same line.
-    """
-    p = _Parser(tokens[start:], text_len)
-    f = p.formula()
-    return f, start + p.i
 
 
 def render(f: Formula) -> str:

@@ -1,16 +1,19 @@
-"""Shared helpers: seeded random formulas and models for property tests, and
-a from-the-definition satisfaction relation that the evaluator is tested
+"""Shared helpers: seeded random formulas and models for property tests, a
+from-the-definition satisfaction relation that the evaluator is tested
+against, and an eager lexer and token-list parser that the parser is tested
 against."""
 
 from __future__ import annotations
 
 import random
+import re
 
+from cnx.errors import FormulaSyntaxError
 from cnx.model import BiSet, Kind, KripkeModel, _fs_violations, _up_sets
 from cnx.semantics import Consecution
 from cnx.search import _preorders
-from cnx.syntax import (And, Atom, Box, Dia, Formula, Imp, MightTo, Neg, Or,
-                        WouldTo, map_formula)
+from cnx.syntax import (MAX_DEPTH, SUGAR, And, Atom, Box, Dia, Formula, Imp,
+                        MightTo, Neg, Or, WouldTo, depth, map_formula)
 
 PL_CONNS = (Neg, And, Or, Imp)
 MD_CONNS = PL_CONNS + (Box, Dia)
@@ -113,3 +116,153 @@ def ref_refutes(m: KripkeModel, w: str, c: Consecution) -> bool:
     """Every gamma member and no delta member is verified at w."""
     return (all(ref_sat(m, w, g, "+") for g in c.gamma)
             and not any(ref_sat(m, w, d, "+") for d in c.delta))
+
+
+# ---------------------------------------------------------------------------
+# reference parser: lex the whole text first, then descend over the token list
+
+_REF_OPERATORS = ["<#=>", "<#>", "<=>", "<->", "<>", "[]", "#=>", "#>", "@=>", "@>",
+                  "?=>", "?>", "=>", "->", "~", "&", "|", "(", ")"]
+_REF_TOKENS = (r"(?P<space>[ \t]+)|(?P<atom>p\d+(?!\w))|(?P<op>"
+               + "|".join(map(re.escape, _REF_OPERATORS)) + ")")
+_REF_TOKEN_RE = re.compile(_REF_TOKENS + r"|(?P<bad>.)", re.DOTALL)
+_REF_EXTENDED_TOKEN_RE = re.compile(
+    _REF_TOKENS + r"|(?P<word>[A-Za-z_][A-Za-z0-9_\-]*)|(?P<num>\d+)|(?P<eq>=)|(?P<bad>.)",
+    re.DOTALL)
+_REF_ARROWS = {"->", "=>", "#>", "#=>", "@>", "?>", "@=>", "?=>"}
+_REF_EQUIVS = {"<->", "<=>", "<#>", "<#=>"}
+_REF_PREFIX = {"~": Neg, "[]": Box, "<>": Dia}
+_REF_BINARY = {"&": And, "|": Or, "->": Imp, "@>": WouldTo, "?>": MightTo, **SUGAR}
+_REF_BINARY_DEPTH = {op: depth(make(Atom(0), Atom(0))) for op, make in _REF_BINARY.items()}
+
+
+def ref_lex(text: str, extended: bool = False) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) of every token; `extended` also admits the words,
+    numbers and '=' of a proof line's justification."""
+    out = []
+    for m in (_REF_EXTENDED_TOKEN_RE if extended else _REF_TOKEN_RE).finditer(text):
+        kind = m.lastgroup
+        if kind == "space":
+            continue
+        if kind == "bad":
+            raise FormulaSyntaxError(f"unexpected character {m.group()!r}", m.start(),
+                                     expected="an atom p0, p1, ... or an operator")
+        out.append((kind, m.group(), m.start()))
+    return out
+
+
+class _RefParser:
+    def __init__(self, tokens, text_len: int):
+        self.toks = tokens
+        self.i = 0
+        self.end = text_len
+        self.parens = 0
+
+    def peek(self):
+        return self.toks[self.i] if self.i < len(self.toks) else None
+
+    def _pos(self) -> int:
+        t = self.peek()
+        return t[2] if t else self.end
+
+    def take_op(self, ops):
+        t = self.peek()
+        if t and t[0] == "op" and t[1] in ops:
+            self.i += 1
+            return t[1]
+        return None
+
+    def _too_deep(self):
+        return FormulaSyntaxError(f"formula nested more than {MAX_DEPTH} levels deep",
+                                  self._pos())
+
+    def _binary(self, op, left, right):
+        d = max(left[1], right[1]) + _REF_BINARY_DEPTH[op]
+        if d > MAX_DEPTH:
+            raise self._too_deep()
+        return _REF_BINARY[op](left[0], right[0]), d
+
+    def equiv(self):
+        left = self.arrow()
+        op = self.take_op(_REF_EQUIVS)
+        if op is None:
+            return left
+        right = self.arrow()
+        t = self.peek()
+        if t and t[0] == "op" and t[1] in _REF_EQUIVS:
+            raise FormulaSyntaxError("equivalences do not associate", self._pos(),
+                                     expected="parentheses around the inner equivalence")
+        return self._binary(op, left, right)
+
+    def arrow(self):
+        operands = [self.disj()]
+        ops = []
+        while (op := self.take_op(_REF_ARROWS)) is not None:
+            ops.append(op)
+            operands.append(self.disj())
+        f = operands.pop()
+        while ops:
+            f = self._binary(ops.pop(), operands.pop(), f)
+        return f
+
+    def disj(self):
+        f = self.conj()
+        while self.take_op({"|"}):
+            f = self._binary("|", f, self.conj())
+        return f
+
+    def conj(self):
+        f = self.unary()
+        while self.take_op({"&"}):
+            f = self._binary("&", f, self.unary())
+        return f
+
+    def unary(self):
+        prefixes = []
+        while (op := self.take_op(_REF_PREFIX)) is not None:
+            prefixes.append(_REF_PREFIX[op])
+        t = self.peek()
+        if t is None:
+            raise FormulaSyntaxError("formula ended unexpectedly", self.end,
+                                     expected="an atom, '~', '[]', '<>' or '('")
+        if t[0] == "atom":
+            self.i += 1
+            f, d = Atom(int(t[1][1:])), 0
+        elif t[0] == "op" and t[1] == "(":
+            self.parens += 1
+            if self.parens > MAX_DEPTH:
+                raise self._too_deep()
+            self.i += 1
+            f, d = self.equiv()
+            if not self.take_op({")"}):
+                raise FormulaSyntaxError("unclosed parenthesis", self._pos(),
+                                         expected="')'")
+            self.parens -= 1
+        else:
+            raise FormulaSyntaxError(f"unexpected token {t[1]!r}", t[2],
+                                     expected="an atom, '~', '[]', '<>' or '('")
+        if d + len(prefixes) > MAX_DEPTH:
+            raise self._too_deep()
+        for cls in reversed(prefixes):
+            f = cls(f)
+        return f, d + len(prefixes)
+
+
+def ref_parse(text: str) -> Formula:
+    """The whole text as one formula."""
+    p = _RefParser(ref_lex(text), len(text))
+    f = p.equiv()[0]
+    t = p.peek()
+    if t is not None:
+        raise FormulaSyntaxError(f"trailing input {t[1]!r}", t[2], expected="end of formula")
+    return f
+
+
+def ref_parse_prefix(text: str) -> tuple[Formula, int]:
+    """The formula that starts a proof line's text, and the offset of the
+    token after it (len(text) if none): the whole text is lexed in extended
+    mode first."""
+    toks = ref_lex(text, extended=True)
+    p = _RefParser(toks, len(text))
+    f = p.equiv()[0]
+    return f, p._pos()

@@ -1,8 +1,11 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from cnx.cli import main
 from cnx.corpus import CORPUS_DIR
@@ -213,3 +216,83 @@ def test_deep_nesting_exit_2_without_traceback(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 2, argv[0]
         assert out == "" and err.startswith("error:") and "nested" in err, argv[0]
+
+
+@pytest.mark.parametrize("line, message", [
+    # a binding's formula runs to the end of the line
+    ("1 p0 -> (p1 -> p0) axiom a1 phi=", "line 4: formula ended unexpectedly at offset 32"),
+    ("1 p0 -> (p1 -> p0) axiom a1 psi=(p1", "line 4: unclosed parenthesis at offset 35"),
+    # the line's own formula: offsets count from the start of the line
+    ("1 p0 -> -> (p1 -> p0) axiom a1", "line 4: unexpected token '->' at offset 8"),
+])
+def test_prove_formula_error_names_line_and_offset(tmp_path, capsys, line, message):
+    f = tmp_path / "bad.prf"
+    f.write_text(f"system C\nkind theorem\ngoal p0 -> (p1 -> p0)\n{line}\n")
+    code, out, err = run(capsys, "prove", "--no-corpus", str(f))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {message} (expected ")
+
+
+_FUZZ_CHARS = ["p0", "p1", "p", "~", "&", "|", "->", "@>", "?>", "<>", "[]", "(", ")",
+               " ", "\n", "#", "=", "0", "1", "9", "w", "v", "/", ";", ",", "+", "-",
+               "phi=", "axiom", "mp", "hyp", "lemma", "world", "leq", "val+", "r",
+               "\t", "é", "٣", "\x00"]
+
+
+def _mutate(rnd, text: str) -> str:
+    """text as is four times in ten, else with one or two random edits"""
+    for _ in range(rnd.choice((0, 0, 0, 0, 1, 1, 1, 2, 2, 2))):
+        lines = text.split("\n")
+        op = rnd.randrange(5)
+        if op == 0 and len(lines) > 1:  # drop, repeat or swap whole lines
+            i, j = rnd.randrange(len(lines)), rnd.randrange(len(lines))
+            lines[i], lines[j] = lines[j], rnd.choice((lines[i], ""))
+            text = "\n".join(lines)
+            continue
+        i = rnd.randrange(len(text) + 1)
+        if op == 1:  # delete a span
+            text = text[:i] + text[i + rnd.randint(1, 8):]
+        elif op == 2:  # replace a span
+            text = text[:i] + rnd.choice(_FUZZ_CHARS) + text[i + rnd.randint(1, 3):]
+        else:  # insert
+            text = text[:i] + rnd.choice(_FUZZ_CHARS) + text[i:]
+    return text
+
+
+def test_fuzzed_inputs_exit_0_1_or_2_without_traceback(tmp_path, capsys):
+    # seeded mutations of formula, model-file and proof-file text through
+    # parse, check, validate and prove
+    from conftest import CN_CONNS, MD_CONNS, PL_CONNS, random_formula
+    from cnx.model import FIXTURE_CLASS, Kind, get_fixture, serialize_model
+    from cnx.syntax import render
+
+    rnd = random.Random(11)
+    conns = {Kind.PROP: PL_CONNS, Kind.MODAL: MD_CONNS, Kind.COND: CN_CONNS}
+    models = [(serialize_model(pm.model, pm.point), conns[pm.model.kind], pm.point)
+              for pm in map(get_fixture, FIXTURE_NAMES)]
+    proofs = [(CORPUS_DIR / name).read_text()
+              for name in ("at_arrow.prf", "mono_box.prf", "might_k_dist.prf")]
+    proofs += [p.read_text() for p in sorted((CORPUS_DIR / "negative").glob("*.prf"))]
+    classes = sorted({fc.value for fc in FIXTURE_CLASS.values()})
+    path = tmp_path / "input"
+
+    def check_exit(*argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err, argv
+
+    for _ in range(300):
+        model, model_conns, point = rnd.choice(models)
+        formula = _mutate(rnd, render(random_formula(rnd, 3, (0, 1), model_conns)))
+        check_exit("parse", formula)
+        path.write_text(_mutate(rnd, model))
+        check_exit("check", "-m", str(path), "-w", rnd.choice((point, point, "v", "u")),
+                   "-s", rnd.choice("+-"), formula)
+        check_exit("validate", "-m", str(path), "-C", rnd.choice(classes),
+                   *(("--close",) if rnd.random() < 0.3 else ()))
+        path.write_text(_mutate(rnd, rnd.choice(proofs)))
+        check_exit("prove", *(("--no-corpus",) if rnd.random() < 0.5 else ()), str(path))

@@ -2,13 +2,16 @@ import random
 
 import pytest
 
-from conftest import CN_CONNS, MD_CONNS, PL_CONNS, random_formula
+from conftest import (CN_CONNS, MD_CONNS, PL_CONNS, random_formula, ref_lex,
+                      ref_parse, ref_parse_prefix)
+from cnx.corpus import CORPUS_DIR
 from cnx.errors import FormulaSyntaxError
 from cnx.model import get_fixture
+from cnx.proof import parse_proof
 from cnx.semantics import sat
 from cnx.syntax import (MAX_DEPTH, And, Atom, Box, Dia, Imp, LanguageTag,
-                        MightTo, Neg, Or, WouldTo, atoms_of, depth, language_of,
-                        parse, render, strong_iff, substitute)
+                        MightTo, Neg, Or, Parser, WouldTo, atoms_of, check_lexable,
+                        depth, language_of, parse, render, strong_iff, substitute)
 
 p0, p1, p2 = Atom(0), Atom(1), Atom(2)
 
@@ -132,3 +135,117 @@ def test_nesting_cap():
                  "(p0 <=> " * 30 + "p0" + ")" * 30]:
         with pytest.raises(FormulaSyntaxError, match="nested more than"):
             parse(text)
+
+
+# ---------------------------------------------------------------------------
+# the parser against the eager reference lexer and parser (conftest.ref_parse)
+
+def outcome(read, text):
+    try:
+        return "ok", read(text)
+    except FormulaSyntaxError as e:
+        return "error", e.message, e.offset, e.expected
+
+
+def read_line_formula(text):
+    """What the proof-file reader does with a numbered line's text: the
+    formula that starts it and the offset of the token after it, where a bad
+    character anywhere in the line comes first."""
+    p = Parser(text, {})
+    try:
+        return p.formula(), p.start
+    finally:
+        check_lexable(text, 0, True)
+
+
+_PIECES = ["p0", "p1", "p12", "~", "&", "|", "->", "=>", "#>", "#=>", "@>", "@=>", "?>",
+           "?=>", "<->", "<=>", "<#>", "<#=>", "<>", "[]", "(", "(", ")", ")", " ", "\t"]
+_JUNK = ["p", "p0x", "\u0663", "\n", "$", "x", "axiom", "mp", "1", "42", "=", "-",
+         "<", "#", "@", "?"]
+
+
+def random_texts(seed: int, n: int):
+    """Token soup, and rendered random formulas (which repeat groups) with a
+    few pieces spliced in; one piece in ten is junk."""
+    rnd = random.Random(seed)
+
+    def piece():
+        return rnd.choice(_JUNK if rnd.random() < 0.1 else _PIECES)
+
+    for _ in range(n):
+        if rnd.random() < 0.5:
+            yield "".join(piece() + rnd.choice(("", "", " "))
+                          for _ in range(rnd.randint(0, 14)))
+            continue
+        text = render(random_formula(rnd, 4, (0, 1), rnd.choice((MD_CONNS, CN_CONNS))))
+        for _ in range(rnd.randint(0, 2)):
+            i = rnd.randrange(len(text) + 1)
+            text = text[:i] + piece() + text[i + rnd.randint(0, 3):]
+        yield text
+
+
+def test_parser_matches_reference_on_random_strings():
+    accepted = 0
+    for text in random_texts(4, 20_000):
+        got = outcome(parse, text)
+        assert got == outcome(ref_parse, text), text
+        if got[0] == "ok":
+            accepted += 1
+            # a group that parses lexes the same way in a proof line, so the
+            # memo can be keyed on its text alone
+            group = f"({text})"
+            assert ref_lex(group) == ref_lex(group, extended=True), text
+    assert accepted > 3_000
+    for text in random_texts(5, 20_000):
+        assert outcome(read_line_formula, text) == outcome(ref_parse_prefix, text), text
+
+
+def test_parser_matches_reference_on_every_corpus_line():
+    files = sorted(CORPUS_DIR.rglob("*.prf"))
+    assert any(path.parent.name == "negative" for path in files)
+    memo = {}
+    for path in files:
+        text = path.read_text()
+        want = {"hyp": [], "goal": [], "line": []}
+        for raw in text.splitlines():
+            head, _, rest = raw.split("#", 1)[0].strip().partition(" ")
+            rest = rest.strip()
+            if head in ("hyp", "goal"):
+                ref = outcome(ref_parse, rest)
+                assert outcome(parse, rest) == ref
+                want[head].append(ref[1])
+            elif head.isdigit():
+                ref = outcome(ref_parse_prefix, rest)
+                assert outcome(read_line_formula, rest) == ref
+                want["line"].append(ref[1][0])
+                Parser(rest, memo).formula()
+        proof = parse_proof(text)
+        assert proof.hypotheses == tuple(want["hyp"]), path.name
+        assert proof.goals == tuple(want["goal"]), path.name
+        assert tuple(line.formula for line in proof.lines) == tuple(want["line"]), path.name
+    # every memoized group of the corpus lexes the same way in both modes
+    assert len(memo) > 1000
+    for group in memo:
+        assert ref_lex(group) == ref_lex(group, extended=True), group
+
+
+def test_repeated_group_in_a_proof_file_is_one_object():
+    proof = parse_proof((CORPUS_DIR / "at_arrow.prf").read_text())
+    # line 5 is (~(p0) -> ~(p0)), the consequent of line 4; the goal is line 9
+    assert proof.lines[4].formula is proof.lines[3].formula.right
+    assert proof.goals[0].body is proof.lines[8].formula.body
+
+
+def test_memoized_group_reused_under_the_nesting_cap():
+    group = "(p0 & (p1 | p0))"  # two parentheses deep
+    for extra, fails in ((MAX_DEPTH - 2, False), (MAX_DEPTH - 1, True)):
+        text = f"{group} & {'(' * extra}{group}{')' * extra}"
+        assert outcome(parse, text) == outcome(ref_parse, text)
+        assert (outcome(parse, text)[0] == "error") == fails
+        if fails:
+            with pytest.raises(FormulaSyntaxError, match="nested more than"):
+                parse(text)
+    proof = (f"system C\nkind theorem\ngoal {group}\n"
+             f"1 {'(' * (MAX_DEPTH - 1)}{group}{')' * (MAX_DEPTH - 1)} axiom a1\n")
+    with pytest.raises(FormulaSyntaxError, match="line 4: formula nested more than"):
+        parse_proof(proof)
