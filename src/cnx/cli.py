@@ -119,7 +119,7 @@ def cmd_prove(args) -> int:
             if proof.kind == "theorem" and proof.name:
                 registry.register(proof.name, proof.system, proof.goals[0])
         else:
-            print(f"{path}: line {result.line}: {result.code}: {result.reason}")
+            print(f"{path}: {result.describe()}")
             status = NEGATIVE
     return status
 

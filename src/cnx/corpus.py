@@ -28,8 +28,7 @@ def load_corpus() -> tuple[Registry, dict[str, Proof]]:
         proof = parse_proof((CORPUS_DIR / fname).read_text())
         result = check_proof(proof, registry)
         if not result.ok:
-            raise CorpusError(
-                f"{fname}: line {result.line}: {result.code}: {result.reason}")
+            raise CorpusError(f"{fname}: {result.describe()}")
         if proof.name is None:
             raise CorpusError(f"{fname}: corpus proofs must be named")
         index[proof.name] = proof

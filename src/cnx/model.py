@@ -501,7 +501,7 @@ def load_model(text: str) -> tuple[KripkeModel, str | None]:
     point = None
 
     def atom_index(tok, ln):
-        if not tok.startswith("p") or not tok[1:].isdigit():
+        if not tok.startswith("p") or not (tok[1:].isascii() and tok[1:].isdigit()):
             raise ModelFormatError(f"line {ln}: bad atom {tok!r}")
         return int(tok[1:])
 

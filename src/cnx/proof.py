@@ -233,6 +233,11 @@ class CheckResult:
     def __bool__(self):
         return self.ok
 
+    def describe(self) -> str:
+        """'line N: code: reason', without the line for a file-level rejection."""
+        where = "" if self.line is None else f"line {self.line}: "
+        return f"{where}{self.code}: {self.reason}"
+
 
 def _bad(line, code, reason):
     return CheckResult(False, line, code, reason)
@@ -377,7 +382,12 @@ def parse_proof(text: str) -> Proof:
     memo: dict = {}  # one for the file, whose lines repeat each other's groups
 
     for ln, raw in enumerate(text.splitlines(), start=1):
-        code = raw.split("#", 1)[0].rstrip()
+        code, _, comment = raw.partition("#")
+        if comment.startswith((">", "=>")):
+            raise ProofFormatError(f"line {ln}: strict arrows (#>, #=>, <#>, <#=>) "
+                                   "cannot be used in a proof file, where '#' "
+                                   "begins a comment")
+        code = code.rstrip()
         stripped = code.lstrip()
         if not stripped:
             continue
@@ -390,7 +400,7 @@ def parse_proof(text: str) -> Proof:
             elif head in ("hyp", "goal"):
                 (hyps if head == "hyp" else goals).append(
                     _parse_line(code, at, ln, memo, justified=False))
-            elif head.isdigit():
+            elif head.isascii() and head.isdigit():
                 idx = int(head)
                 if idx != len(lines) + 1:
                     raise ProofFormatError(

@@ -1038,8 +1038,7 @@ def check_corpus(proofs: list[Proof]) -> Registry:
     for proof in proofs:
         result = check_proof(proof, registry)
         if not result.ok:
-            raise AssertionError(
-                f"{proof.name}: line {result.line}: {result.code}: {result.reason}")
+            raise AssertionError(f"{proof.name}: {result.describe()}")
         if proof.kind == "theorem" and proof.name:
             registry.register(proof.name, proof.system, proof.goals[0])
     return registry

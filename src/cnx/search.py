@@ -11,6 +11,18 @@ theoremhood claim in any case.
 Models are generated in mask form (model.MaskModel).  find_countermodel
 evaluates them there with a program compiled once per search, and builds a
 KripkeModel only for the witness; enumerate_models builds one per model.
+
+find_countermodel skips the conditional models that hold an index the query
+never consults.  A conditional looks up only the index equal to its
+antecedent's bi-extension.  When every antecedent is propositional, those
+bi-extensions depend on the valuation alone, so the consulted indices are
+known before any relation is chosen (semantics.consulted_indices), and only
+combinations of them are enumerated.  A skipped model evaluates exactly like
+the same model with its unconsulted indices dropped, which comes earlier: it
+has the same valuation and fewer indices.  The models kept are a subsequence
+of the full order, so the first hit and an exhausted verdict are those of
+the full enumeration.  Queries with a conditional antecedent search the
+full enumeration.
 """
 
 from __future__ import annotations
@@ -27,7 +39,7 @@ from .model import (FrameClass, KripkeModel, MaskModel, PointedModel, _fs_violat
                     _up_sets, from_masks, masks_of, rel_masks, to_mask,
                     validate_model, world_bits)
 from .semantics import (Consecution, check_consecution, consecution_program,
-                        satisfying_worlds)
+                        consulted_indices, satisfying_worlds)
 
 
 @dataclass(frozen=True)
@@ -57,6 +69,7 @@ class SearchOutcome:
     status: Status
     witness: PointedModel | None = None
     bounds: SearchBounds | None = None
+    models: int = 0  # the models evaluated
 
     @property
     def found(self) -> bool:
@@ -99,9 +112,12 @@ def _valuations(atoms, up_sets) -> Iterator[tuple[dict, dict]]:
                {a: n for a, (_, n) in zip(atoms, combo) if n})
 
 
-def _mask_models(frame: FrameClass, bounds: SearchBounds) -> Iterator[MaskModel]:
+def _mask_models(frame: FrameClass, bounds: SearchBounds,
+                 consulted=None) -> Iterator[MaskModel]:
     """Every model of the class within the bounds, in mask form and in the
-    fixed enumeration order."""
+    fixed enumeration order.  Given consulted (semantics.consulted_indices),
+    only the conditional models each of whose indices is consulted under
+    their valuation, in the same relative order."""
     atoms = tuple(sorted(bounds.atoms))
     for n in range(1, bounds.max_worlds + 1):
         worlds = _world_names(n)
@@ -137,8 +153,12 @@ def _mask_models(frame: FrameClass, bounds: SearchBounds) -> Iterator[MaskModel]
                     per_index[idx] = nonempty
             kmax = min(bounds.max_cond_indices, len(indices))
             for vp, vn in _valuations(atoms, ups):
+                live = indices
+                if consulted is not None:
+                    wanted = consulted(up, vp, vn)
+                    live = [idx for idx in indices if idx in wanted]
                 for k in range(kmax + 1):
-                    for chosen in combinations(indices, k):
+                    for chosen in combinations(live, k):
                         choices = [per_index[idx] for idx in chosen]
                         if any(not c for c in choices):
                             continue
@@ -202,14 +222,16 @@ def find_countermodel(logic: Logic, c: Consecution, bounds: SearchBounds) -> Sea
     prog = consecution_program(c, kind)
     deadline = (time.monotonic() + bounds.time_limit
                 if bounds.time_limit is not None else None)
-    for mm in _mask_models(frame, bounds):
+    models = 0
+    for mm in _mask_models(frame, bounds, consulted_indices(prog)):
         if deadline is not None and time.monotonic() > deadline:
-            return SearchOutcome(Status.TIMED_OUT, None, bounds)
+            return SearchOutcome(Status.TIMED_OUT, None, bounds, models)
+        models += 1
         hits = satisfying_worlds(prog, mm)
         if hits:
             # the model is decoded afresh, so the evidence re-check also
             # covers the mask form
             pm = PointedModel(from_masks(kind, mm), _first_world(mm, hits))
             check_evidence(frame, c, pm)
-            return SearchOutcome(Status.FOUND, pm, bounds)
-    return SearchOutcome(Status.EXHAUSTED, None, bounds)
+            return SearchOutcome(Status.FOUND, pm, bounds, models)
+    return SearchOutcome(Status.EXHAUSTED, None, bounds, models)

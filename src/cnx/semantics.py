@@ -164,6 +164,35 @@ def _run(prog: Program, mm: MaskModel) -> list[tuple[int, int]]:
     return vals
 
 
+def consulted_indices(prog: Program):
+    """When every conditional antecedent in prog is propositional, the
+    function that maps a model's (up, val_pos, val_neg) to the set of index
+    masks that a run of prog can look up: the bi-extensions of those
+    antecedents, which do not depend on conditional access.  None when some
+    antecedent is itself conditional."""
+    antecedents = [a for op, a, _ in prog.nodes if op in (_WOULD, _MIGHT)]
+    propositional: list[bool] = []
+    for op, a, b in prog.nodes:
+        if op == _ATOM:
+            propositional.append(True)
+        elif op == _NEG:
+            propositional.append(propositional[a])
+        elif op in (_AND, _OR, _IMP):
+            propositional.append(propositional[a] and propositional[b])
+        else:
+            propositional.append(False)
+    if not all(propositional[a] for a in antecedents):
+        return None
+    # nodes are topologically ordered, so this prefix holds every antecedent
+    # and its subformulas; the conditionals among them run without access
+    prefix = Program(prog.nodes[:max(antecedents, default=-1) + 1], (), ())
+
+    def consulted(up: tuple[int, ...], vp: dict, vn: dict) -> set[tuple[int, int]]:
+        vals = _run(prefix, MaskModel((), up, vp, vn, {}))
+        return {vals[a] for a in antecedents}
+    return consulted
+
+
 def satisfying_worlds(prog: Program, mm: MaskModel, sign: str = "+") -> int:
     """The worlds at which every gamma root and no delta root of prog is
     sign-satisfied."""

@@ -64,8 +64,9 @@ def test_countermodel_emits_model_and_exit_1(capsys):
 
 
 def test_valid_timeout_exit_2(capsys):
+    # valid, with a conditional antecedent: the search walks all 7.36M models
     code, out, err = run(capsys, "valid", "-L", "CnCK", "--max-worlds", "2",
-                         "--timeout", "0.05", "p0 -> p0")
+                         "--timeout", "0.05", "((p0 @> p0) @> p1) -> ((p0 @> p0) @> p1)")
     assert code == 2
     assert out == ""
     assert "search timed out" in err
@@ -89,6 +90,38 @@ def test_prove_rejects_with_line_and_reason(capsys):
     code, out, _ = run(capsys, "prove", str(bad))
     assert code == 1
     assert "line 2" in out and "rule-not-permitted-in-kind" in out
+
+
+def test_prove_rejects_strict_arrow_exit_2(tmp_path, capsys):
+    f = tmp_path / "s.prf"
+    f.write_text("system C\nkind entail\nhyp p0 #> p1\ngoal p0\n1 p0 hyp\n")
+    code, out, err = run(capsys, "prove", "--no-corpus", str(f))
+    assert code == 2 and out == ""
+    assert err.startswith("error: line 3: strict arrows (#>, #=>, <#>, <#=>)")
+
+
+def test_prove_non_ascii_line_index_exit_2(tmp_path, capsys):
+    f = tmp_path / "d.prf"
+    f.write_text("system C\nkind theorem\ngoal p0 -> p0\n\u00b2 p0 -> p0 axiom A1\n")
+    code, out, err = run(capsys, "prove", "--no-corpus", str(f))
+    assert code == 2 and out == ""
+    assert err == "error: line 4: unknown directive '\u00b2'\n"
+
+
+def test_prove_file_level_rejection_names_no_line(tmp_path, capsys):
+    f = tmp_path / "t.prf"
+    f.write_text("system C\nkind theorem\n")
+    code, out, _ = run(capsys, "prove", "--no-corpus", str(f))
+    assert code == 1
+    assert out == f"{f}: empty-proof: a proof needs at least one line\n"
+
+
+def test_model_file_non_ascii_atom_exit_2(tmp_path, capsys):
+    f = tmp_path / "m.kmd"
+    f.write_text("kind prop\nworld w\nleq w w\nval+ p\u00b2 w\n")
+    code, out, err = run(capsys, "check", "-m", str(f), "-w", "w", "-s", "+", "p0")
+    assert code == 2 and out == ""
+    assert err == "error: line 4: bad atom 'p\u00b2'\n"
 
 
 def test_prove_lemma_needs_corpus(tmp_path, capsys):

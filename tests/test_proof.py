@@ -186,6 +186,31 @@ class TestProofFiles:
         with pytest.raises(ProofFormatError):
             parse_proof("kind theorem\ngoal p0\n1 p0 hyp\n")
 
+    def test_strict_arrows_are_rejected_not_cut(self):
+        for arrow in ("#>", "#=>", "<#>", "<#=>"):
+            for line in (f"hyp p0 {arrow} p1", f"1 p0 {arrow} p1 hyp",
+                         f"goal p0{arrow}p1", f"1 p0 hyp {arrow}"):
+                text = f"system C\nkind entail\ngoal p0\n{line}\n"
+                with pytest.raises(ProofFormatError, match="^line 4: strict arrows"):
+                    parse_proof(text)
+        # a comment that holds a strict arrow after its own '#' stays a comment
+        proof = parse_proof("system C\nkind entail\nhyp p0  # not p0 #> p1\n"
+                            "goal p0\n1 p0 hyp\n")
+        assert len(proof.hypotheses) == 1 and len(proof.lines) == 1
+
+    def test_line_index_must_be_ascii_digits(self):
+        for head in ("\u00b2", "\u0663", "1\u00b2"):
+            with pytest.raises(ProofFormatError,
+                               match=f"^line 4: unknown directive '{head}'$"):
+                parse_proof(f"system C\nkind theorem\ngoal p0 -> p0\n{head} p0 hyp\n")
+
+    def test_file_level_rejection_has_no_line(self):
+        result = check_proof(parse_proof("system C\nkind theorem\n"))
+        assert result.line is None
+        assert result.describe() == "empty-proof: a proof needs at least one line"
+        result = check_proof(parse_proof("system C\nkind theorem\ngoal p0\n1 p0 hyp\n"))
+        assert result.describe().startswith(f"line 1: {result.code}: ")
+
 
 class TestCorpus:
     def test_corpus_loads_clean(self):

@@ -12,12 +12,14 @@ import pytest
 
 from conftest import CN_CONNS, MD_CONNS, PL_CONNS, random_formula, ref_refutes
 from cnx.errors import EvidenceError, LanguageMismatch
+from cnx.harness import DEFAULT_BOUNDS, Thesis, _as_consecution, thesis_instance
 from cnx.logics import Logic
-from cnx.model import (FrameClass, Kind, KripkeModel, PointedModel, get_fixture,
-                       serialize_model, serialize_pointed, validate_model)
-from cnx.search import (SearchBounds, Status, check_evidence, enumerate_models,
-                        find_countermodel)
-from cnx.semantics import check_consecution, consecution
+from cnx.model import (FrameClass, Kind, KripkeModel, PointedModel, from_masks,
+                       get_fixture, serialize_model, serialize_pointed, validate_model)
+from cnx.search import (SearchBounds, Status, _first_world, _mask_models,
+                        check_evidence, enumerate_models, find_countermodel)
+from cnx.semantics import (check_consecution, consecution, consecution_program,
+                           consulted_indices, satisfying_worlds)
 from cnx.syntax import parse
 
 
@@ -132,11 +134,15 @@ def test_language_gate():
                           SearchBounds(1, (0, 1)))
 
 
+# valid, and its antecedent is conditional, so a search for a countermodel
+# walks every enumerated model (7.36M FSC models at 2 worlds and 2 indices)
+UNPRUNED_VALID = "((p0 @> p0) @> p1) -> ((p0 @> p0) @> p1)"
+
+
 def test_timeout():
-    # p0 -> p0 has no countermodel, and the bounds hold 7.36M FSC models, so
     # the search cannot finish within the limit
     out = find_countermodel(
-        Logic.CnCK, consecution([], [parse("p0 -> p0")]),
+        Logic.CnCK, consecution([], [parse(UNPRUNED_VALID)]),
         SearchBounds(2, (0, 1), max_cond_indices=2, time_limit=0.05))
     assert out.status is Status.TIMED_OUT
     assert out.witness is None
@@ -167,6 +173,68 @@ def test_witness_is_first_model_the_reference_refutes():
                 found[logic] += 1
     # most random instances are refuted, and each logic has some that are not
     assert all(3 <= found[logic] < 12 for logic, _, _ in cases), found
+
+
+def _unpruned_first_hit(logic, c, bounds):
+    """The serialized first refuting point of a plain scan of every
+    enumerated model, or None."""
+    kind = logic.frame_class.kind
+    prog = consecution_program(c, kind)
+    for mm in _mask_models(logic.frame_class, bounds):
+        hits = satisfying_worlds(prog, mm)
+        if hits:
+            return serialize_pointed(PointedModel(from_masks(kind, mm),
+                                                  _first_world(mm, hits)))
+    return None
+
+
+def test_pruned_search_matches_unpruned_scan():
+    rnd = random.Random(5)
+    cases = []
+    for bounds in (SearchBounds(2, (0,), max_cond_indices=2),
+                   SearchBounds(1, (0, 1), max_cond_indices=2)):
+        for logic in (Logic.CnCK, Logic.CnCK_R):
+            for _ in range(20):
+                gamma = [random_formula(rnd, 2, bounds.atoms, CN_CONNS)
+                         for _ in range(rnd.randint(0, 1))]
+                delta = [random_formula(rnd, 3, bounds.atoms, CN_CONNS)]
+                cases.append((logic, consecution(gamma, delta), bounds))
+    for logic in (Logic.CnCK, Logic.CnCK_R):
+        for conn in ("@>", "?>", "@=>", "?=>"):
+            for thesis in Thesis:
+                cases.append((logic, _as_consecution(thesis_instance(conn, thesis)),
+                              SearchBounds(1, (0, 1), max_cond_indices=2)))
+    kinds = Counter()
+    for logic, c, bounds in cases:
+        expected = _unpruned_first_hit(logic, c, bounds)
+        out = find_countermodel(logic, c, bounds)
+        if expected is None:
+            assert out.status is Status.EXHAUSTED, c
+        else:
+            assert out.found and serialize_pointed(out.witness) == expected, c
+        prunable = consulted_indices(
+            consecution_program(c, logic.frame_class.kind)) is not None
+        kinds[prunable, out.found] += 1
+    # both kinds of query, each both refuted and not
+    assert len(kinds) == 4, kinds
+
+
+def test_search_counts_the_models_it_evaluates():
+    # the deep first-hit search of the suite: 272,541 models unpruned
+    c = _as_consecution(thesis_instance("?=>", Thesis.WNONSYM))
+    out = find_countermodel(Logic.CnCK_R, c, DEFAULT_BOUNDS)
+    assert out.found and out.models == 5393
+    # a conditional antecedent turns pruning off
+    bounds = SearchBounds(1, (0, 1), max_cond_indices=2)
+    for logic in (Logic.CnCK, Logic.CnCK_R):
+        out = find_countermodel(logic, consecution([], [parse(UNPRUNED_VALID)]), bounds)
+        assert out.status is Status.EXHAUSTED
+        assert out.models == sum(1 for _ in _mask_models(logic.frame_class, bounds))
+    # no conditional at all: only models without indices are evaluated
+    out = find_countermodel(Logic.CnCK, consecution([], [parse("p0 -> p0")]),
+                            SearchBounds(2, (0, 1), max_cond_indices=2))
+    assert out.status is Status.EXHAUSTED
+    assert out.models == sum(1 for _ in _mask_models(FrameClass.P, SearchBounds(2, (0, 1))))
 
 
 def test_fsc_r_enumeration_respects_target_condition():
