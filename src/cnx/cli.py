@@ -8,21 +8,19 @@ errors.  All output is deterministic.  `-` as a file argument reads stdin.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
-from .corpus import corpus_registry
+# Only the search path is imported here.  The modules that only `prove`,
+# `suite` and `translate` use are imported by their handlers, so that a
+# `valid` or `countermodel` process never loads them.
 from .errors import CnxError
-from .harness import ALL_CELLS, render_report, report_record, run_suite
 from .logics import Logic, logic_from_name
 from .model import (FIXTURE_CLASS, FIXTURE_NAMES, FrameClass, close_valuations,
                     get_fixture, load_model, serialize_model, validate_model)
-from .proof import Registry, check_proof, parse_proof
 from .search import SearchBounds, Status, find_countermodel
 from .semantics import biextension, consecution, sat
 from .syntax import atoms_of, parse, render
-from .transform import i_translate, tr_phi
 
 OK, NEGATIVE, ERROR = 0, 1, 2
 
@@ -109,6 +107,8 @@ def cmd_valid(args) -> int:
 
 
 def cmd_prove(args) -> int:
+    from .corpus import corpus_registry
+    from .proof import Registry, check_proof, parse_proof
     registry = Registry() if args.no_corpus else corpus_registry()
     status = OK
     for path in args.files:
@@ -125,6 +125,7 @@ def cmd_prove(args) -> int:
 
 
 def cmd_translate(args) -> int:
+    from .transform import i_translate, tr_phi
     f = parse(args.formula)
     if args.tr is not None:
         print(render(tr_phi(parse(args.tr), f)))
@@ -134,6 +135,7 @@ def cmd_translate(args) -> int:
 
 
 def cmd_suite(args) -> int:
+    from .harness import ALL_CELLS, render_report, report_record, run_suite
     if args.logic == "all":
         cells = ALL_CELLS
     else:
@@ -143,6 +145,7 @@ def cmd_suite(args) -> int:
         cells = [(logic, c) for c in conns]
     reports = [run_suite(lg, conn) for (lg, conn) in cells]
     if args.json:
+        import json
         print(json.dumps([report_record(r) for r in reports], indent=2))
     else:
         print("\n".join(render_report(r) for r in reports))
@@ -172,82 +175,111 @@ def cmd_validate(args) -> int:
     return NEGATIVE
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="cnx",
-        description="Connexive logic toolbox: parsing, bi-valuational Kripke "
-                    "evaluation, bounded countermodel search, Hilbert proof "
-                    "checking, translations, and connexivity classification.")
-    sub = p.add_subparsers(dest="command", required=True)
-
-    q = sub.add_parser("parse", help="parse a formula and print its canonical form")
+def _formula_arg(q) -> None:
     q.add_argument("formula")
-    q.set_defaults(fn=cmd_parse)
 
-    q = sub.add_parser("check", help="evaluate a formula at a world of a model")
+
+def _check_args(q) -> None:
     q.add_argument("-m", "--model", required=True)
     q.add_argument("-w", "--world", required=True)
     q.add_argument("-s", "--sign", choices=["+", "-"], default="+")
     q.add_argument("formula")
-    q.set_defaults(fn=cmd_check)
 
-    q = sub.add_parser("biext", help="print a formula's bi-extension in a model")
+
+def _biext_args(q) -> None:
     q.add_argument("-m", "--model", required=True)
     q.add_argument("formula")
-    q.set_defaults(fn=cmd_biext)
 
-    q = sub.add_parser("countermodel", help="search for a countermodel to a consecution")
+
+def _search_args(q) -> None:
+    q.add_argument("--max-worlds", type=int, required=True)
+    q.add_argument("--max-indices", type=int, default=2)
+    q.add_argument("--timeout", type=float)
+
+
+def _countermodel_args(q) -> None:
     q.add_argument("-L", "--logic", required=True)
     q.add_argument("--gamma", action="append", metavar="FORMULA")
     q.add_argument("--delta", action="append", metavar="FORMULA")
-    q.add_argument("--max-worlds", type=int, required=True)
-    q.add_argument("--max-indices", type=int, default=2)
-    q.add_argument("--timeout", type=float)
-    q.set_defaults(fn=cmd_countermodel)
+    _search_args(q)
 
-    q = sub.add_parser("valid", help="bounded validity evidence for a formula")
+
+def _valid_args(q) -> None:
     q.add_argument("-L", "--logic", required=True)
-    q.add_argument("--max-worlds", type=int, required=True)
-    q.add_argument("--max-indices", type=int, default=2)
-    q.add_argument("--timeout", type=float)
+    _search_args(q)
     q.add_argument("formula")
-    q.set_defaults(fn=cmd_valid)
 
-    q = sub.add_parser("prove", help="check proof files")
+
+def _prove_args(q) -> None:
     q.add_argument("files", nargs="+")
     q.add_argument("--no-corpus", action="store_true",
                    help="start from an empty lemma registry")
-    q.set_defaults(fn=cmd_prove)
 
-    q = sub.add_parser("translate", help="translate between modal and conditional languages")
+
+def _translate_args(q) -> None:
     g = q.add_mutually_exclusive_group(required=True)
     g.add_argument("--tr", metavar="ANCHOR",
                    help="modal-to-conditional with this antecedent anchor")
     g.add_argument("--i", action="store_true",
                    help="conditional-to-modal interpretation")
     q.add_argument("formula")
-    q.set_defaults(fn=cmd_translate)
 
-    q = sub.add_parser("suite", help="connexivity classification")
+
+def _suite_args(q) -> None:
     q.add_argument("-L", "--logic", required=True,
                    help="a logic name, or 'all' for the whole table")
     q.add_argument("-c", "--connective")
     q.add_argument("--json", action="store_true")
-    q.set_defaults(fn=cmd_suite)
 
-    q = sub.add_parser("fixture", help="list or show the named fixture models")
+
+def _fixture_args(q) -> None:
     q.add_argument("action", choices=["list", "show"])
     q.add_argument("name", nargs="?")
-    q.set_defaults(fn=cmd_fixture)
 
-    q = sub.add_parser("validate", help="validate a model against a frame class")
+
+def _validate_args(q) -> None:
     q.add_argument("-m", "--model", required=True)
     q.add_argument("-C", "--frame-class", required=True,
                    help="P, FSM, FSC, or FSC_R")
     q.add_argument("--close", action="store_true",
                    help="upward-close the valuations before validating")
-    q.set_defaults(fn=cmd_validate)
 
+
+# name -> (help, handler, the function that adds its arguments), in help order
+COMMANDS = {
+    "parse": ("parse a formula and print its canonical form", cmd_parse, _formula_arg),
+    "check": ("evaluate a formula at a world of a model", cmd_check, _check_args),
+    "biext": ("print a formula's bi-extension in a model", cmd_biext, _biext_args),
+    "countermodel": ("search for a countermodel to a consecution", cmd_countermodel,
+                     _countermodel_args),
+    "valid": ("bounded validity evidence for a formula", cmd_valid, _valid_args),
+    "prove": ("check proof files", cmd_prove, _prove_args),
+    "translate": ("translate between modal and conditional languages", cmd_translate,
+                  _translate_args),
+    "suite": ("connexivity classification", cmd_suite, _suite_args),
+    "fixture": ("list or show the named fixture models", cmd_fixture, _fixture_args),
+    "validate": ("validate a model against a frame class", cmd_validate, _validate_args),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The `cnx` argument parser.  With `command`, only that subcommand's
+    parser is built (each one costs milliseconds); its usage and error text
+    are still those of the full tree, because the usage names every command."""
+    p = argparse.ArgumentParser(
+        prog="cnx",
+        description="Connexive logic toolbox: parsing, bi-valuational Kripke "
+                    "evaluation, bounded countermodel search, Hilbert proof "
+                    "checking, translations, and connexivity classification.")
+    # The full tree keeps argparse's default name for the argument, which
+    # its errors for a missing or unknown command print as 'command'.
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = p.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (help_, fn, add_args) in COMMANDS.items():
+        if command in (None, name):
+            q = sub.add_parser(name, help=help_)
+            add_args(q)
+            q.set_defaults(fn=fn)
     return p
 
 
@@ -267,8 +299,8 @@ def _merge_connective_flag(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     argv = _merge_connective_flag(sys.argv[1:] if argv is None else list(argv))
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     if args.command == "fixture" and args.action == "show" and not args.name:
         parser.error("fixture show needs a name")

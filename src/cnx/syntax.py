@@ -12,7 +12,7 @@ import functools
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, Union
+from typing import Callable, Union
 
 from .errors import FormulaSyntaxError
 
@@ -163,18 +163,23 @@ SUGAR = {
 # ---------------------------------------------------------------------------
 # analysis helpers
 
-def subformulas(f: Formula) -> Iterator[Formula]:
-    """Postorder traversal including f itself."""
-    if isinstance(f, (Neg, Box, Dia)):
-        yield from subformulas(f.body)
-    elif isinstance(f, (And, Or, Imp, WouldTo, MightTo)):
-        yield from subformulas(f.left)
-        yield from subformulas(f.right)
-    yield f
-
-
 def atoms_of(f: Formula) -> frozenset[int]:
-    return frozenset(g.index for g in subformulas(f) if isinstance(g, Atom))
+    # each distinct node once: sugar expansion shares operands (a <=> b holds
+    # each side four times), so walking the tree would take exponential time
+    atoms, seen, stack = set(), set(), [f]
+    while stack:
+        g = stack.pop()
+        if id(g) in seen:
+            continue
+        seen.add(id(g))
+        cls = type(g)
+        if cls is Atom:
+            atoms.add(g.index)
+        elif cls in _PREFIX_OPS:
+            stack.append(g.body)
+        else:
+            stack += (g.left, g.right)
+    return frozenset(atoms)
 
 
 # the constructors that take a formula out of PL, as bits of a language code,
@@ -242,14 +247,16 @@ _ARROWS = {"->", "=>", "#>", "#=>", "@>", "?>", "@=>", "?=>"}
 _EQUIVS = {"<->", "<=>", "<#>", "<#=>"}
 
 # formula tokens, then the words, numbers and '=' of a proof line's justification
-_ATOM, _OP = r"p\d+(?!\w)", "|".join(map(re.escape, _OPERATORS))
-_WORD, _NUM = r"[A-Za-z_][A-Za-z0-9_\-]*", r"\d+"
+# (ASCII digits only: `\d` would take any Unicode decimal digit, which int() reads)
+_ATOM, _OP = r"p[0-9]+(?!\w)", "|".join(map(re.escape, _OPERATORS))
+_WORD, _NUM = r"[A-Za-z_][A-Za-z0-9_\-]*", r"[0-9]+"
 # the next token after any blanks, as the group named by its kind
 _TOKEN_RE = re.compile(rf"[ \t]*(?:(?P<atom>{_ATOM})|(?P<op>{_OP})|(?P<word>{_WORD})"
                        rf"|(?P<num>{_NUM})|(?P<eq>=)|(?P<bad>.)|(?P<end>))", re.DOTALL)
 # the longest run of tokens from a position, without and with the words
 _LEXABLE = (re.compile(rf"(?:[ \t]+|{_ATOM}|{_OP})*"),
             re.compile(rf"(?:[ \t]+|{_ATOM}|{_OP}|{_WORD}|{_NUM}|=)*"))
+_ATOM_HEAD = re.compile(r"p[0-9]*")
 
 
 def check_lexable(text: str, start: int, extended: bool) -> None:
@@ -258,6 +265,10 @@ def check_lexable(text: str, start: int, extended: bool) -> None:
     character anywhere in the text is reported before any grammar error."""
     end = _LEXABLE[extended].match(text, start).end()
     if end < len(text):
+        # an atom with a digit other than 0-9 is reported at that digit
+        head = _ATOM_HEAD.match(text, end)
+        if head and text[head.end():head.end() + 1].isdigit():
+            end = head.end()
         raise FormulaSyntaxError(f"unexpected character {text[end]!r}", end,
                                  expected="an atom p0, p1, ... or an operator")
 

@@ -123,11 +123,11 @@ def ref_refutes(m: KripkeModel, w: str, c: Consecution) -> bool:
 
 _REF_OPERATORS = ["<#=>", "<#>", "<=>", "<->", "<>", "[]", "#=>", "#>", "@=>", "@>",
                   "?=>", "?>", "=>", "->", "~", "&", "|", "(", ")"]
-_REF_TOKENS = (r"(?P<space>[ \t]+)|(?P<atom>p\d+(?!\w))|(?P<op>"
+_REF_TOKENS = (r"(?P<space>[ \t]+)|(?P<atom>p[0-9]+(?!\w))|(?P<op>"
                + "|".join(map(re.escape, _REF_OPERATORS)) + ")")
 _REF_TOKEN_RE = re.compile(_REF_TOKENS + r"|(?P<bad>.)", re.DOTALL)
 _REF_EXTENDED_TOKEN_RE = re.compile(
-    _REF_TOKENS + r"|(?P<word>[A-Za-z_][A-Za-z0-9_\-]*)|(?P<num>\d+)|(?P<eq>=)|(?P<bad>.)",
+    _REF_TOKENS + r"|(?P<word>[A-Za-z_][A-Za-z0-9_\-]*)|(?P<num>[0-9]+)|(?P<eq>=)|(?P<bad>.)",
     re.DOTALL)
 _REF_ARROWS = {"->", "=>", "#>", "#=>", "@>", "?>", "@=>", "?=>"}
 _REF_EQUIVS = {"<->", "<=>", "<#>", "<#=>"}
@@ -145,7 +145,14 @@ def ref_lex(text: str, extended: bool = False) -> list[tuple[str, str, int]]:
         if kind == "space":
             continue
         if kind == "bad":
-            raise FormulaSyntaxError(f"unexpected character {m.group()!r}", m.start(),
+            at = m.start()
+            if text[at] == "p":  # an atom with a digit other than 0-9: point at it
+                i = at + 1
+                while i < len(text) and text[i] in "0123456789":
+                    i += 1
+                if i < len(text) and text[i].isdigit():
+                    at = i
+            raise FormulaSyntaxError(f"unexpected character {text[at]!r}", at,
                                      expected="an atom p0, p1, ... or an operator")
         out.append((kind, m.group(), m.start()))
     return out

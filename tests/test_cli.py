@@ -7,11 +7,13 @@ from pathlib import Path
 
 import pytest
 
+from cnx import cli
 from cnx.cli import main
 from cnx.corpus import CORPUS_DIR
 from cnx.model import FIXTURE_NAMES
 
 DATA = Path(__file__).parent / "data"
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -30,6 +32,13 @@ def test_parse_error_exit_2(capsys):
     code, _, err = run(capsys, "parse", "p0 ->")
     assert code == 2
     assert "error:" in err
+
+
+def test_parse_non_ascii_digit_exit_2(capsys):
+    for text in ("p\u0661", "p\u00b2"):
+        code, out, err = run(capsys, "parse", text)
+        assert (code, out) == (2, ""), text
+        assert err.startswith(f"error: unexpected character {text[1]!r} at offset 1"), text
 
 
 def test_check_refutation_exit_1(tmp_path, capsys):
@@ -210,6 +219,72 @@ def test_suite_cell_under_python_O():
                           env=env, capture_output=True, text=True)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == golden[start:end]
+
+
+def run_python(*args, timeout=60):
+    """A fresh interpreter with the package on its path, run from the repository root."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+def test_valid_on_a_shared_sugar_chain_finishes():
+    # each <=> holds both operands four times, so a walk of the tree rather
+    # than of the shared nodes visits over 4^11 atoms
+    chain = "(p1 <=> " * 11 + "p0" + ")" * 11
+    valid = ("-m", "cnx.cli", "valid", "-L", "C", "--max-worlds", "1")
+    proc = run_python(*valid, chain, timeout=30)
+    assert (proc.returncode, proc.stderr) == (1, "")  # eleven p1s do not cancel
+    assert proc.stdout.startswith("kind prop")
+    proc = run_python(*valid, f"{chain} -> {chain}", timeout=30)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("no countermodel within bounds")
+
+
+def test_valid_imports_only_the_search_path():
+    script = ("import sys\n"
+              "from cnx.cli import main\n"
+              "code = main(['valid', '-L', 'CnCK', '--max-worlds', '1', 'p0 -> p0'])\n"
+              "print(code, *sorted({'cnx.proof', 'cnx.corpus', 'cnx.harness',\n"
+              "                     'cnx.transform', 'json'} & set(sys.modules)))\n")
+    proc = run_python("-c", script)
+    assert proc.stderr == ""
+    assert proc.stdout.splitlines()[-1] == "0"
+
+
+def test_lazily_imported_commands_run_through_python_m():
+    golden = (DATA / "golden_suite.txt").read_text()
+    start = golden.index("logic=CnCK connective=@>\n")
+    end = golden.index("\n", golden.index("  label:", start)) + 1
+    proc = run_python("-m", "cnx.cli", "suite", "-L", "CnCK", "-c", "@>")
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", golden[start:end])
+    proc = run_python("-m", "cnx.cli", "prove", "src/cnx/corpus/at_would_refl.prf")
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "OK\n")
+    proc = run_python("-m", "cnx.cli", "translate", "--i", "p0 @> p1")
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[]((p0 -> p1))\n")
+
+
+def surface(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # help, and argparse's usage errors
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_one_subparser_gives_the_full_trees_output(capsys, monkeypatch):
+    # main builds only the invoked command's parser; the full tree is the oracle
+    argvs = [["--help"], [], ["bogus"], ["valid", "-L", "C", "--max-worlds", "1", "--bogus", "p0"],
+             ["fixture", "show"], ["suite", "-L", "CnCK", "-c", "->"]]
+    argvs += [[name, "--help"] for name in cli.COMMANDS] + [[name] for name in cli.COMMANDS]
+    got = [surface(capsys, argv) for argv in argvs]
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    assert got == [surface(capsys, argv) for argv in argvs]
+    assert all(code == 2 and out == "" and err.startswith("usage: cnx")
+               for code, out, err in got[1:5])
+    assert got[1][2].endswith("error: the following arguments are required: command\n")
 
 
 def test_stdin_dash(tmp_path, capsys, monkeypatch):

@@ -113,8 +113,20 @@ def test_syntax_errors_carry_offsets():
     assert e.value.expected == "')'"
 
 
+@pytest.mark.parametrize("text, offset", [("p\u0661", 1), ("p\u00b2", 1),
+                                          ("p0 & p1\u0663", 7)])
+def test_atom_digits_are_ascii(text, offset):
+    # a Unicode digit is not read as its value, and the error names the digit
+    with pytest.raises(FormulaSyntaxError) as e:
+        parse(text)
+    assert (e.value.message, e.value.offset) == (f"unexpected character {text[offset]!r}",
+                                                 offset)
+
+
 def test_atoms_of():
     assert atoms_of(parse("p0 -> (p3 & p0)")) == {0, 3}
+    # sugar expansion shares operands: the tree of this chain has over 4^11 leaves
+    assert atoms_of(parse("(p1 <=> " * 11 + "p0" + ")" * 11)) == {0, 1}
 
 
 def test_nesting_cap():
@@ -160,7 +172,7 @@ def read_line_formula(text):
 
 _PIECES = ["p0", "p1", "p12", "~", "&", "|", "->", "=>", "#>", "#=>", "@>", "@=>", "?>",
            "?=>", "<->", "<=>", "<#>", "<#=>", "<>", "[]", "(", "(", ")", ")", " ", "\t"]
-_JUNK = ["p", "p0x", "\u0663", "\n", "$", "x", "axiom", "mp", "1", "42", "=", "-",
+_JUNK = ["p", "p0x", "\u0663", "\u00b2", "\n", "$", "x", "axiom", "mp", "1", "42", "=", "-",
          "<", "#", "@", "?"]
 
 
