@@ -12,7 +12,6 @@ re-refutes the instance at report time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
 
@@ -22,6 +21,7 @@ from .logics import Logic
 from .model import (FIXTURE_NAMES, Kind, KripkeModel, PointedModel,
                     get_fixture, validate_model)
 from .proof import system_includes
+from .record import Record
 from .search import (SearchBounds, Status, check_evidence, find_countermodel,
                      refuting_point)
 from .semantics import Consecution, consecution
@@ -119,14 +119,12 @@ PROOF_EVIDENCE: dict[tuple[str, Thesis], str] = {
 }
 
 
-@dataclass(frozen=True)
-class ProofEvidence:
+class ProofEvidence(Record):
     name: str
     system: str
 
 
-@dataclass(frozen=True)
-class CountermodelEvidence:
+class CountermodelEvidence(Record):
     pointed: PointedModel
     instance: object            # Formula or Consecution
     fixture: Optional[str]      # named fixture, if one supplied the model
@@ -139,8 +137,7 @@ class CountermodelEvidence:
         return f"search:{n}-world model"
 
 
-@dataclass(frozen=True)
-class BoundedEvidence:
+class BoundedEvidence(Record):
     bounds: SearchBounds
 
     @property
@@ -149,8 +146,7 @@ class BoundedEvidence:
                 f"worlds (non-conclusive)")
 
 
-@dataclass(frozen=True)
-class ThesisStatus:
+class ThesisStatus(Record):
     thesis: Thesis
     verdict: str                # holds | fails
     evidence: object
@@ -162,8 +158,7 @@ class ThesisStatus:
         return self.evidence.source
 
 
-@dataclass(frozen=True)
-class ConnexivityReport:
+class ConnexivityReport(Record):
     logic: Logic
     connective: str
     statuses: tuple[ThesisStatus, ...]

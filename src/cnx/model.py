@@ -10,12 +10,12 @@ sparse: unlisted indices denote the empty relation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import ModelFormatError, StructuralError, UnknownFixture
+from .record import Record
 from .syntax import LanguageTag
 
 
@@ -50,8 +50,7 @@ class FrameClass(Enum):
         }[self]
 
 
-@dataclass(frozen=True, order=True)
-class BiSet:
+class BiSet(Record):
     pos: frozenset[str]
     neg: frozenset[str]
 
@@ -61,6 +60,18 @@ class BiSet:
 
     def swap(self) -> "BiSet":
         return BiSet(self.neg, self.pos)
+
+    # ordered as the pair (pos, neg), each by inclusion (model files list
+    # indices in this order); x > y and x >= y are y < x and y <= x
+    def __lt__(self, other):
+        if type(other) is not BiSet:
+            return NotImplemented
+        return (self.pos, self.neg) < (other.pos, other.neg)
+
+    def __le__(self, other):
+        if type(other) is not BiSet:
+            return NotImplemented
+        return (self.pos, self.neg) <= (other.pos, other.neg)
 
 
 def bi(pos, neg) -> BiSet:
@@ -153,8 +164,7 @@ class KripkeModel:
         return f"<KripkeModel {self.kind.value} |W|={len(self.worlds)}>"
 
 
-@dataclass(frozen=True)
-class PointedModel:
+class PointedModel(Record):
     model: KripkeModel
     point: str
 
@@ -270,8 +280,7 @@ def from_masks(kind: Kind, mm: MaskModel) -> KripkeModel:
 # ---------------------------------------------------------------------------
 # frame-class validation
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     code: str
     message: str
 
@@ -279,8 +288,7 @@ class Violation:
         return f"{self.code}: {self.message}"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     ok: bool
     violations: tuple[Violation, ...] = ()
 

@@ -17,11 +17,11 @@ Kinds differ in what they admit:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import FormulaSyntaxError, ProofFormatError
 from .model import LANGUAGES, Kind
+from .record import Record
 from .syntax import (And, Atom, Box, Dia, Formula, Imp, MightTo, Neg, Or, Parser,
                      WouldTo, check_lexable, iff, language_of, map_formula, render,
                      strong_iff)
@@ -64,8 +64,7 @@ AXIOMS: dict[str, Formula] = {
 }
 
 
-@dataclass(frozen=True)
-class RuleScheme:
+class RuleScheme(Record):
     name: str
     premise: Formula
     conclusion: Formula
@@ -84,8 +83,7 @@ RULES: dict[str, RuleScheme] = {
 }
 
 
-@dataclass(frozen=True)
-class ProofSystem:
+class ProofSystem(Record):
     name: str
     axioms: frozenset[str]
     rules: frozenset[str]
@@ -150,8 +148,7 @@ def instantiate(template: Formula, binding: dict[str, Formula]) -> Formula:
 # ---------------------------------------------------------------------------
 # proofs
 
-@dataclass(frozen=True)
-class AxiomJust:
+class AxiomJust(Record):
     name: str
     binding: Optional[dict[str, Formula]] = None
 
@@ -159,39 +156,33 @@ class AxiomJust:
         return hash(("axiom", self.name))
 
 
-@dataclass(frozen=True)
-class MpJust:
+class MpJust(Record):
     i: int
     j: int
 
 
-@dataclass(frozen=True)
-class RuleJust:
+class RuleJust(Record):
     name: str
     i: int
 
 
-@dataclass(frozen=True)
-class HypJust:
+class HypJust(Record):
     pass
 
 
-@dataclass(frozen=True)
-class LemmaJust:
+class LemmaJust(Record):
     name: str
 
 
 Justification = Union[AxiomJust, MpJust, RuleJust, HypJust, LemmaJust]
 
 
-@dataclass(frozen=True)
-class ProofLine:
+class ProofLine(Record):
     formula: Formula
     just: Justification
 
 
-@dataclass(frozen=True)
-class Proof:
+class Proof(Record):
     system: str
     kind: str  # theorem | entail | rulederive
     name: Optional[str]
@@ -200,8 +191,7 @@ class Proof:
     lines: tuple[ProofLine, ...]
 
 
-@dataclass(frozen=True)
-class RegisteredTheorem:
+class RegisteredTheorem(Record):
     name: str
     system: str
     formula: Formula
@@ -223,8 +213,7 @@ class Registry:
         return len(self._store)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     ok: bool
     line: Optional[int] = None
     code: Optional[str] = None

@@ -13,12 +13,12 @@ Run `python -m cnx.proofgen` to regenerate src/cnx/corpus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .proof import (AXIOMS, AxiomJust, HypJust, LemmaJust, MpJust, Proof,
                     ProofLine, Registry, RuleJust, RULES, check_proof,
                     instantiate, match_scheme)
+from .record import Record
 from .syntax import (And, Atom, Box, Dia, Formula, Imp, MightTo, Neg, Or,
                      WouldTo, render, strong_imp, strong_iff,
                      strong_would, strong_might)
@@ -29,8 +29,7 @@ P0, P1, P2 = Atom(0), Atom(1), Atom(2)
 # ---------------------------------------------------------------------------
 # proof terms
 
-@dataclass(frozen=True)
-class Ax:
+class Ax(Record):
     name: str
     binding: tuple  # sorted (metavar, formula) pairs
 
@@ -39,8 +38,7 @@ class Ax:
         return instantiate(AXIOMS[self.name], dict(self.binding))
 
 
-@dataclass(frozen=True)
-class MP:
+class MP(Record):
     arg: "Term"
     imp: "Term"
 
@@ -54,8 +52,7 @@ class MP:
         return self.imp.formula.right
 
 
-@dataclass(frozen=True)
-class Hyp:
+class Hyp(Record):
     f: Formula
 
     @property
@@ -63,8 +60,7 @@ class Hyp:
         return self.f
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(Record):
     name: str
     premise: "Term"
     chi: Optional[Formula] = None
@@ -79,8 +75,7 @@ class Rule:
         return instantiate(scheme.conclusion, binding)
 
 
-@dataclass(frozen=True)
-class Lem:
+class Lem(Record):
     name: str
     f: Formula
 

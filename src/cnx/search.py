@@ -27,8 +27,8 @@ full enumeration.
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations, product
 from typing import Iterator
@@ -38,12 +38,12 @@ from .logics import Logic
 from .model import (FrameClass, KripkeModel, MaskModel, PointedModel, _fs_violations,
                     _up_sets, from_masks, masks_of, rel_masks, to_mask,
                     validate_model, world_bits)
+from .record import Record
 from .semantics import (Consecution, check_consecution, consecution_program,
                         consulted_indices, satisfying_worlds)
 
 
-@dataclass(frozen=True)
-class SearchBounds:
+class SearchBounds(Record):
     max_worlds: int
     atoms: tuple[int, ...] = (0, 1)
     max_cond_indices: int = 2
@@ -54,8 +54,9 @@ class SearchBounds:
             raise ValueError("max_worlds must be at least 1")
         if self.max_cond_indices < 0:
             raise ValueError("max_cond_indices must not be negative")
-        if self.time_limit is not None and self.time_limit <= 0:
-            raise ValueError("time_limit must be positive")
+        # a NaN deadline is never passed, so nan would mean "no limit"
+        if self.time_limit is not None and not 0 < self.time_limit < math.inf:
+            raise ValueError("time_limit must be positive and finite")
 
 
 class Status(Enum):
@@ -64,8 +65,7 @@ class Status(Enum):
     TIMED_OUT = "timed-out"
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(Record):
     status: Status
     witness: PointedModel | None = None
     bounds: SearchBounds | None = None

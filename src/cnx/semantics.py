@@ -13,21 +13,20 @@ are independent of evaluation order and cache state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import LanguageMismatch, UnknownWorld
 from .model import (LANGUAGES, BiSet, Kind, KripkeModel, MaskModel, PointedModel,
                     masks_of, world_set)
+from .record import Record
 from .syntax import (LANGUAGE_BITS, LANGUAGE_OF_CODE, And, Atom, Box, Dia, Formula,
                      Imp, MightTo, Neg, Or, WouldTo)
 
 SIGNS = ("+", "-")
 
 
-@dataclass(frozen=True)
-class Consecution:
+class Consecution(Record):
     gamma: frozenset[Formula]
     delta: frozenset[Formula]
 

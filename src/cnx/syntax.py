@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Union
+from typing import Callable
 
 from .errors import FormulaSyntaxError
+from .record import Record
+
+_set = object.__setattr__
 
 
 class LanguageTag(Enum):
@@ -24,79 +26,66 @@ class LanguageTag(Enum):
     MIXED = "Mixed"
 
 
-@dataclass(frozen=True)
-class Atom:
+class Formula(Record):
+    """A core formula: one of the nine constructors below.  Its hash, and its
+    language code (language_of), are computed once and kept on the node."""
+
+    _hash = None
+    _language = None
+
+    # formula nodes are hashed millions of times during bounded search, and
+    # the hash of the fields would re-walk the whole tree on every call
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = Record.__hash__(self)
+            _set(self, "_hash", h)
+        return h
+
+
+class Atom(Formula):
     index: int
 
 
-@dataclass(frozen=True)
-class Neg:
-    body: "Formula"
+class Neg(Formula):
+    body: Formula
 
 
-@dataclass(frozen=True)
-class And:
-    left: "Formula"
-    right: "Formula"
+class And(Formula):
+    left: Formula
+    right: Formula
 
 
-@dataclass(frozen=True)
-class Or:
-    left: "Formula"
-    right: "Formula"
+class Or(Formula):
+    left: Formula
+    right: Formula
 
 
-@dataclass(frozen=True)
-class Imp:
-    left: "Formula"
-    right: "Formula"
+class Imp(Formula):
+    left: Formula
+    right: Formula
 
 
-@dataclass(frozen=True)
-class Box:
-    body: "Formula"
+class Box(Formula):
+    body: Formula
 
 
-@dataclass(frozen=True)
-class Dia:
-    body: "Formula"
+class Dia(Formula):
+    body: Formula
 
 
-@dataclass(frozen=True)
-class WouldTo:
-    left: "Formula"
-    right: "Formula"
+class WouldTo(Formula):
+    left: Formula
+    right: Formula
 
 
-@dataclass(frozen=True)
-class MightTo:
-    left: "Formula"
-    right: "Formula"
+class MightTo(Formula):
+    left: Formula
+    right: Formula
 
-
-Formula = Union[Atom, Neg, And, Or, Imp, Box, Dia, WouldTo, MightTo]
 
 _BINARY_OPS = {And: "&", Or: "|", Imp: "->", WouldTo: "@>", MightTo: "?>"}
 _PREFIX_OPS = {Neg: "~", Box: "[]", Dia: "<>"}
-
-
-def _cache_hash(cls):
-    # Formula nodes are hashed millions of times during bounded search;
-    # the generated dataclass hash re-walks the whole tree on every call.
-    generated = cls.__hash__
-
-    def cached(self):
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = generated(self)
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    cls.__hash__ = cached
-
-
-for _cls in (Atom, Neg, And, Or, Imp, Box, Dia, WouldTo, MightTo):
-    _cache_hash(_cls)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +183,7 @@ def language_of(f: Formula) -> LanguageTag:
 
 def _language_code(f: Formula) -> int:
     # kept on the node like its hash, so a shared subformula is classified once
-    code = f.__dict__.get("_language")
+    code = f._language
     if code is None:
         cls = type(f)
         if cls in _PREFIX_OPS:
@@ -204,21 +193,32 @@ def _language_code(f: Formula) -> int:
         else:
             code = 0
         code |= LANGUAGE_BITS.get(cls, 0)
-        object.__setattr__(f, "_language", code)
+        _set(f, "_language", code)
     return code
 
 
 def map_formula(f: Formula, fn: Callable[[Formula], Formula]) -> Formula:
     """Rebuild f bottom up: each node is first rebuilt from its mapped
-    children, then replaced by fn(node).  What fn returns is not walked again."""
-    cls = type(f)
-    if cls in _PREFIX_OPS:
-        f = cls(map_formula(f.body, fn))
-    elif cls in _BINARY_OPS:
-        f = cls(map_formula(f.left, fn), map_formula(f.right, fn))
-    elif cls is not Atom:
-        raise TypeError(f"not a formula: {f!r}")
-    return fn(f)
+    children, then replaced by fn(node).  What fn returns is not walked again.
+    A node shared within f is mapped once, and its image is shared."""
+    memo = {}
+
+    def go(g: Formula) -> Formula:
+        out = memo.get(id(g))
+        if out is None:
+            cls = type(g)
+            if cls in _PREFIX_OPS:
+                out = cls(go(g.body))
+            elif cls in _BINARY_OPS:
+                out = cls(go(g.left), go(g.right))
+            elif cls is Atom:
+                out = g
+            else:
+                raise TypeError(f"not a formula: {g!r}")
+            out = memo[id(g)] = fn(out)
+        return out
+
+    return go(f)
 
 
 def substitute(phi: Formula, psi: Formula, p: int) -> Formula:
@@ -227,13 +227,22 @@ def substitute(phi: Formula, psi: Formula, p: int) -> Formula:
 
 
 def depth(f: Formula) -> int:
-    match f:
-        case Atom(_):
-            return 0
-        case Neg(b) | Box(b) | Dia(b):
-            return 1 + depth(b)
-        case _:
-            return 1 + max(depth(f.left), depth(f.right))
+    memo = {}  # each distinct node once, as in map_formula
+
+    def go(g: Formula) -> int:
+        d = memo.get(id(g))
+        if d is None:
+            cls = type(g)
+            if cls is Atom:
+                d = 0
+            elif cls in _PREFIX_OPS:
+                d = 1 + go(g.body)
+            else:
+                d = 1 + max(go(g.left), go(g.right))
+            memo[id(g)] = d
+        return d
+
+    return go(f)
 
 
 # ---------------------------------------------------------------------------
@@ -253,20 +262,21 @@ _WORD, _NUM = r"[A-Za-z_][A-Za-z0-9_\-]*", r"[0-9]+"
 # the next token after any blanks, as the group named by its kind
 _TOKEN_RE = re.compile(rf"[ \t]*(?:(?P<atom>{_ATOM})|(?P<op>{_OP})|(?P<word>{_WORD})"
                        rf"|(?P<num>{_NUM})|(?P<eq>=)|(?P<bad>.)|(?P<end>))", re.DOTALL)
-# the longest run of tokens from a position, without and with the words
-_LEXABLE = (re.compile(rf"(?:[ \t]+|{_ATOM}|{_OP})*"),
-            re.compile(rf"(?:[ \t]+|{_ATOM}|{_OP}|{_WORD}|{_NUM}|=)*"))
-_ATOM_HEAD = re.compile(r"p[0-9]*")
+# the longest run of tokens from a position, without and with the words, and
+# an atom's head; only a failed parse needs them, so re compiles them (and
+# caches them) on first use
+_LEXABLE = (rf"(?:[ \t]+|{_ATOM}|{_OP})*", rf"(?:[ \t]+|{_ATOM}|{_OP}|{_WORD}|{_NUM}|=)*")
+_ATOM_HEAD = r"p[0-9]*"
 
 
 def check_lexable(text: str, start: int, extended: bool) -> None:
     """Raise the error for the first character of text[start:] that begins no token
     (`extended`: of a proof line).  Called when parsing fails, so that a bad
     character anywhere in the text is reported before any grammar error."""
-    end = _LEXABLE[extended].match(text, start).end()
+    end = re.compile(_LEXABLE[extended]).match(text, start).end()
     if end < len(text):
         # an atom with a digit other than 0-9 is reported at that digit
-        head = _ATOM_HEAD.match(text, end)
+        head = re.compile(_ATOM_HEAD).match(text, end)
         if head and text[head.end():head.end() + 1].isdigit():
             end = head.end()
         raise FormulaSyntaxError(f"unexpected character {text[end]!r}", end,

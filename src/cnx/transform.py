@@ -8,13 +8,13 @@ would-conditional.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Optional
 
 from .errors import FrameViolation, KindMismatch, LanguageMismatch, TooManyWorlds
 from .model import (LANGUAGES, BiSet, FrameClass, Kind, KripkeModel,
                     PointedModel, _up_sets, validate_model)
+from .record import Record
 from .semantics import biextension
 from .syntax import (And, Box, Dia, Formula, Imp, MightTo, WouldTo,
                      language_of, map_formula)
@@ -22,8 +22,7 @@ from .syntax import (And, Box, Dia, Formula, Imp, MightTo, WouldTo,
 FULL_LIFT_WORLD_CAP = 4
 
 
-@dataclass(frozen=True)
-class LiftMode:
+class LiftMode(Record):
     style: str  # full | closed | refl
     anchor: Optional[Formula] = None
 
@@ -143,8 +142,7 @@ def conditional_to_modal(m: KripkeModel, anchor: Formula) -> KripkeModel:
 # ---------------------------------------------------------------------------
 # rooted disjoint join
 
-@dataclass(frozen=True)
-class JoinResult:
+class JoinResult(Record):
     pointed: PointedModel            # root below both component points
     left_point: str
     right_point: str

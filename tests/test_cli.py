@@ -242,14 +242,26 @@ def test_valid_on_a_shared_sugar_chain_finishes():
 
 
 def test_valid_imports_only_the_search_path():
+    # records are defined without dataclasses, which would also load inspect
     script = ("import sys\n"
               "from cnx.cli import main\n"
               "code = main(['valid', '-L', 'CnCK', '--max-worlds', '1', 'p0 -> p0'])\n"
               "print(code, *sorted({'cnx.proof', 'cnx.corpus', 'cnx.harness',\n"
-              "                     'cnx.transform', 'json'} & set(sys.modules)))\n")
+              "                     'cnx.transform', 'json', 'dataclasses',\n"
+              "                     'inspect'} & set(sys.modules)))\n")
     proc = run_python("-c", script)
     assert proc.stderr == ""
     assert proc.stdout.splitlines()[-1] == "0"
+
+
+def test_no_module_loads_dataclasses():
+    script = ("import importlib, pkgutil, sys\n"
+              "import cnx\n"
+              "for m in pkgutil.iter_modules(cnx.__path__):\n"
+              "    importlib.import_module('cnx.' + m.name)\n"
+              "print('dataclasses' in sys.modules)\n")
+    proc = run_python("-c", script)
+    assert (proc.stderr, proc.stdout) == ("", "False\n")
 
 
 def test_lazily_imported_commands_run_through_python_m():
@@ -311,7 +323,8 @@ def test_max_indices_zero_is_taken_as_given(capsys):
 
 
 def test_negative_bounds_exit_2(capsys):
-    for flags in (("--max-indices", "-1"), ("--timeout", "-1")):
+    for flags in (("--max-indices", "-1"), ("--timeout", "-1"), ("--timeout", "nan"),
+                  ("--timeout", "inf")):
         code, out, err = run(capsys, "valid", "-L", "CnCK", "--max-worlds", "1",
                              *flags, "p0 @> p0")
         assert code == 2, flags

@@ -247,7 +247,8 @@ def test_fsc_r_enumeration_respects_target_condition():
 def test_bounds_reject_negative_values():
     with pytest.raises(ValueError):
         SearchBounds(1, max_cond_indices=-3)
-    for limit in (0, -1.0):
+    # a NaN limit would never be reached, and an infinite one is no limit
+    for limit in (0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             SearchBounds(1, time_limit=limit)
     assert SearchBounds(1, max_cond_indices=0).max_cond_indices == 0

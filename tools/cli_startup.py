@@ -7,7 +7,9 @@ this script) with CHECKOUT as the working directory, N times per command
 (default 15), in rounds that run every command once, so that a change in
 the host's speed falls on all commands alike.  Prints the median, the
 quartiles and the sample count for each command, and for a bare interpreter
-as the floor.  A command that exits with another code than expected stops
+as the floor.  The header says whether bytecode caching is on and whether
+the package's `__pycache__` exists: without it every process compiles the
+source again.  A command that exits with another code than expected stops
 the script with exit code 1.  Standard library only.
 """
 
@@ -62,6 +64,12 @@ def main() -> int:
             times[label].append(time_once(argv, root, env, expected))
     print(f"{root}  python {sys.version.split()[0]}  nproc {os.cpu_count()}  "
           f"runs {args.runs}")
+    # the commands inherit PYTHONDONTWRITEBYTECODE (not -B); with it set and no
+    # __pycache__, every process compiles the package's source again
+    caching = not env.get("PYTHONDONTWRITEBYTECODE")
+    cached = (root / "src" / "cnx" / "__pycache__").is_dir()
+    print(f"bytecode caching {'on' if caching else 'off'}  "
+          f"src/cnx/__pycache__ {'exists' if cached else 'absent'}")
     for label, samples in times.items():
         ms = sorted(t * 1e3 for t in samples)
         q1, med, q3 = statistics.quantiles(ms, n=4) if len(ms) > 1 else ms * 3
