@@ -34,8 +34,9 @@ def _init(self, *args, **kwargs):
     fields = cls.__match_args__
     if kwargs or len(args) != len(fields):
         if len(args) > len(fields):
-            raise TypeError(f"{cls.__name__}() takes {len(fields)} arguments, "
-                            f"{len(args)} given")
+            n = len(fields)
+            raise TypeError(f"{cls.__name__}() takes {n} positional argument{'s' * (n != 1)} "
+                            f"but {len(args)} {'was' if len(args) == 1 else 'were'} given")
         args = [*args]
         for name in fields[len(args):]:
             value = kwargs.pop(name, cls._defaults.get(name, _MISSING))
@@ -51,19 +52,19 @@ def _init(self, *args, **kwargs):
 
 
 # the same for one and two positional arguments, the common calls, without
-# the packing of *args
-def _init1(self, a=_MISSING, /, **kwargs):
-    if kwargs or a is _MISSING:
-        return _init(self, *_given(a), **kwargs)
+# the packing of *args; any other call goes to _init, which checks it
+def _init1(self, a=_MISSING, /, *more, **kwargs):
+    if kwargs or more or a is _MISSING:
+        return _init(self, *_given(a), *more, **kwargs)
     cls = type(self)
     _set(self, cls.__match_args__[0], a)
     if cls._post_init:
         self.__post_init__()
 
 
-def _init2(self, a=_MISSING, b=_MISSING, /, **kwargs):
-    if kwargs or b is _MISSING:
-        return _init(self, *_given(a, b), **kwargs)
+def _init2(self, a=_MISSING, b=_MISSING, /, *more, **kwargs):
+    if kwargs or more or b is _MISSING:
+        return _init(self, *_given(a, b), *more, **kwargs)
     cls = type(self)
     first, second = cls.__match_args__
     _set(self, first, a)

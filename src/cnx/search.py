@@ -21,8 +21,18 @@ combinations of them are enumerated.  A skipped model evaluates exactly like
 the same model with its unconsulted indices dropped, which comes earlier: it
 has the same valuation and fewer indices.  The models kept are a subsequence
 of the full order, so the first hit and an exhausted verdict are those of
-the full enumeration.  Queries with a conditional antecedent search the
-full enumeration.
+the full enumeration.  Queries with a conditional antecedent try every
+combination of indices.
+
+Within a combination, the relations are assigned depth first in the order
+of itertools.product, the first chosen index outermost.  Before the loop
+over an index's relations, the partial model (the indices not assigned yet
+mapped to semantics.UNKNOWN) is bounded by semantics.refutable_worlds, a
+superset of the worlds at which some completion refutes the query; when it
+is empty the whole branch is skipped.  Every model a bound skips refutes
+nowhere, so the refuting models kept are exactly those of the full order,
+in the same relative order: the first hit, and whether the bounds are
+exhausted, are unchanged.  Only the count of models evaluated falls.
 """
 
 from __future__ import annotations
@@ -39,8 +49,9 @@ from .model import (FrameClass, KripkeModel, MaskModel, PointedModel, _fs_violat
                     _up_sets, from_masks, masks_of, rel_masks, to_mask,
                     validate_model, world_bits)
 from .record import Record
-from .semantics import (Consecution, check_consecution, consecution_program,
-                        consulted_indices, satisfying_worlds)
+from .semantics import (UNKNOWN, Consecution, Program, check_consecution,
+                        consecution_program, consulted_indices, refutable_worlds,
+                        satisfying_worlds)
 
 
 class SearchBounds(Record):
@@ -112,12 +123,35 @@ def _valuations(atoms, up_sets) -> Iterator[tuple[dict, dict]]:
                {a: n for a, (_, n) in zip(atoms, combo) if n})
 
 
+def _refutable_products(prog: Program, mm: MaskModel, chosen: tuple, choices: list,
+                        depth: int = 0) -> Iterator[MaskModel | None]:
+    """The models of product(*choices) assigned to the chosen indices of mm,
+    in product order, skipping each branch no completion of which refutes
+    prog.  mm assigns chosen[:depth] and maps the rest to UNKNOWN.  Yields
+    None before bounding each partial model."""
+    if depth == len(chosen):
+        yield mm
+        return
+    yield None
+    if not refutable_worlds(prog, mm):
+        return
+    idx = chosen[depth]
+    for rel in choices[depth]:
+        yield from _refutable_products(prog, mm._replace(access={**mm.access, idx: rel}),
+                                       chosen, choices, depth + 1)
+
+
 def _mask_models(frame: FrameClass, bounds: SearchBounds,
-                 consulted=None) -> Iterator[MaskModel]:
+                 prog: Program | None = None) -> Iterator[MaskModel | None]:
     """Every model of the class within the bounds, in mask form and in the
-    fixed enumeration order.  Given consulted (semantics.consulted_indices),
-    only the conditional models each of whose indices is consulted under
-    their valuation, in the same relative order."""
+    fixed enumeration order.  Given a query's program, a conditional class
+    yields only the models that can be its first refutation, in the same
+    relative order: those whose indices are all consulted under their
+    valuation (when semantics.consulted_indices knows them) and that no
+    bound on a partial assignment of their relations excludes.  It also
+    yields a None before each such bound, which a caller can use to check a
+    deadline."""
+    consulted = None if prog is None else consulted_indices(prog)
     atoms = tuple(sorted(bounds.atoms))
     for n in range(1, bounds.max_worlds + 1):
         worlds = _world_names(n)
@@ -161,6 +195,11 @@ def _mask_models(frame: FrameClass, bounds: SearchBounds,
                     for chosen in combinations(live, k):
                         choices = [per_index[idx] for idx in chosen]
                         if any(not c for c in choices):
+                            continue
+                        if prog is not None:
+                            partial = MaskModel(names, up, vp, vn,
+                                                dict.fromkeys(chosen, UNKNOWN))
+                            yield from _refutable_products(prog, partial, chosen, choices)
                             continue
                         for rels in product(*choices):
                             yield MaskModel(names, up, vp, vn, dict(zip(chosen, rels)))
@@ -215,7 +254,11 @@ def find_countermodel(logic: Logic, c: Consecution, bounds: SearchBounds) -> Sea
     gamma member and refutes every delta member.  Found outcomes re-validate
     and re-check before being reported; exhausting the bounds refutes only
     within the bounds (and, for conditional classes, within the documented
-    index restriction)."""
+    index restriction).  A model skipped for an unconsulted index evaluates
+    like an earlier one, and one skipped with a branch whose bound is empty
+    refutes nowhere, so the witness is the first refuting model of the full
+    enumeration.  The deadline is checked before every model and every
+    bound, so a long run of skipped branches still times out."""
     for f in c.gamma | c.delta:
         logic.require(f)
     frame, kind = logic.frame_class, logic.frame_class.kind
@@ -223,9 +266,11 @@ def find_countermodel(logic: Logic, c: Consecution, bounds: SearchBounds) -> Sea
     deadline = (time.monotonic() + bounds.time_limit
                 if bounds.time_limit is not None else None)
     models = 0
-    for mm in _mask_models(frame, bounds, consulted_indices(prog)):
+    for mm in _mask_models(frame, bounds, prog):
         if deadline is not None and time.monotonic() > deadline:
             return SearchOutcome(Status.TIMED_OUT, None, bounds, models)
+        if mm is None:  # a partial model is about to be bounded
+            continue
         models += 1
         hits = satisfying_worlds(prog, mm)
         if hits:

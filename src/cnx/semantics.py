@@ -192,6 +192,68 @@ def consulted_indices(prog: Program):
     return consulted
 
 
+# the access of an index whose relation is not chosen yet (refutable_worlds)
+UNKNOWN = object()
+
+
+def refutable_worlds(prog: Program, mm: MaskModel) -> int:
+    """A superset of the worlds at which some completion of mm refutes prog,
+    that is, of the satisfying_worlds of every completion.  prog is compiled
+    for conditional models; mm's access may map indices to UNKNOWN, and a
+    completion maps each of them to some relation.  Every node is bounded by
+    (pos_lo, pos_hi, neg_lo, neg_hi): under every completion, its bi-extension
+    (pos, neg) has pos_lo <= pos <= pos_hi and neg_lo <= neg <= neg_hi as
+    sets.  An index mm does not list is absent, as in _run, so on a complete
+    model the bounds are exact and the result is satisfying_worlds."""
+    up, vp, vn, acc = mm.up, mm.val_pos, mm.val_neg, mm.access
+    full = (1 << len(up)) - 1
+    vals: list[tuple[int, int, int, int]] = []
+    push = vals.append
+    for op, a, b in prog.nodes:
+        if op == _ATOM:
+            p, n = vp.get(a, 0), vn.get(a, 0)
+            r = (p, p, n, n)
+        elif op == _NEG:
+            pl, ph, nl, nh = vals[a]
+            r = (nl, nh, pl, ph)
+        elif op == _AND:
+            (apl, aph, anl, anh), (bpl, bph, bnl, bnh) = vals[a], vals[b]
+            r = (apl & bpl, aph & bph, anl | bnl, anh | bnh)
+        elif op == _OR:
+            (apl, aph, anl, anh), (bpl, bph, bnl, bnh) = vals[a], vals[b]
+            r = (apl | bpl, aph | bph, anl & bnl, anh & bnh)
+        elif op == _IMP:
+            # antitone in the antecedent, monotone in the consequent
+            apl, aph, _, _ = vals[a]
+            bpl, bph, bnl, bnh = vals[b]
+            pl, nl = _every(up, aph & ~bpl, aph & ~bnl)
+            ph, nh = _every(up, apl & ~bph, apl & ~bnh)
+            r = (pl, ph, nl, nh)
+        else:
+            apl, aph, anl, anh = vals[a]
+            rel = acc.get((apl, anl)) if apl == aph and anl == anh else UNKNOWN
+            bpl, bph, bnl, bnh = vals[b]
+            if rel is UNKNOWN:
+                r = (0, full, 0, full)
+            elif rel is None:
+                r = (full, full, full, full) if op == _WOULD else (0, 0, 0, 0)
+            else:
+                if op == _WOULD:
+                    pl, nl = _every(rel.up_image, ~bpl, ~bnl)
+                    ph, nh = _every(rel.up_image, ~bph, ~bnh)
+                else:
+                    pl, nl = _some(rel.succ, bpl, bnl)
+                    ph, nh = _some(rel.succ, bph, bnh)
+                r = (pl, ph, nl, nh)
+        push(r)
+    out = full
+    for i in prog.gamma:
+        out &= vals[i][1]
+    for i in prog.delta:
+        out &= ~vals[i][0]
+    return out
+
+
 def satisfying_worlds(prog: Program, mm: MaskModel, sign: str = "+") -> int:
     """The worlds at which every gamma root and no delta root of prog is
     sign-satisfied."""

@@ -42,6 +42,45 @@ class Formula(Record):
             _set(self, "_hash", h)
         return h
 
+    # comparing the fields would walk a DAG of shared sugar as a tree, once
+    # per path to each shared node
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        h, k = self._hash, other._hash
+        if h is not None and k is not None and h != k:
+            return False
+        return _same(self, other)
+
+
+def _same(f: Formula, g: Formula) -> bool:
+    """Whether two formulas are equal, comparing each pair of nodes once: a
+    pair met again is equal, or still pending, since any unequal pair ends
+    the comparison."""
+    seen = set()
+    stack = [(f, g)]
+    while stack:
+        f, g = stack.pop()
+        cls = type(f)
+        if type(g) is not cls:
+            return False
+        if cls is Atom:
+            if f.index != g.index:
+                return False
+        elif not isinstance(f, Formula):
+            if f != g:  # a field that is not a formula
+                return False
+        elif f is not g and (pair := (id(f), id(g))) not in seen:
+            seen.add(pair)
+            if cls in _BINARY_OPS:
+                stack.append((f.left, g.left))
+                stack.append((f.right, g.right))
+            elif cls in _PREFIX_OPS:
+                stack.append((f.body, g.body))
+    return True
+
 
 class Atom(Formula):
     index: int

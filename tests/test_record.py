@@ -184,6 +184,18 @@ def test_defaults_and_keywords():
             make()
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: Atom(0, 1), "Atom() takes 1 positional argument but 2 were given"),
+    (lambda: Imp(p0, p1, p0), "Imp() takes 2 positional arguments but 3 were given"),
+    (lambda: SearchBounds(1, (0,), 1, None, 5),
+     "SearchBounds() takes 4 positional arguments but 5 were given"),
+])
+def test_surplus_arguments_name_the_class(make, message):
+    with pytest.raises(TypeError) as e:
+        make()
+    assert str(e.value) == message
+
+
 def test_post_init_checks_the_fields():
     with pytest.raises(ValueError, match="max_worlds"):
         SearchBounds(0)
