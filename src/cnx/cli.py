@@ -3,13 +3,18 @@
 Exit codes: 0 for an affirmative/ok result, 1 for a negative result (formula
 refuted, countermodel found, proof rejected), 2 for usage/IO/validation
 errors.  All output is deterministic.  `-` as a file argument reads stdin.
+
+Every command's arguments are listed once, in COMMANDS.  `_read_args` reads
+a plain command line from that table; argparse is imported, and its parser
+built from the same table, only for help, usage errors and the other command
+lines.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 # Only the search path is imported here.  The modules that only `prove`,
 # `suite` and `translate` use are imported by their handlers, so that a
@@ -18,6 +23,7 @@ from .errors import CnxError
 from .logics import Logic, logic_from_name
 from .model import (FIXTURE_CLASS, FIXTURE_NAMES, FrameClass, close_valuations,
                     get_fixture, load_model, serialize_model, validate_model)
+from .record import Record
 from .search import SearchBounds, Status, find_countermodel
 from .semantics import biextension, consecution, sat
 from .syntax import atoms_of, parse, render
@@ -137,7 +143,10 @@ def cmd_translate(args) -> int:
 def cmd_suite(args) -> int:
     from .harness import ALL_CELLS, render_report, report_record, run_suite
     if args.logic == "all":
-        cells = ALL_CELLS
+        cells = [(lg, c) for (lg, c) in ALL_CELLS
+                 if c == args.connective or not args.connective]
+        if not cells:
+            raise ValueError(f"unknown connective {args.connective!r}")
     else:
         logic = logic_from_name(args.logic)
         conns = [args.connective] if args.connective else \
@@ -175,97 +184,80 @@ def cmd_validate(args) -> int:
     return NEGATIVE
 
 
-def _formula_arg(q) -> None:
-    q.add_argument("formula")
+class Arg(Record):
+    """One argument of a command: a positional when it has no flags.  The
+    other fields are what argparse's add_argument takes for it; `action` is
+    "store", "append" or "store_true", and `exclusive` puts an option in the
+    command's one required mutually exclusive group."""
+    dest: str
+    flags: tuple = ()
+    type: object = None
+    required: bool = False
+    default: object = None
+    action: str = "store"
+    choices: tuple | None = None
+    nargs: str | None = None
+    metavar: str | None = None
+    help: str | None = None
+    exclusive: bool = False
 
 
-def _check_args(q) -> None:
-    q.add_argument("-m", "--model", required=True)
-    q.add_argument("-w", "--world", required=True)
-    q.add_argument("-s", "--sign", choices=["+", "-"], default="+")
-    q.add_argument("formula")
+_FORMULA = Arg("formula")
+_MODEL = Arg("model", ("-m", "--model"), required=True)
+_LOGIC = Arg("logic", ("-L", "--logic"), required=True)
+_SEARCH = (Arg("max_worlds", ("--max-worlds",), type=int, required=True),
+           Arg("max_indices", ("--max-indices",), type=int, default=2),
+           Arg("timeout", ("--timeout",), type=float))
 
-
-def _biext_args(q) -> None:
-    q.add_argument("-m", "--model", required=True)
-    q.add_argument("formula")
-
-
-def _search_args(q) -> None:
-    q.add_argument("--max-worlds", type=int, required=True)
-    q.add_argument("--max-indices", type=int, default=2)
-    q.add_argument("--timeout", type=float)
-
-
-def _countermodel_args(q) -> None:
-    q.add_argument("-L", "--logic", required=True)
-    q.add_argument("--gamma", action="append", metavar="FORMULA")
-    q.add_argument("--delta", action="append", metavar="FORMULA")
-    _search_args(q)
-
-
-def _valid_args(q) -> None:
-    q.add_argument("-L", "--logic", required=True)
-    _search_args(q)
-    q.add_argument("formula")
-
-
-def _prove_args(q) -> None:
-    q.add_argument("files", nargs="+")
-    q.add_argument("--no-corpus", action="store_true",
-                   help="start from an empty lemma registry")
-
-
-def _translate_args(q) -> None:
-    g = q.add_mutually_exclusive_group(required=True)
-    g.add_argument("--tr", metavar="ANCHOR",
-                   help="modal-to-conditional with this antecedent anchor")
-    g.add_argument("--i", action="store_true",
-                   help="conditional-to-modal interpretation")
-    q.add_argument("formula")
-
-
-def _suite_args(q) -> None:
-    q.add_argument("-L", "--logic", required=True,
-                   help="a logic name, or 'all' for the whole table")
-    q.add_argument("-c", "--connective")
-    q.add_argument("--json", action="store_true")
-
-
-def _fixture_args(q) -> None:
-    q.add_argument("action", choices=["list", "show"])
-    q.add_argument("name", nargs="?")
-
-
-def _validate_args(q) -> None:
-    q.add_argument("-m", "--model", required=True)
-    q.add_argument("-C", "--frame-class", required=True,
-                   help="P, FSM, FSC, or FSC_R")
-    q.add_argument("--close", action="store_true",
-                   help="upward-close the valuations before validating")
-
-
-# name -> (help, handler, the function that adds its arguments), in help order
+# name -> (help, handler, its arguments in help order), in help order
 COMMANDS = {
-    "parse": ("parse a formula and print its canonical form", cmd_parse, _formula_arg),
-    "check": ("evaluate a formula at a world of a model", cmd_check, _check_args),
-    "biext": ("print a formula's bi-extension in a model", cmd_biext, _biext_args),
-    "countermodel": ("search for a countermodel to a consecution", cmd_countermodel,
-                     _countermodel_args),
-    "valid": ("bounded validity evidence for a formula", cmd_valid, _valid_args),
-    "prove": ("check proof files", cmd_prove, _prove_args),
-    "translate": ("translate between modal and conditional languages", cmd_translate,
-                  _translate_args),
-    "suite": ("connexivity classification", cmd_suite, _suite_args),
-    "fixture": ("list or show the named fixture models", cmd_fixture, _fixture_args),
-    "validate": ("validate a model against a frame class", cmd_validate, _validate_args),
+    "parse": ("parse a formula and print its canonical form", cmd_parse, (_FORMULA,)),
+    "check": ("evaluate a formula at a world of a model", cmd_check, (
+        _MODEL,
+        Arg("world", ("-w", "--world"), required=True),
+        Arg("sign", ("-s", "--sign"), default="+", choices=("+", "-")),
+        _FORMULA)),
+    "biext": ("print a formula's bi-extension in a model", cmd_biext, (_MODEL, _FORMULA)),
+    "countermodel": ("search for a countermodel to a consecution", cmd_countermodel, (
+        _LOGIC,
+        Arg("gamma", ("--gamma",), action="append", metavar="FORMULA"),
+        Arg("delta", ("--delta",), action="append", metavar="FORMULA"),
+        *_SEARCH)),
+    "valid": ("bounded validity evidence for a formula", cmd_valid,
+              (_LOGIC, *_SEARCH, _FORMULA)),
+    "prove": ("check proof files", cmd_prove, (
+        Arg("files", nargs="+"),
+        Arg("no_corpus", ("--no-corpus",), default=False, action="store_true",
+            help="start from an empty lemma registry"))),
+    "translate": ("translate between modal and conditional languages", cmd_translate, (
+        Arg("tr", ("--tr",), metavar="ANCHOR", exclusive=True,
+            help="modal-to-conditional with this antecedent anchor"),
+        Arg("i", ("--i",), default=False, action="store_true", exclusive=True,
+            help="conditional-to-modal interpretation"),
+        _FORMULA)),
+    "suite": ("connexivity classification", cmd_suite, (
+        Arg("logic", ("-L", "--logic"), required=True,
+            help="a logic name, or 'all' for the whole table"),
+        Arg("connective", ("-c", "--connective")),
+        Arg("json", ("--json",), default=False, action="store_true"))),
+    "fixture": ("list or show the named fixture models", cmd_fixture, (
+        Arg("action", choices=("list", "show")),
+        Arg("name", nargs="?"))),
+    "validate": ("validate a model against a frame class", cmd_validate, (
+        _MODEL,
+        Arg("frame_class", ("-C", "--frame-class"), required=True,
+            help="P, FSM, FSC, or FSC_R"),
+        Arg("close", ("--close",), default=False, action="store_true",
+            help="upward-close the valuations before validating"))),
 }
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The `cnx` argument parser.  With `command`, only that subcommand's
-    parser is built (each one costs milliseconds); its usage and error text
-    are still those of the full tree, because the usage names every command."""
+    """The `cnx` argument parser, built from COMMANDS.  With `command`, only
+    that subcommand's parser is built (each one costs milliseconds); its
+    usage and error text are still those of the full tree, because the usage
+    names every command."""
+    import argparse
     p = argparse.ArgumentParser(
         prog="cnx",
         description="Connexive logic toolbox: parsing, bi-valuational Kripke "
@@ -275,12 +267,116 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     # its errors for a missing or unknown command print as 'command'.
     metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
     sub = p.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name, (help_, fn, add_args) in COMMANDS.items():
-        if command in (None, name):
-            q = sub.add_parser(name, help=help_)
-            add_args(q)
-            q.set_defaults(fn=fn)
+    for name, (help_, fn, spec) in COMMANDS.items():
+        if command not in (None, name):
+            continue
+        q = sub.add_parser(name, help=help_)
+        group = None
+        for a in spec:
+            kwargs = {k: v for k, v in (("type", a.type), ("default", a.default),
+                                        ("choices", a.choices), ("nargs", a.nargs),
+                                        ("metavar", a.metavar), ("help", a.help))
+                      if v is not None}
+            if a.required:
+                kwargs["required"] = True
+            if a.action != "store":
+                kwargs["action"] = a.action
+            if a.flags:
+                kwargs["dest"] = a.dest
+            if a.exclusive:
+                group = group or q.add_mutually_exclusive_group(required=True)
+            (group if a.exclusive else q).add_argument(*a.flags or (a.dest,), **kwargs)
+        q.set_defaults(fn=fn)
     return p
+
+
+_BAD = object()
+
+
+def _convert(a: Arg, text: str):
+    """`text` as argparse stores it for `a`, or _BAD if argparse rejects it."""
+    if a.type is not None:
+        try:
+            text = a.type(text)
+        except ValueError:
+            return _BAD
+    return _BAD if a.choices is not None and text not in a.choices else text
+
+
+def _read_args(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace `build_parser().parse_args(argv)` gives, for a plain
+    command line; None for any other, which argparse then reads.
+
+    Plain is: a command, then exact flags as `--flag value` or `--flag=value`
+    (a value in a token of its own may not start with '-'), and one
+    contiguous run of positionals that the command's positionals take up
+    exactly, every required flag and one flag of an exclusive group given.
+    Help, `--`, abbreviations, joined short flags (`-LCnCK`), unknown flags,
+    bad values and missing, extra or split positionals are not plain."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, fn, spec = COMMANDS[argv[0]]
+    flags = {flag: a for a in spec for flag in a.flags}
+    values = {a.dest: a.default for a in spec}
+    given, positionals, last = set(), [], None
+    i = 1
+    while i < len(argv):
+        token = argv[i]
+        i += 1
+        if not token.startswith("-"):
+            if positionals and last != i - 1:
+                return None  # a second run of positionals
+            positionals.append(token)
+            last = i
+            continue
+        flag, eq, text = token.partition("=")
+        a = flags.get(flag)
+        if a is None or eq and (not flag.startswith("--") or a.action == "store_true"):
+            return None
+        if a.action == "store_true":
+            value = True
+        else:
+            if not eq:
+                if i == len(argv) or argv[i].startswith("-"):
+                    return None
+                text = argv[i]
+                i += 1
+            value = _convert(a, text)
+            if value is _BAD:
+                return None
+            if a.action == "append":
+                value = [*(values[a.dest] or ()), value]
+        values[a.dest] = value
+        given.add(a.dest)
+    for a in spec:
+        if a.flags:
+            if a.required and a.dest not in given:
+                return None
+            continue
+        n = len(positionals) if a.nargs == "+" else min(1, len(positionals))
+        if n == 0:
+            if a.nargs != "?":
+                return None
+            continue
+        value = positionals[:n] if a.nargs == "+" else _convert(a, positionals[0])
+        if value is _BAD:
+            return None
+        values[a.dest] = value
+        del positionals[:n]
+    group = [a.dest in given for a in spec if a.exclusive]
+    if positionals or group and sum(group) != 1:
+        return None
+    args = SimpleNamespace(command=argv[0], fn=fn, **values)
+    return None if _usage_problem(args) else args
+
+
+def _usage_problem(args) -> str | None:
+    if args.command == "fixture":
+        if args.action == "show" and not args.name:
+            return "fixture show needs a name"
+        if args.action == "list" and args.name is not None:
+            return "fixture list takes no name"
+    return None
 
 
 def _merge_connective_flag(argv: list[str]) -> list[str]:
@@ -300,10 +396,14 @@ def _merge_connective_flag(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     argv = _merge_connective_flag(sys.argv[1:] if argv is None else list(argv))
-    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
-    args = parser.parse_args(argv)
-    if args.command == "fixture" and args.action == "show" and not args.name:
-        parser.error("fixture show needs a name")
+    args = _read_args(argv)
+    if args is None:
+        # help and usage errors: argparse is imported and built only here
+        parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
+        args = parser.parse_args(argv)
+        problem = _usage_problem(args)
+        if problem:
+            parser.error(problem)
     try:
         return args.fn(args)
     except (CnxError, ValueError, OSError) as exc:

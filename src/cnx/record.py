@@ -37,6 +37,9 @@ def _init(self, *args, **kwargs):
             n = len(fields)
             raise TypeError(f"{cls.__name__}() takes {n} positional argument{'s' * (n != 1)} "
                             f"but {len(args)} {'was' if len(args) == 1 else 'were'} given")
+        for name in fields[:len(args)]:
+            if name in kwargs:
+                raise TypeError(f"{cls.__name__}() got multiple values for argument {name!r}")
         args = [*args]
         for name in fields[len(args):]:
             value = kwargs.pop(name, cls._defaults.get(name, _MISSING))

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import random
@@ -188,6 +190,25 @@ def test_suite_single_cell(capsys):
     assert "label: fully hyperconnexive" in out
 
 
+def golden_cell(logic, conn):
+    golden = (DATA / "golden_suite.txt").read_text()
+    start = golden.index(f"logic={logic} connective={conn}\n")
+    return golden[start:golden.index("\n", golden.index("  label:", start)) + 1]
+
+
+def test_suite_all_logics_for_one_connective(capsys):
+    code, out, err = run(capsys, "suite", "-L", "all", "-c", "@>")
+    assert (code, err) == (0, "")
+    assert out == golden_cell("CnCK", "@>") + golden_cell("CnCKR", "@>")
+    code, out, _ = run(capsys, "suite", "-L", "all", "--json", "-c", "->")
+    assert code == 0
+    assert [(r["logic"], r["connective"]) for r in json.loads(out)] == [
+        (logic, "->") for logic in ("C", "CnK", "CnCK", "CnCKR")]
+    for conn in ("bogus", "<->"):
+        code, out, err = run(capsys, "suite", "-L", "all", "-c", conn)
+        assert (code, out, err) == (2, "", f"error: unknown connective {conn!r}\n")
+
+
 def test_suite_json_records(capsys):
     code, out, _ = run(capsys, "suite", "-L", "C", "-c", "=>", "--json")
     assert code == 0
@@ -242,16 +263,25 @@ def test_valid_on_a_shared_sugar_chain_finishes():
 
 
 def test_valid_imports_only_the_search_path():
-    # records are defined without dataclasses, which would also load inspect
+    # records are defined without dataclasses, which would also load inspect;
+    # a plain command line is read without argparse, which loads gettext and
+    # locale on its first message
     script = ("import sys\n"
               "from cnx.cli import main\n"
               "code = main(['valid', '-L', 'CnCK', '--max-worlds', '1', 'p0 -> p0'])\n"
+              "code += main(['countermodel', '-L', 'CnCK', '--max-worlds=1',\n"
+              "              '--gamma', 'p0', '--delta', 'p0 @> p1'])\n"
               "print(code, *sorted({'cnx.proof', 'cnx.corpus', 'cnx.harness',\n"
               "                     'cnx.transform', 'json', 'dataclasses',\n"
-              "                     'inspect'} & set(sys.modules)))\n")
+              "                     'inspect', 'argparse', 'gettext', 'locale'}\n"
+              "                    & set(sys.modules)))\n")
     proc = run_python("-c", script)
     assert proc.stderr == ""
-    assert proc.stdout.splitlines()[-1] == "0"
+    assert proc.stdout.splitlines()[-1] == "1"
+    proc = run_python("-m", "cnx.cli", "valid", "--help")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("usage: cnx valid [-h] -L LOGIC --max-worlds MAX_WORLDS")
+    assert "\noptions:\n" in proc.stdout
 
 
 def test_no_module_loads_dataclasses():
@@ -285,13 +315,152 @@ def surface(capsys, argv):
     return code, out.out, out.err
 
 
-def test_one_subparser_gives_the_full_trees_output(capsys, monkeypatch):
-    # main builds only the invoked command's parser; the full tree is the oracle
+_INTS = ["1", "2", "1", "2", "\u0662", "0", "x", "nan", "-1"]
+_FLOATS = ["5", "1e9", "nan", "x", "-1", "\u0662"]
+_FORMULAS = ["p0 -> p0", "p0 @> p1", "(p0 -> p1) -> (p1 -> p0)", "~p1", "x=y"]
+_LOGICS = ["C", "CnK", "CnCK", "CnCKR", "bogus"]
+_SEARCH = [(("--max-worlds",), _INTS, True), (("--max-indices",), _INTS, False),
+           (("--timeout",), _FLOATS, False)]
+
+
+def _shapes(model, proof):
+    """command -> (its options as (flags, values or None for a switch, required),
+    a function that draws its positionals)"""
+    formula = lambda rnd: [rnd.choice(_FORMULAS)]  # noqa: E731
+    model_opt = (("-m", "--model"), [model, "missing.kmd"], True)
+    logic_opt = (("-L", "--logic"), _LOGICS, True)
+    return {
+        "parse": ([], formula),
+        "check": ([model_opt, (("-w", "--world"), ["w", "v"], True),
+                   (("-s", "--sign"), ["+", "-", "x"], False)], formula),
+        "biext": ([model_opt], formula),
+        "countermodel": ([logic_opt, (("--gamma",), _FORMULAS, False),
+                          (("--delta",), _FORMULAS, True), *_SEARCH], lambda rnd: []),
+        "valid": ([logic_opt, *_SEARCH], formula),
+        "prove": ([(("--no-corpus",), None, False)],
+                  lambda rnd: rnd.sample([proof, "missing.prf"], rnd.randint(1, 2))),
+        "translate": ([(("--tr",), ["p0", "p1 & p0"], False), (("--i",), None, False)],
+                      formula),
+        "suite": ([(("-L", "--logic"), ["C", "CnCK", "all", "bogus"], True),
+                   (("-c", "--connective"), ["->", "@>", "?=>", "bogus"], True),
+                   (("--json",), None, False)], lambda rnd: []),
+        "fixture": ([], lambda rnd: [rnd.choice(["show", "show", "list", "shw"])] +
+                    rnd.choice([["M0"], ["M2"], []])),
+        "validate": ([model_opt, (("-C", "--frame-class"), ["P", "FSC", "Q"], True),
+                      (("--close",), None, False)], lambda rnd: []),
+    }
+
+
+def _mutate_groups(rnd, groups, pos):
+    """one random departure from a plain command line"""
+    op = rnd.randrange(11)
+    i = rnd.randrange(len(groups) + 1)
+    if op == 0 and groups:  # a flag dropped
+        del groups[i - 1]
+    elif op == 1 and groups:  # a flag repeated
+        groups.insert(i, list(rnd.choice(groups)))
+    elif op == 2 and any(len(g[0].partition("=")[0]) > 3 for g in groups):  # abbreviated
+        g = rnd.choice([g for g in groups if len(g[0].partition("=")[0]) > 3])
+        flag, eq, value = g[0].partition("=")
+        g[0] = flag[:rnd.randint(3, len(flag) - 1)] + eq + value
+    elif op == 3:
+        groups.insert(i, [rnd.choice(["-h", "--help", "--"])])
+    elif op == 4:  # an unknown flag
+        groups.insert(i, rnd.choice([["--bogus"], ["--bogus", "x"], ["-z"], ["--bogus=1"]]))
+    elif op == 5 and any(len(g) == 2 for g in groups):  # a value that starts with '-'
+        rnd.choice([g for g in groups if len(g) == 2])[1] = rnd.choice(["-1", "->", "-p0"])
+    elif op == 6 and any(len(g) == 2 for g in groups):  # a short flag joined to its value
+        g = rnd.choice([g for g in groups if len(g) == 2])
+        short = g[0] if len(g[0]) == 2 else g[0][1:3]
+        g[:] = [short + rnd.choice(["", "="]) + g[1]]
+    elif op == 7 and pos:  # a positional that starts with '-'
+        pos[rnd.randrange(len(pos))] = rnd.choice(["-p0", "->", "-1"])
+    elif op == 8 and pos:  # positionals missing
+        pos.clear()
+    elif op == 9:  # an extra positional
+        pos.insert(rnd.randint(0, len(pos)), rnd.choice(_FORMULAS + ["M0"]))
+    else:  # positionals split by a flag (below)
+        return True
+    return False
+
+
+def argv_sample(n, seed, model="m.kmd", proof="a.prf"):
+    """n seeded command lines over every command, about half of them plain;
+    the rest depart from plain form in one to three ways"""
+    rnd = random.Random(seed)
+    shapes = _shapes(model, proof)
+    out = []
+    for _ in range(n):
+        command = rnd.choice(list(shapes))
+        options, positionals = shapes[command]
+        groups = []
+        for flags, values, required in options:
+            if not required and rnd.random() < 0.5:
+                continue
+            flag = rnd.choice(flags)
+            if values is None:
+                groups.append([flag])
+            elif flag.startswith("--") and rnd.random() < 0.3:
+                groups.append([f"{flag}={rnd.choice(values)}"])
+            else:
+                groups.append([flag, rnd.choice(values)])
+        pos, split = positionals(rnd), False
+        for _ in range(rnd.choice([0, 0, 0, 1, 1, 2, 3])):
+            split |= _mutate_groups(rnd, groups, pos)
+        rnd.shuffle(groups)
+        at = rnd.randint(0, len(groups))
+        if split and pos:
+            cut = rnd.randint(0, len(pos))
+            pos = pos[:cut] + [tok for g in groups[:1] for tok in g] + pos[cut:]
+            groups = groups[1:]
+            at = min(at, len(groups))
+        head = [command] if rnd.random() < 0.97 else rnd.choice([[], ["vali"], ["bogus"]])
+        tokens = [tok for g in groups[:at] for tok in g] + pos + \
+            [tok for g in groups[at:] for tok in g]
+        out.append(head + tokens)
+    return out
+
+
+def _comparable(namespace) -> dict:
+    # nan is no float's equal, not even its own
+    return {k: "nan" if v != v else v for k, v in vars(namespace).items()}
+
+
+def test_plain_reader_gives_argparses_namespace():
+    full = cli.build_parser()
+    accepted = passed_on = 0
+    for argv in argv_sample(3000, 9):
+        argv = cli._merge_connective_flag(argv)
+        mine = cli._read_args(argv)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                theirs = full.parse_args(argv)
+            except SystemExit as exc:
+                theirs = exc.code
+        if mine is None:
+            passed_on += 1
+            continue
+        accepted += 1
+        assert not isinstance(theirs, int), (argv, err.getvalue())
+        assert _comparable(mine) == _comparable(theirs), argv
+    assert accepted >= 750 and passed_on >= 750, (accepted, passed_on)
+
+
+def test_plain_reader_leaves_output_and_errors_unchanged(tmp_path, capsys, monkeypatch):
+    # the same exit code, stdout and stderr when the full argparse tree reads
+    # every command line: main reads plain ones itself, and for the rest it
+    # builds only the invoked command's parser
+    _, text, _ = run(capsys, "fixture", "show", "M0")
+    (tmp_path / "m.kmd").write_text(text)
+    monkeypatch.chdir(tmp_path)
     argvs = [["--help"], [], ["bogus"], ["valid", "-L", "C", "--max-worlds", "1", "--bogus", "p0"],
              ["fixture", "show"], ["suite", "-L", "CnCK", "-c", "->"]]
     argvs += [[name, "--help"] for name in cli.COMMANDS] + [[name] for name in cli.COMMANDS]
+    argvs += argv_sample(3000, 9, proof=str(CORPUS_DIR / "at_arrow.prf"))[::15]
     got = [surface(capsys, argv) for argv in argvs]
     full = cli.build_parser
+    monkeypatch.setattr(cli, "_read_args", lambda argv: None)
     monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
     assert got == [surface(capsys, argv) for argv in argvs]
     assert all(code == 2 and out == "" and err.startswith("usage: cnx")
@@ -306,6 +475,18 @@ def test_stdin_dash(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO(model_text))
     code, out, _ = run(capsys, "validate", "-m", "-", "-C", "FSC")
     assert code == 0 and out.strip() == "ok"
+
+
+def test_fixture_list_takes_no_name(capsys):
+    code, out, err = surface(capsys, ["fixture", "list", "M0"])
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: cnx [-h]")
+    assert err.endswith("error: fixture list takes no name\n")
+    code, out, err = surface(capsys, ["fixture", "show"])
+    assert (code, out) == (2, "")
+    assert err.endswith("error: fixture show needs a name\n")
+    code, out, _ = surface(capsys, ["fixture", "list"])
+    assert code == 0 and out.splitlines()[0] == f"{FIXTURE_NAMES[0]}\tP"
 
 
 def test_usage_error_exit_2(capsys):

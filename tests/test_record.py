@@ -11,7 +11,7 @@ import pytest
 import cnx
 from cnx.errors import StructuralError
 from cnx.model import BiSet, PointedModel, ValidationReport, _up_sets, get_fixture
-from cnx.proof import AxiomJust, CheckResult, HypJust
+from cnx.proof import AxiomJust, CheckResult, HypJust, RuleScheme
 from cnx.proofgen import MP, Hyp
 from cnx.record import FrozenInstanceError, Record
 from cnx.search import SearchBounds, SearchOutcome, Status
@@ -191,6 +191,22 @@ def test_defaults_and_keywords():
      "SearchBounds() takes 4 positional arguments but 5 were given"),
 ])
 def test_surplus_arguments_name_the_class(make, message):
+    with pytest.raises(TypeError) as e:
+        make()
+    assert str(e.value) == message
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Atom(0, index=0), "Atom() got multiple values for argument 'index'"),
+    (lambda: Imp(p0, left=p1), "Imp() got multiple values for argument 'left'"),
+    (lambda: Imp(p0, p1, right=p1), "Imp() got multiple values for argument 'right'"),
+    (lambda: RuleScheme("nec", p0, premise=p1),
+     "RuleScheme() got multiple values for argument 'premise'"),
+    (lambda: RuleScheme("nec", p0, p1, name="nec"),
+     "RuleScheme() got multiple values for argument 'name'"),
+])
+def test_a_field_given_twice_is_named(make, message):
+    # as a frozen dataclass's generated __init__ reports it
     with pytest.raises(TypeError) as e:
         make()
     assert str(e.value) == message

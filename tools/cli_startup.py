@@ -29,6 +29,12 @@ COMMANDS = [
     ("cnx parse", ["-m", "cnx.cli", "parse", "p0 @=> p1"], 0),
     ("cnx valid -L C --max-worlds 2", ["-m", "cnx.cli", "valid", "-L", "C",
                                        "--max-worlds", "2", "p0 -> p0"], 0),
+    # a countermodel found (exit 1), and a usage error (exit 2): the one
+    # command line here that cnx.cli hands to argparse
+    ("cnx countermodel -L CnCK", ["-m", "cnx.cli", "countermodel", "-L", "CnCK",
+                                  "--max-worlds", "1", "--delta", "p0 @> p0"], 1),
+    ("cnx valid --bogus (usage error)", ["-m", "cnx.cli", "valid", "-L", "C",
+                                         "--max-worlds", "2", "--bogus", "p0"], 2),
     ("cnx prove at_would_refl.prf", ["-m", "cnx.cli", "prove",
                                      "src/cnx/corpus/at_would_refl.prf"], 0),
     ("cnx suite -L all", ["-m", "cnx.cli", "suite", "-L", "all"], 0),
