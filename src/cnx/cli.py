@@ -287,6 +287,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
                 group = group or q.add_mutually_exclusive_group(required=True)
             (group if a.exclusive else q).add_argument(*a.flags or (a.dest,), **kwargs)
         q.set_defaults(fn=fn)
+    p.commands = sub.choices  # each built command's parser, for its usage errors
     return p
 
 
@@ -403,7 +404,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         problem = _usage_problem(args)
         if problem:
-            parser.error(problem)
+            parser.commands[args.command].error(problem)
     try:
         return args.fn(args)
     except (CnxError, ValueError, OSError) as exc:

@@ -33,6 +33,18 @@ is empty the whole branch is skipped.  Every model a bound skips refutes
 nowhere, so the refuting models kept are exactly those of the full order,
 in the same relative order: the first hit, and whether the bounds are
 exhausted, are unchanged.  Only the count of models evaluated falls.
+
+find_countermodel also walks each world count's preorders once per
+isomorphism class (lex-leader symmetry breaking; Claessen and Soerensson,
+"New techniques that improve MACE-style finite model finding", 2003).  It
+skips the block of every preorder that some renaming of the worlds maps to
+a smaller mask, since that renaming maps each model of the block to a model
+of an earlier block: the valuations, the relations, the frame conditions
+and the index count are all invariant under renaming.  A refuting model in
+a skipped block therefore has a refuting copy in an earlier block, so the
+first refuting model of the full enumeration lies in a kept block, where
+the other skips keep it: neither the witness nor an exhausted verdict
+changes.  enumerate_models still yields every block.
 """
 
 from __future__ import annotations
@@ -40,8 +52,8 @@ from __future__ import annotations
 import math
 import time
 from enum import Enum
-from itertools import combinations, product
-from typing import Iterator
+from itertools import combinations, permutations, product
+from typing import Callable, Iterator
 
 from .errors import EvidenceError
 from .logics import Logic
@@ -102,16 +114,40 @@ def _decode(mask: int, pairs) -> frozenset:
     return frozenset(p for i, p in enumerate(pairs) if mask >> i & 1)
 
 
+def _preorder_masks(n: int) -> Iterator[int]:
+    """The preorders on n worlds as masks over _pairs (bit i*n + j holds
+    (w<i+1>, w<j+1>)), in increasing order: the diagonal is fixed and the
+    off-diagonal subsets ascend, each kept if its rows are transitive."""
+    diagonal = sum(1 << i * (n + 1) for i in range(n))
+    off = ((1 << n * n) - 1) ^ diagonal
+    row = (1 << n) - 1
+    s = 0
+    while True:
+        mask = diagonal | s
+        rows = [mask >> i * n & row for i in range(n)]
+        # transitive: each row holds the rows of the worlds it holds
+        if all(not rows[j] & ~r for r in rows for j in range(n) if r >> j & 1):
+            yield mask
+        if s == off:
+            return
+        s = (s - off) & off
+
+
 def _preorders(worlds) -> list[frozenset]:
     pairs = _pairs(worlds)
-    out = []
-    for mask in range(1 << len(pairs)):
-        rel = _decode(mask, pairs)
-        if not all((w, w) in rel for w in worlds):
-            continue
-        if all((a, d) in rel for (a, b) in rel for (c, d) in rel if b == c):
-            out.append(rel)
-    return out
+    return [_decode(mask, pairs) for mask in _preorder_masks(len(worlds))]
+
+
+def _least_in_orbit(n: int) -> Callable[[int], bool]:
+    """A test of whether a preorder mask on n worlds is least among the
+    masks that the renamings of the worlds map it to."""
+    # each renaming but the identity, as the (from, to) bit of every pair
+    moves = [[(1 << i * n + j, 1 << p[i] * n + p[j]) for i in range(n) for j in range(n)]
+             for p in permutations(range(n))][1:]
+
+    def least(mask: int) -> bool:
+        return all(sum(to for frm, to in mv if mask & frm) >= mask for mv in moves)
+    return least
 
 
 def _valuations(atoms, up_sets) -> Iterator[tuple[dict, dict]]:
@@ -144,13 +180,14 @@ def _refutable_products(prog: Program, mm: MaskModel, chosen: tuple, choices: li
 def _mask_models(frame: FrameClass, bounds: SearchBounds,
                  prog: Program | None = None) -> Iterator[MaskModel | None]:
     """Every model of the class within the bounds, in mask form and in the
-    fixed enumeration order.  Given a query's program, a conditional class
-    yields only the models that can be its first refutation, in the same
-    relative order: those whose indices are all consulted under their
-    valuation (when semantics.consulted_indices knows them) and that no
-    bound on a partial assignment of their relations excludes.  It also
-    yields a None before each such bound, which a caller can use to check a
-    deadline."""
+    fixed enumeration order.  Given a query's program, it yields only the
+    models that can be its first refutation, in the same relative order:
+    those whose preorder is least in its orbit under the renamings of the
+    worlds and, for a conditional class, whose indices are all consulted
+    under their valuation (when semantics.consulted_indices knows them) and
+    that no bound on a partial assignment of their relations excludes.  It
+    also yields a None before each such bound, which a caller can use to
+    check a deadline."""
     consulted = None if prog is None else consulted_indices(prog)
     atoms = tuple(sorted(bounds.atoms))
     for n in range(1, bounds.max_worlds + 1):
@@ -158,7 +195,11 @@ def _mask_models(frame: FrameClass, bounds: SearchBounds,
         names = tuple(sorted(worlds))
         bit = world_bits(names)
         pairs = _pairs(worlds)
-        for leq in _preorders(worlds):
+        least = None if prog is None else _least_in_orbit(n)
+        for mask in _preorder_masks(n):
+            if least is not None and not least(mask):
+                continue
+            leq = _decode(mask, pairs)
             up = tuple(to_mask(bit, (v for (u, v) in leq if u == w)) for w in names)
             ups = [to_mask(bit, s) for s in _up_sets(worlds, leq)]
             if frame is FrameClass.P:
@@ -166,7 +207,7 @@ def _mask_models(frame: FrameClass, bounds: SearchBounds,
                     yield MaskModel(names, up, vp, vn, None)
                 continue
 
-            rels = [_decode(mask, pairs) for mask in range(1 << len(pairs))]
+            rels = [_decode(r, pairs) for r in range(1 << len(pairs))]
             rels = [rel_masks(bit, up, r) for r in rels
                     if not any(_fs_violations(worlds, leq, r))]
             if frame is FrameClass.FSM:
@@ -255,10 +296,12 @@ def find_countermodel(logic: Logic, c: Consecution, bounds: SearchBounds) -> Sea
     and re-check before being reported; exhausting the bounds refutes only
     within the bounds (and, for conditional classes, within the documented
     index restriction).  A model skipped for an unconsulted index evaluates
-    like an earlier one, and one skipped with a branch whose bound is empty
-    refutes nowhere, so the witness is the first refuting model of the full
-    enumeration.  The deadline is checked before every model and every
-    bound, so a long run of skipped branches still times out."""
+    like an earlier one, one skipped with a branch whose bound is empty
+    refutes nowhere, and one skipped because some renaming of the worlds
+    maps its preorder to a smaller mask has a renamed copy that refutes
+    likewise in an earlier block, so the witness is the first refuting model
+    of the full enumeration.  The deadline is checked before every model and
+    every bound, so a long run of skipped branches still times out."""
     for f in c.gamma | c.delta:
         logic.require(f)
     frame, kind = logic.frame_class, logic.frame_class.kind

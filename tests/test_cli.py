@@ -478,13 +478,15 @@ def test_stdin_dash(tmp_path, capsys, monkeypatch):
 
 
 def test_fixture_list_takes_no_name(capsys):
+    # like argparse's own errors for the command, these print its usage
     code, out, err = surface(capsys, ["fixture", "list", "M0"])
     assert (code, out) == (2, "")
-    assert err.startswith("usage: cnx [-h]")
-    assert err.endswith("error: fixture list takes no name\n")
+    assert err.startswith("usage: cnx fixture [-h]")
+    assert err.endswith("\ncnx fixture: error: fixture list takes no name\n")
     code, out, err = surface(capsys, ["fixture", "show"])
     assert (code, out) == (2, "")
-    assert err.endswith("error: fixture show needs a name\n")
+    assert err.startswith("usage: cnx fixture [-h]")
+    assert err.endswith("\ncnx fixture: error: fixture show needs a name\n")
     code, out, _ = surface(capsys, ["fixture", "list"])
     assert code == 0 and out.splitlines()[0] == f"{FIXTURE_NAMES[0]}\tP"
 

@@ -10,13 +10,16 @@ from pathlib import Path
 
 import pytest
 
-from conftest import CN_CONNS, MD_CONNS, PL_CONNS, random_formula, ref_refutes
+from conftest import CN_CONNS, MD_CONNS, PL_CONNS, random_formula, ref_refutes, shift_atoms
+from cnx.corpus import CORPUS_DIR
 from cnx.errors import EvidenceError, LanguageMismatch
 from cnx.harness import DEFAULT_BOUNDS, Thesis, _as_consecution, thesis_instance
 from cnx.logics import Logic
 from cnx.model import (FrameClass, Kind, KripkeModel, PointedModel, from_masks,
                        get_fixture, serialize_model, serialize_pointed, validate_model)
-from cnx.search import (SearchBounds, Status, _first_world, _mask_models,
+from cnx.proof import parse_proof
+from cnx.search import (SearchBounds, Status, _first_world, _least_in_orbit,
+                        _mask_models, _preorder_masks, _preorders, _world_names,
                         check_evidence, enumerate_models, find_countermodel)
 from cnx.semantics import (check_consecution, consecution, consecution_program,
                            consulted_indices, satisfying_worlds)
@@ -24,17 +27,43 @@ from cnx.syntax import parse
 
 
 def labeled_preorders_oracle(n):
-    """Independent combinatorial enumeration of labeled preorders."""
+    """Independent combinatorial enumeration of labeled preorders, in the
+    enumeration's order: by bitmask over the pairs, the first pair the
+    lowest bit."""
     worlds = [f"w{i+1}" for i in range(n)]
     pairs = list(itertools.product(worlds, worlds))
-    count = 0
+    out = []
+    # product varies its last position fastest, so the last pair goes first
     for bits in itertools.product([0, 1], repeat=len(pairs)):
-        rel = {p for p, b in zip(pairs, bits) if b}
+        rel = {p for p, b in zip(reversed(pairs), bits) if b}
         if not all((w, w) in rel for w in worlds):
             continue
         if all((a, d) in rel for (a, b) in rel for (c, d) in rel if b == c):
-            count += 1
-    return count
+            out.append(frozenset(rel))
+    return out
+
+
+def test_preorders_match_the_definition_in_order():
+    for n in (1, 2, 3):
+        assert _preorders(_world_names(n)) == labeled_preorders_oracle(n)
+    assert len(_preorders(_world_names(4))) == 355
+
+
+def _rename(rel, perm):
+    return frozenset((perm[a], perm[b]) for (a, b) in rel)
+
+
+def test_least_preorders_are_one_per_isomorphism_class():
+    # the unlabelled preorders on 1-4 points number 1, 3, 9 and 33
+    for n, classes in ((1, 1), (2, 3), (3, 9), (4, 33)):
+        worlds = _world_names(n)
+        least = _least_in_orbit(n)
+        leaders = {rel for mask, rel in zip(_preorder_masks(n), _preorders(worlds))
+                   if least(mask)}
+        assert len(leaders) == classes
+        renamings = [dict(zip(worlds, p)) for p in itertools.permutations(worlds)]
+        for rel in _preorders(worlds):
+            assert len({_rename(rel, r) for r in renamings} & leaders) == 1, rel
 
 
 def test_prop_one_world_one_atom():
@@ -47,8 +76,8 @@ def test_prop_one_world_one_atom():
 def test_prop_two_worlds_no_atoms_matches_preorder_oracle():
     models = list(enumerate_models(FrameClass.P, SearchBounds(2, ())))
     # one 1-world frame plus the labeled preorders on 2 points
-    assert len(models) == 1 + labeled_preorders_oracle(2)
-    assert labeled_preorders_oracle(2) == 4
+    assert len(models) == 1 + len(labeled_preorders_oracle(2))
+    assert len(labeled_preorders_oracle(2)) == 4
 
 
 def test_fsm_one_world_no_atoms():
@@ -219,6 +248,47 @@ def test_pruned_search_matches_unpruned_scan():
     assert len(kinds) == 4, kinds
 
 
+def test_orbit_skip_matches_unpruned_scan():
+    # queries that no 1-world model refutes, so that the search reaches the
+    # preorders whose blocks the orbit skip leaves out; the first is refuted
+    # only at 3 worlds
+    cases = [(Logic.C, consecution([], [parse("~(~p0 & (p0 -> p0)) | (~p0 -> p0)")]),
+              SearchBounds(3, (0,)))]
+    rnd = random.Random(11)
+    for logic, conns, bounds, n in (
+            (Logic.C, PL_CONNS, SearchBounds(3, (0,)), 80),
+            (Logic.CnK, MD_CONNS, SearchBounds(2, (0, 1)), 20),
+            (Logic.CnCK, CN_CONNS, SearchBounds(2, (0,), max_cond_indices=1), 20),
+            (Logic.CnCK_R, CN_CONNS, SearchBounds(2, (0,), max_cond_indices=1), 20)):
+        one_world = SearchBounds(1, bounds.atoms, bounds.max_cond_indices)
+        for _ in range(n):
+            while True:
+                gamma = [random_formula(rnd, 2, bounds.atoms, conns)
+                         for _ in range(rnd.randint(0, 1))]
+                c = consecution(gamma, [random_formula(rnd, 3, bounds.atoms, conns)])
+                if not find_countermodel(logic, c, one_world).found:
+                    break
+            cases.append((logic, c, bounds))
+    sizes = Counter()
+    for logic, c, bounds in cases:
+        expected = _unpruned_first_hit(logic, c, bounds)
+        out = find_countermodel(logic, c, bounds)
+        if expected is None:
+            assert out.status is Status.EXHAUSTED, c
+        else:
+            assert out.found and serialize_pointed(out.witness) == expected, c
+        sizes[logic, len(out.witness.model.worlds) if out.found else 0] += 1
+    # every logic has queries refuted at 2 worlds and queries that exhaust
+    assert all(sizes[logic, 2] and sizes[logic, 0] for logic, _, _ in cases), sizes
+    assert sizes[Logic.C, 3], sizes
+
+
+def _corpus_goal(name, offset):
+    """The goal of a shipped proof, its atoms shifted up by offset."""
+    proof = parse_proof((CORPUS_DIR / f"{name}.prf").read_text())
+    return consecution([], [shift_atoms(proof.goals[0], offset)])
+
+
 def test_search_counts_the_models_it_evaluates():
     # the deep first-hit search of the suite: 272,541 models unpruned,
     # 5,393 once only consulted indices were enumerated, and 259 now that
@@ -234,11 +304,24 @@ def test_search_counts_the_models_it_evaluates():
         assert out.status is Status.EXHAUSTED
         assert out.models == evaluated
         assert sum(1 for _ in _mask_models(logic.frame_class, bounds)) == enumerated
-    # no conditional at all: only models without indices are evaluated
+    # no conditional at all: only models without indices are evaluated, 450
+    # (the whole P stream) until only one preorder per isomorphism class was
+    # searched, 369 since
     out = find_countermodel(Logic.CnCK, consecution([], [parse("p0 -> p0")]),
                             SearchBounds(2, (0, 1), max_cond_indices=2))
     assert out.status is Status.EXHAUSTED
-    assert out.models == sum(1 for _ in _mask_models(FrameClass.P, SearchBounds(2, (0, 1))))
+    assert out.models == 369
+    assert sum(1 for _ in _mask_models(FrameClass.P, SearchBounds(2, (0, 1)))) == 450
+    # exhaustive searches before and after the orbit skip: 674 -> 237,
+    # 458 -> 377 and 202 -> 163 models
+    for logic, c, bounds, evaluated in (
+            (Logic.C, _corpus_goal("strong_refl", 0), SearchBounds(3, (0,)), 237),
+            (Logic.CnK, _corpus_goal("neg_box_swap", 1), SearchBounds(2, (1,)), 377),
+            (Logic.CnCK_R, consecution([], [parse("p0 @> p0")]),
+             SearchBounds(2, (0,), max_cond_indices=1), 163)):
+        out = find_countermodel(logic, c, bounds)
+        assert out.status is Status.EXHAUSTED
+        assert out.models == evaluated, logic
 
 
 def test_fsc_r_enumeration_respects_target_condition():

@@ -29,6 +29,10 @@ COMMANDS = [
     ("cnx parse", ["-m", "cnx.cli", "parse", "p0 @=> p1"], 0),
     ("cnx valid -L C --max-worlds 2", ["-m", "cnx.cli", "valid", "-L", "C",
                                        "--max-worlds", "2", "p0 -> p0"], 0),
+    # an exhaustive search at 3 worlds: the corpus goal strong_refl
+    ("cnx valid -L C --max-worlds 3", ["-m", "cnx.cli", "valid", "-L", "C", "--max-worlds", "3",
+                                       "(((p0 -> p0) & (~(p0) -> ~(p0))) & "
+                                       "((p0 -> p0) & (~(p0) -> ~(p0))))"], 0),
     # a countermodel found (exit 1), and a usage error (exit 2): the one
     # command line here that cnx.cli hands to argparse
     ("cnx countermodel -L CnCK", ["-m", "cnx.cli", "countermodel", "-L", "CnCK",
