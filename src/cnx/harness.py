@@ -13,6 +13,7 @@ re-refutes the instance at report time.
 from __future__ import annotations
 
 from enum import Enum
+from functools import cache
 from typing import Callable, Optional
 
 from .corpus import corpus_proof, load_corpus
@@ -40,8 +41,6 @@ class Thesis(Enum):
     WNONSYM = "WnonSym"
 
 
-FORMULA_THESES = (Thesis.AT, Thesis.BT, Thesis.CBT, Thesis.NONSYM)
-
 CONNECTIVES: dict[str, Callable[[Formula, Formula], Formula]] = {
     "->": Imp,
     "=>": strong_imp,
@@ -54,7 +53,6 @@ CONNECTIVES: dict[str, Callable[[Formula, Formula], Formula]] = {
 }
 
 _MODAL_CONNECTIVES = {"#>", "#=>"}
-_COND_CONNECTIVES = {"@>", "?>", "@=>", "?=>"}
 
 
 def connective_defined_in(conn: str, logic: Logic) -> bool:
@@ -199,9 +197,11 @@ class ConnexivityReport(Record):
         return "none"
 
 
-def _candidate_fixtures(logic: Logic):
+@cache
+def _candidate_fixtures(logic: Logic) -> tuple:
     """Named fixtures valid for the logic's frame class, plus the two ad hoc
-    empty-relation models that refute every might-conditional."""
+    empty-relation models that refute every might-conditional.  The models
+    are constants, so each logic's list is validated once."""
     frame = logic.frame_class
     out = []
     for name in FIXTURE_NAMES:
@@ -214,7 +214,7 @@ def _candidate_fixtures(logic: Logic):
         out.append((None, PointedModel(empty, "w")))
         bare = KripkeModel(Kind.COND, {"w"}, {("w", "w")}, {}, {}, {})
         out.append((None, PointedModel(bare, "w")))
-    return out
+    return tuple(out)
 
 
 def _as_consecution(instance) -> Consecution:

@@ -17,12 +17,7 @@ class Logic(Enum):
 
     @property
     def frame_class(self) -> FrameClass:
-        return {
-            Logic.C: FrameClass.P,
-            Logic.CnK: FrameClass.FSM,
-            Logic.CnCK: FrameClass.FSC,
-            Logic.CnCK_R: FrameClass.FSC_R,
-        }[self]
+        return _FRAME_CLASSES[self]
 
     @property
     def languages(self) -> frozenset[LanguageTag]:
@@ -35,6 +30,10 @@ class Logic(Enum):
         if not self.admits(f):
             raise LanguageMismatch(
                 f"{language_of(f).value} formula is outside the language of {self.value}")
+
+
+_FRAME_CLASSES = {Logic.C: FrameClass.P, Logic.CnK: FrameClass.FSM,
+                  Logic.CnCK: FrameClass.FSC, Logic.CnCK_R: FrameClass.FSC_R}
 
 
 def logic_from_name(name: str) -> Logic:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import ModelFormatError, StructuralError, UnknownFixture
 from .record import Record
@@ -42,12 +42,11 @@ class FrameClass(Enum):
 
     @property
     def kind(self) -> Kind:
-        return {
-            FrameClass.P: Kind.PROP,
-            FrameClass.FSM: Kind.MODAL,
-            FrameClass.FSC: Kind.COND,
-            FrameClass.FSC_R: Kind.COND,
-        }[self]
+        return _KINDS[self]
+
+
+_KINDS = {FrameClass.P: Kind.PROP, FrameClass.FSM: Kind.MODAL,
+          FrameClass.FSC: Kind.COND, FrameClass.FSC_R: Kind.COND}
 
 
 class BiSet(Record):
@@ -60,18 +59,6 @@ class BiSet(Record):
 
     def swap(self) -> "BiSet":
         return BiSet(self.neg, self.pos)
-
-    # ordered as the pair (pos, neg), each by inclusion (model files list
-    # indices in this order); x > y and x >= y are y < x and y <= x
-    def __lt__(self, other):
-        if type(other) is not BiSet:
-            return NotImplemented
-        return (self.pos, self.neg) < (other.pos, other.neg)
-
-    def __le__(self, other):
-        if type(other) is not BiSet:
-            return NotImplemented
-        return (self.pos, self.neg) <= (other.pos, other.neg)
 
 
 def bi(pos, neg) -> BiSet:
@@ -132,20 +119,16 @@ class KripkeModel:
         else:
             raise StructuralError(f"unknown model kind {kind!r}")
 
-        self._finish_init()
-
-    def _finish_init(self):
         # absent atom == empty valuation; keep one canonical representation
         self.val_pos = {a: ws for a, ws in self.val_pos.items() if ws}
         self.val_neg = {a: ws for a, ws in self.val_neg.items() if ws}
-        self._up = {w: frozenset(v for (u, v) in self.leq if u == w)
-                    for w in self.worlds}
         self._masks = None
 
     # -- small accessors -----------------------------------------------------
     def up(self, w: str) -> frozenset[str]:
         """Worlds v with w <= v (as listed; validation guarantees w is included)."""
-        return self._up[w]
+        mm = masks_of(self)
+        return world_set(mm.names, mm.up[mm.names.index(w)])
 
     def val(self, atom: int, sign: str) -> frozenset[str]:
         table = self.val_pos if sign == "+" else self.val_neg
@@ -218,20 +201,34 @@ def _pair_set(names: tuple[str, ...], succ: tuple[int, ...]) -> frozenset[tuple[
     return frozenset((names[i], v) for i, s in enumerate(succ) for v in world_set(names, s))
 
 
-def rel_masks(bit: dict[str, int], up: tuple[int, ...], pairs) -> Rel:
-    """A relation, given as pairs of worlds, in mask form."""
+def _bits(x: int) -> Iterator[int]:
+    """The indices of the set bits of x, ascending."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
+def _image(masks, x: int) -> int:
+    """The union of masks[i] over the set bits i of x."""
+    out = 0
+    for i in _bits(x):
+        out |= masks[i]
+    return out
+
+
+def relation(up: tuple[int, ...], succ: tuple[int, ...]) -> Rel:
+    """The relation with the given successor masks, over the frame whose
+    worlds above each world are up."""
+    return Rel(succ, tuple(_image(succ, u) for u in up))
+
+
+def succ_masks(bit: dict[str, int], pairs) -> tuple[int, ...]:
+    """A relation, given as pairs of worlds, as per-world successor masks."""
     succ = dict.fromkeys(bit, 0)
     for (u, v) in pairs:
         succ[u] |= bit[v]
-    succ = tuple(succ.values())
-    image = []
-    for u in up:
-        acc = 0
-        for i, s in enumerate(succ):
-            if u >> i & 1:
-                acc |= s
-        image.append(acc)
-    return Rel(succ, tuple(image))
+    return tuple(succ.values())
 
 
 def masks_of(m: KripkeModel) -> MaskModel:
@@ -239,12 +236,12 @@ def masks_of(m: KripkeModel) -> MaskModel:
     if m._masks is None:
         names = tuple(sorted(m.worlds))
         bit = world_bits(names)
-        up = tuple(to_mask(bit, m.up(w)) for w in names)
+        up = succ_masks(bit, m.leq)
         if m.kind is Kind.MODAL:
-            access = rel_masks(bit, up, m.access)
+            access = relation(up, succ_masks(bit, m.access))
         elif m.kind is Kind.COND:
-            access = {(to_mask(bit, idx.pos), to_mask(bit, idx.neg)): rel_masks(bit, up, rel)
-                      for idx, rel in m.access.items()}
+            access = {(to_mask(bit, idx.pos), to_mask(bit, idx.neg)):
+                      relation(up, succ_masks(bit, rel)) for idx, rel in m.access.items()}
         else:
             access = None
         m._masks = MaskModel(names, up,
@@ -272,7 +269,6 @@ def from_masks(kind: Kind, mm: MaskModel) -> KripkeModel:
         m.access = None
     m.val_pos = {a: world_set(names, x) for a, x in mm.val_pos.items()}
     m.val_neg = {a: world_set(names, x) for a, x in mm.val_neg.items()}
-    m._up = {w: world_set(names, u) for w, u in zip(names, mm.up)}
     m._masks = None
     return m
 
@@ -293,103 +289,128 @@ class ValidationReport(Record):
     violations: tuple[Violation, ...] = ()
 
 
+# The frame conditions, on the mask form only: up[i] is the mask of the
+# worlds above world i (as listed, so that non-preorders can be reported).
+# Each generator yields the world indices of its faults in ascending order.
+
+def transitivity_faults(up: tuple[int, ...]) -> Iterator[tuple[int, int, int]]:
+    """Each (u, v, w) with u <= v and v <= w but not u <= w."""
+    for u, above in enumerate(up):
+        for v in _bits(above):
+            for w in _bits(up[v] & ~above):
+                yield u, v, w
+
+
+def closure_faults(up: tuple[int, ...], s: int) -> Iterator[tuple[int, int]]:
+    """Each (u, v) with u in the set s and u <= v, but v not in s."""
+    for u in _bits(s):
+        for v in _bits(up[u] & ~s):
+            yield u, v
+
+
+def up_closed(up: tuple[int, ...]) -> list[int]:
+    """The masks of the up-closed sets, ascending.  With no world above
+    another that is every set."""
+    return [s for s in range(1 << len(up)) if not any(closure_faults(up, s))]
+
+
+def fs_faults(up: tuple[int, ...], rel: Rel) -> Iterator[tuple[str, int, int, int]]:
+    """The Fischer-Servi completion faults of rel: first each ("c1", w, w2, v)
+    with w <= w2 and w R v but no v2 with w2 R v2 and v <= v2, then each
+    ("c2", w, v, v2) with w R v and v <= v2 but no w2 with w <= w2 and
+    w2 R v2."""
+    succ, image = rel
+    for w, s in enumerate(succ):
+        if s:
+            for w2 in _bits(up[w]):
+                for v in _bits(s):
+                    if not succ[w2] & up[v]:
+                        yield "c1", w, w2, v
+    for w, s in enumerate(succ):
+        for v in _bits(s):
+            for v2 in _bits(up[v] & ~image[w]):
+                yield "c2", w, v, v2
+
+
+def target_faults(rel: Rel, pos: int) -> Iterator[tuple[int, int]]:
+    """Each (w, v) with w R v and v outside pos: FSC_R's condition on the
+    relation at an index whose positive component is pos."""
+    for w, s in enumerate(rel.succ):
+        for v in _bits(s & ~pos):
+            yield w, v
+
+
 def _up_sets(worlds, leq) -> list[frozenset]:
     """The leq-up-closed subsets of worlds, in bitmask order over the sorted
     worlds.  With an empty leq that is every subset."""
-    ordered = sorted(worlds)
-    out = []
-    for mask in range(1 << len(ordered)):
-        s = frozenset(w for i, w in enumerate(ordered) if mask >> i & 1)
-        if all(v in s for (u, v) in leq if u in s):
-            out.append(s)
-    return out
+    names = tuple(sorted(worlds))
+    return [world_set(names, s) for s in up_closed(succ_masks(world_bits(names), leq))]
 
 
-def _fs_violations(worlds, leq, rel, tag=""):
-    """Fischer-Servi completion checks for one binary relation, lazily.
-
-    c1: w <= w' and w R v imply some v' with w' R v' and v <= v'.
-    c2: w R v and v <= v' imply some w' with w <= w' and w' R v'.
-    """
-    for (w, wp) in leq:
-        for (u, v) in rel:
-            if u == w and not any((wp, vp) in rel and (v, vp) in leq for vp in worlds):
-                yield Violation("c1", f"{tag}no completion for {w}<={wp} and r({w},{v})")
-    for (u, v) in rel:
-        for (x, vp) in leq:
-            if x == v and not any((u, wp) in leq and (wp, vp) in rel for wp in worlds):
-                yield Violation("c2", f"{tag}no completion for r({u},{v}) and {v}<={vp}")
+def _show(names: tuple[str, ...], mask: int) -> str:
+    return "{" + ", ".join(repr(names[i]) for i in _bits(mask)) + "}"
 
 
 def validate_model(m: KripkeModel, cls: FrameClass) -> ValidationReport:
     """Check kind/class pairing, preorder axioms, valuation heredity, and the
     per-relation Fischer-Servi conditions (plus the reflexivity-of-@>
-    condition for FSC_R).  Deterministic; violations name their witnesses."""
-    out = []
+    condition for FSC_R), on the mask form.  Violations name their
+    witnesses, in world order; conditional indices come in (pos, neg) mask
+    order."""
     if m.kind is not cls.kind:
-        out.append(Violation("kind-mismatch",
-                             f"model kind {m.kind.value} does not pair with class {cls.value}"))
-        return ValidationReport(False, tuple(out))
+        return ValidationReport(False, (Violation(
+            "kind-mismatch", f"model kind {m.kind.value} does not pair with class {cls.value}"),))
 
-    for w in sorted(m.worlds):
-        if (w, w) not in m.leq:
+    out = []
+    mm = masks_of(m)
+    names, up = mm.names, mm.up
+    for i, w in enumerate(names):
+        if not up[i] >> i & 1:
             out.append(Violation("not-reflexive", f"missing {w}<={w}"))
-    for (a, b) in sorted(m.leq):
-        for (c, d) in sorted(m.leq):
-            if b == c and (a, d) not in m.leq:
-                out.append(Violation("not-transitive",
-                                     f"{a}<={b} and {b}<={d} but not {a}<={d}"))
+    for u, v, w in transitivity_faults(up):
+        a, b, d = names[u], names[v], names[w]
+        out.append(Violation("not-transitive", f"{a}<={b} and {b}<={d} but not {a}<={d}"))
 
-    for sign, table in (("+", m.val_pos), ("-", m.val_neg)):
+    for sign, table in (("+", mm.val_pos), ("-", mm.val_neg)):
         for atom in sorted(table):
-            ws = table[atom]
-            for (a, b) in sorted(m.leq):
-                if a in ws and b not in ws:
-                    out.append(Violation(
-                        "heredity", f"val{sign} p{atom} holds at {a} but not at {b}>={a}"))
+            for u, v in closure_faults(up, table[atom]):
+                out.append(Violation("heredity", f"val{sign} p{atom} holds at {names[u]} "
+                                                 f"but not at {names[v]}>={names[u]}"))
 
     if m.kind is Kind.MODAL:
-        out.extend(_fs_violations(m.worlds, m.leq, m.access))
+        rels = [("", mm.access, None)]
     elif m.kind is Kind.COND:
-        for idx in sorted(m.access):
-            rel = m.access[idx]
-            tag = f"index ({set(idx.pos) or '{}'},{set(idx.neg) or '{}'}): "
-            out.extend(_fs_violations(m.worlds, m.leq, rel, tag))
-            if cls is FrameClass.FSC_R:
-                for (w, v) in sorted(rel):
-                    if v not in idx.pos:
-                        out.append(Violation(
-                            "refl-target",
-                            f"{tag}target {v} of r({w},{v}) outside the positive index component"))
+        rels = [(f"index ({_show(names, pos)},{_show(names, neg)}): ", mm.access[pos, neg], pos)
+                for pos, neg in sorted(mm.access)]
+    else:
+        rels = []
+    for tag, rel, pos in rels:
+        for code, x, y, z in fs_faults(up, rel):
+            a, b, c = names[x], names[y], names[z]
+            pair = f"{a}<={b} and r({a},{c})" if code == "c1" else f"r({a},{b}) and {b}<={c}"
+            out.append(Violation(code, f"{tag}no completion for {pair}"))
+        if cls is FrameClass.FSC_R:
+            for w, v in target_faults(rel, pos):
+                out.append(Violation(
+                    "refl-target", f"{tag}target {names[v]} of r({names[w]},{names[v]}) "
+                                   "outside the positive index component"))
     return ValidationReport(not out, tuple(out))
 
 
 def close_valuations(m: KripkeModel) -> KripkeModel:
     """Upward-close both valuations along the reachability of leq."""
-    reach = {w: {w} for w in m.worlds}
-    changed = True
-    while changed:
-        changed = False
-        for (a, b) in m.leq:
-            for w, ws in reach.items():
-                if a in ws and b not in ws:
-                    ws.add(b)
-                    changed = True
+    mm = masks_of(m)
+    reach = [u | 1 << i for i, u in enumerate(mm.up)]
+    for k in range(len(reach)):  # Warshall's transitive closure
+        for i, r in enumerate(reach):
+            if r >> k & 1:
+                reach[i] = r | reach[k]
 
     def closed(table):
-        return {a: frozenset().union(*(reach[w] for w in ws)) if ws else frozenset()
-                for a, ws in table.items()}
+        return {a: world_set(mm.names, _image(reach, x)) for a, x in table.items()}
 
-    return KripkeModel(m.kind, m.worlds, m.leq, _copy_access(m),
-                       closed(m.val_pos), closed(m.val_neg))
-
-
-def _copy_access(m: KripkeModel):
-    if m.kind is Kind.PROP:
-        return None
-    if m.kind is Kind.MODAL:
-        return m.access
-    return dict(m.access)
+    return KripkeModel(m.kind, m.worlds, m.leq, m.access,
+                       closed(mm.val_pos), closed(mm.val_neg))
 
 
 # ---------------------------------------------------------------------------

@@ -141,10 +141,6 @@ def disj_l(p: Term, right: Formula) -> Term:
     return mp(p, ax("a6", phi=p.formula, psi=right))
 
 
-def disj_r(p: Term, left: Formula) -> Term:
-    return mp(p, ax("a7", phi=left, psi=p.formula))
-
-
 def or_elim(p: Term, q: Term) -> Term:
     """From A->C and B->C build (A|B)->C."""
     a, c = p.formula.left, p.formula.right
@@ -255,18 +251,6 @@ def neg_imp_intro(p: Term) -> Term:
     """From A->~B build ~(A->B)."""
     f = p.formula
     return mp(p, snd(ax("a12", phi=f.left, psi=f.right.body)))
-
-
-def neg_imp_elim(p: Term) -> Term:
-    """From ~(A->B) build A->~B."""
-    f = p.formula.body
-    return mp(p, fst(ax("a12", phi=f.left, psi=f.right)))
-
-
-def neg_conj_l(p: Term, right: Formula) -> Term:
-    """From ~A build ~(A&B)."""
-    a = p.formula.body
-    return mp(disj_l(p, Neg(right)), snd(ax("a10", phi=a, psi=right)))
 
 
 # strong-implication scaffolding: seq(A,B) = (A->B)&(~B->~A)
@@ -498,10 +482,6 @@ def b_contr_m_sstrict(a: Formula) -> Term:
 
 # ---------------------------------------------------------------------------
 # CnCK builders
-
-def _would(kind):
-    return WouldTo if kind == "box" else MightTo
-
 
 def rc_rule(kind: str, p: Term, chi: Formula) -> Term:
     return Rule(f"rc-{kind}", p, chi)

@@ -57,9 +57,9 @@ from typing import Callable, Iterator
 
 from .errors import EvidenceError
 from .logics import Logic
-from .model import (FrameClass, KripkeModel, MaskModel, PointedModel, _fs_violations,
-                    _up_sets, from_masks, masks_of, rel_masks, to_mask,
-                    validate_model, world_bits)
+from .model import (FrameClass, KripkeModel, MaskModel, PointedModel, from_masks,
+                    fs_faults, masks_of, relation, target_faults, transitivity_faults,
+                    up_closed, validate_model)
 from .record import Record
 from .semantics import (UNKNOWN, Consecution, Program, check_consecution,
                         consecution_program, consulted_indices, refutable_worlds,
@@ -106,17 +106,18 @@ def _world_names(n: int) -> tuple[str, ...]:
     return tuple(f"w{i + 1}" for i in range(n))
 
 
-def _pairs(worlds):
-    return [(a, b) for a in worlds for b in worlds]
-
-
-def _decode(mask: int, pairs) -> frozenset:
-    return frozenset(p for i, p in enumerate(pairs) if mask >> i & 1)
+def _rows(mask: int, n: int, label: tuple[int, ...]) -> tuple[int, ...]:
+    """The relation on n worlds whose bit i*n + j holds (w<i+1>, w<j+1>), as
+    successor masks over the sorted names; the p-th sorted name is
+    w<label[p]+1>.  (The two orders differ from 10 worlds on, where w10
+    sorts before w2.)"""
+    return tuple(sum(1 << q for q, j in enumerate(label) if mask >> i * n + j & 1)
+                 for i in label)
 
 
 def _preorder_masks(n: int) -> Iterator[int]:
-    """The preorders on n worlds as masks over _pairs (bit i*n + j holds
-    (w<i+1>, w<j+1>)), in increasing order: the diagonal is fixed and the
+    """The preorders on n worlds as masks (bit i*n + j holds (w<i+1>,
+    w<j+1>)), in increasing order: the diagonal is fixed and the
     off-diagonal subsets ascend, each kept if its rows are transitive."""
     diagonal = sum(1 << i * (n + 1) for i in range(n))
     off = ((1 << n * n) - 1) ^ diagonal
@@ -124,18 +125,11 @@ def _preorder_masks(n: int) -> Iterator[int]:
     s = 0
     while True:
         mask = diagonal | s
-        rows = [mask >> i * n & row for i in range(n)]
-        # transitive: each row holds the rows of the worlds it holds
-        if all(not rows[j] & ~r for r in rows for j in range(n) if r >> j & 1):
+        if not any(transitivity_faults(tuple(mask >> i * n & row for i in range(n)))):
             yield mask
         if s == off:
             return
         s = (s - off) & off
-
-
-def _preorders(worlds) -> list[frozenset]:
-    pairs = _pairs(worlds)
-    return [_decode(mask, pairs) for mask in _preorder_masks(len(worlds))]
 
 
 def _least_in_orbit(n: int) -> Callable[[int], bool]:
@@ -193,23 +187,22 @@ def _mask_models(frame: FrameClass, bounds: SearchBounds,
     for n in range(1, bounds.max_worlds + 1):
         worlds = _world_names(n)
         names = tuple(sorted(worlds))
-        bit = world_bits(names)
-        pairs = _pairs(worlds)
+        label = tuple(worlds.index(w) for w in names)
         least = None if prog is None else _least_in_orbit(n)
+        if frame is not FrameClass.P:
+            succs = [_rows(r, n, label) for r in range(1 << n * n)]
         for mask in _preorder_masks(n):
             if least is not None and not least(mask):
                 continue
-            leq = _decode(mask, pairs)
-            up = tuple(to_mask(bit, (v for (u, v) in leq if u == w)) for w in names)
-            ups = [to_mask(bit, s) for s in _up_sets(worlds, leq)]
+            up = _rows(mask, n, label)
+            ups = up_closed(up)
             if frame is FrameClass.P:
                 for vp, vn in _valuations(atoms, ups):
                     yield MaskModel(names, up, vp, vn, None)
                 continue
 
-            rels = [_decode(r, pairs) for r in range(1 << len(pairs))]
-            rels = [rel_masks(bit, up, r) for r in rels
-                    if not any(_fs_violations(worlds, leq, r))]
+            rels = [rel for rel in (relation(up, succ) for succ in succs)
+                    if not any(fs_faults(up, rel))]
             if frame is FrameClass.FSM:
                 for vp, vn in _valuations(atoms, ups):
                     for rel in rels:
@@ -219,13 +212,12 @@ def _mask_models(frame: FrameClass, bounds: SearchBounds,
             # conditional classes
             nonempty = [r for r in rels if any(r.succ)]
             indices = [(x, y) for x in ups for y in ups]
-            per_index = {}
-            for idx in indices:
-                if frame is FrameClass.FSC_R:
-                    per_index[idx] = [r for r in nonempty
-                                      if not any(s & ~idx[0] for s in r.succ)]
-                else:
-                    per_index[idx] = nonempty
+            if frame is FrameClass.FSC_R:
+                by_pos = {x: [r for r in nonempty if not any(target_faults(r, x))]
+                          for x in ups}
+                per_index = {idx: by_pos[idx[0]] for idx in indices}
+            else:
+                per_index = dict.fromkeys(indices, nonempty)
             kmax = min(bounds.max_cond_indices, len(indices))
             for vp, vn in _valuations(atoms, ups):
                 live = indices

@@ -9,9 +9,9 @@ import random
 import re
 
 from cnx.errors import FormulaSyntaxError
-from cnx.model import BiSet, Kind, KripkeModel, _fs_violations, _up_sets
+from cnx.model import BiSet, FrameClass, Kind, KripkeModel, _up_sets, validate_model
 from cnx.semantics import Consecution
-from cnx.search import _preorders
+from cnx.search import _preorder_masks
 from cnx.syntax import (MAX_DEPTH, SUGAR, And, Atom, Box, Dia, Formula, Imp,
                         MightTo, Neg, Or, WouldTo, depth, map_formula)
 
@@ -37,10 +37,23 @@ def shift_atoms(f: Formula, offset: int) -> Formula:
     return map_formula(f, lambda g: Atom(g.index + offset) if isinstance(g, Atom) else g)
 
 
+def preorders(worlds) -> list[frozenset]:
+    """The preorders of search._preorder_masks as pair sets, in its order;
+    bit i*n + j of a mask holds (worlds[i], worlds[j])."""
+    pairs = [(a, b) for a in worlds for b in worlds]
+    return [frozenset(p for i, p in enumerate(pairs) if mask >> i & 1)
+            for mask in _preorder_masks(len(worlds))]
+
+
+def is_fs(worlds, leq, rel) -> bool:
+    """Whether rel meets the Fischer-Servi conditions over the preorder leq."""
+    return validate_model(KripkeModel(Kind.MODAL, worlds, leq, rel), FrameClass.FSM).ok
+
+
 def random_prop_model(rnd: random.Random, max_worlds=2, atoms=(0, 1)) -> KripkeModel:
     n = rnd.randint(1, max_worlds)
     worlds = tuple(f"w{i+1}" for i in range(n))
-    leq = rnd.choice(_preorders(worlds))
+    leq = rnd.choice(preorders(worlds))
     ups = _up_sets(worlds, leq)
     val_pos = {a: rnd.choice(ups) for a in atoms}
     val_neg = {a: rnd.choice(ups) for a in atoms}
@@ -53,7 +66,7 @@ def random_modal_model(rnd: random.Random, max_worlds=2, atoms=(0, 1)) -> Kripke
         worlds = sorted(base.worlds)
         pairs = [(a, b) for a in worlds for b in worlds]
         rel = frozenset(p for p in pairs if rnd.random() < 0.4)
-        if not any(_fs_violations(base.worlds, base.leq, rel)):
+        if is_fs(base.worlds, base.leq, rel):
             return KripkeModel(Kind.MODAL, base.worlds, base.leq, rel,
                                base.val_pos, base.val_neg)
 
@@ -72,7 +85,7 @@ def random_cond_model(rnd: random.Random, max_worlds=2, atoms=(0, 1),
             rel = frozenset(p for p in pairs if rnd.random() < 0.4)
             if not rel:
                 continue
-            if any(_fs_violations(base.worlds, base.leq, rel)):
+            if not is_fs(base.worlds, base.leq, rel):
                 ok = False
                 break
             access[idx] = access.get(idx, frozenset()) | rel

@@ -184,6 +184,29 @@ def test_validate_close_flag(tmp_path, capsys):
     assert code == 0 and out.strip() == "ok"
 
 
+def test_validate_output_is_the_same_under_every_hash_seed(tmp_path):
+    cases = [
+        ("kind modal\nworld a\nworld b\nworld c\nworld d\nleq a b\nleq c d\nleq a d\n"
+         "r a a\nr c c\nr a c\nr b d\n", "FSM",
+         "c1: no completion for a<=d and r(a,a)\n"
+         "c1: no completion for a<=d and r(a,c)\n"
+         "c1: no completion for c<=d and r(c,c)\n"
+         "c2: no completion for r(a,a) and a<=b\n"
+         "c2: no completion for r(c,c) and c<=d\n"),
+        ("kind cond\nworld a\nworld b\nworld c\nleq a b\n"
+         "r a / a b c ; / b\nr c / a b c ; / a\n", "FSC_R",
+         "c1: index ({'a', 'b', 'c'},{}): no completion for a<=b and r(a,b)\n"
+         "c2: index ({'a', 'b', 'c'},{}): no completion for r(c,a) and a<=b\n"),
+    ]
+    for i, (text, cls, expected) in enumerate(cases):
+        f = tmp_path / f"m{i}.kmd"
+        f.write_text(text)
+        for seed in "0123":
+            proc = run_python("-m", "cnx.cli", "validate", "-m", str(f), "-C", cls,
+                              env={"PYTHONHASHSEED": seed})
+            assert (proc.returncode, proc.stderr, proc.stdout) == (1, "", expected), seed
+
+
 def test_suite_single_cell(capsys):
     code, out, _ = run(capsys, "suite", "-L", "C", "-c", "->")
     assert code == 0
@@ -242,9 +265,10 @@ def test_suite_cell_under_python_O():
     assert proc.stdout == golden[start:end]
 
 
-def run_python(*args, timeout=60):
-    """A fresh interpreter with the package on its path, run from the repository root."""
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+def run_python(*args, timeout=60, env=None):
+    """A fresh interpreter with the package on its path, run from the
+    repository root, with env added to its environment."""
+    env = {**os.environ, **(env or {}), "PYTHONPATH": str(ROOT / "src")}
     return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=timeout)
 

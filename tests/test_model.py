@@ -1,10 +1,15 @@
+import itertools
+
 import pytest
 
+from conftest import preorders
 from cnx.errors import StructuralError, UnknownFixture
 from cnx.model import (FIXTURE_CLASS, FIXTURE_NAMES, BiSet, FrameClass, Kind,
-                       KripkeModel, bi, close_valuations, get_fixture,
-                       load_model, serialize_model, serialize_pointed,
-                       validate_model)
+                       KripkeModel, bi, close_valuations, closure_faults, fs_faults,
+                       get_fixture, load_model, relation, serialize_model,
+                       serialize_pointed, succ_masks, transitivity_faults, up_closed,
+                       validate_model, world_bits)
+from cnx.search import SearchBounds, _mask_models, _world_names
 
 
 def compose(r, s):
@@ -85,6 +90,68 @@ def test_fs_oracle_agrees_on_random_modal_relations():
                      and compose(r, leq) <= compose(leq, r))
         got = not any(v.code in ("c1", "c2") for v in report.violations)
         assert got == ok_oracle, (mask, r)
+
+
+def _relations(worlds):
+    """Every relation on worlds, in bitmask order over the pairs."""
+    pairs = list(itertools.product(worlds, worlds))
+    for mask in range(1 << len(pairs)):
+        yield {p for i, p in enumerate(pairs) if mask >> i & 1}
+
+
+def test_mask_fs_checks_match_the_composition_oracle():
+    # every relation on every preorder of at most 3 worlds
+    for n in (1, 2, 3):
+        worlds = _world_names(n)
+        names = tuple(sorted(worlds))
+        bit = world_bits(names)
+        kept = {}
+        for mm in _mask_models(FrameClass.FSM, SearchBounds(n, ())):
+            if len(mm.names) == n:
+                kept.setdefault(mm.up, []).append(mm.access)
+        oracle = {}
+        for leq in preorders(worlds):
+            up = succ_masks(bit, leq)
+            oracle[up] = []
+            for r in _relations(worlds):
+                rel = relation(up, succ_masks(bit, r))
+                faults = list(fs_faults(up, rel))
+                assert faults == sorted(set(faults))
+                got = {code: {tuple(names[i] for i in f) for c, *f in faults if c == code}
+                       for code in ("c1", "c2")}
+                # the witnesses, from the definition
+                assert got["c1"] == {(w, w2, v) for (w, w2) in leq for (u, v) in r if u == w
+                                     if not any((w2, v2) in r and (v, v2) in leq
+                                                for v2 in worlds)}
+                assert got["c2"] == {(w, v, v2) for (w, v) in r for (x, v2) in leq if x == v
+                                     if not any((w, w2) in leq and (w2, v2) in r
+                                                for w2 in worlds)}
+                c1 = compose(inverse(leq), r) <= compose(r, inverse(leq))
+                c2 = compose(r, leq) <= compose(leq, r)
+                assert (c1, c2) == (not got["c1"], not got["c2"]), (leq, r)
+                if c1 and c2:
+                    oracle[up].append(rel)
+        assert kept == oracle and list(kept) == list(oracle)
+
+
+def test_mask_preorder_checks_match_the_definition():
+    # every relation on at most 3 worlds as leq, preorder or not
+    for n in (1, 2, 3):
+        names = _world_names(n)
+        bit = world_bits(names)
+        for leq in _relations(names):
+            up = succ_masks(bit, leq)
+            got = [tuple(names[i] for i in f) for f in transitivity_faults(up)]
+            assert got == sorted({(a, b, d) for (a, b) in leq for (c, d) in leq
+                                  if b == c and (a, d) not in leq})
+            closed = []
+            for s in range(1 << n):
+                ws = {w for i, w in enumerate(names) if s >> i & 1}
+                got = [tuple(names[i] for i in f) for f in closure_faults(up, s)]
+                assert got == sorted((a, b) for (a, b) in leq if a in ws and b not in ws)
+                if not got:
+                    closed.append(s)
+            assert up_closed(up) == closed
 
 
 def test_empty_conditional_relation_vacuously_valid():

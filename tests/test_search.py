@@ -10,16 +10,18 @@ from pathlib import Path
 
 import pytest
 
-from conftest import CN_CONNS, MD_CONNS, PL_CONNS, random_formula, ref_refutes, shift_atoms
+from conftest import (CN_CONNS, MD_CONNS, PL_CONNS, preorders, random_formula, ref_refutes,
+                      shift_atoms)
 from cnx.corpus import CORPUS_DIR
 from cnx.errors import EvidenceError, LanguageMismatch
 from cnx.harness import DEFAULT_BOUNDS, Thesis, _as_consecution, thesis_instance
 from cnx.logics import Logic
 from cnx.model import (FrameClass, Kind, KripkeModel, PointedModel, from_masks,
-                       get_fixture, serialize_model, serialize_pointed, validate_model)
+                       get_fixture, serialize_model, serialize_pointed, succ_masks,
+                       validate_model, world_bits)
 from cnx.proof import parse_proof
 from cnx.search import (SearchBounds, Status, _first_world, _least_in_orbit,
-                        _mask_models, _preorder_masks, _preorders, _world_names,
+                        _mask_models, _preorder_masks, _rows, _world_names,
                         check_evidence, enumerate_models, find_countermodel)
 from cnx.semantics import (check_consecution, consecution, consecution_program,
                            consulted_indices, satisfying_worlds)
@@ -45,8 +47,22 @@ def labeled_preorders_oracle(n):
 
 def test_preorders_match_the_definition_in_order():
     for n in (1, 2, 3):
-        assert _preorders(_world_names(n)) == labeled_preorders_oracle(n)
-    assert len(_preorders(_world_names(4))) == 355
+        assert preorders(_world_names(n)) == labeled_preorders_oracle(n)
+    assert len(preorders(_world_names(4))) == 355
+
+
+def test_rows_map_world_labels_to_sorted_names():
+    # w10 sorts before w2, so from 10 worlds on the two orders differ
+    rnd = random.Random(11)
+    for n in (3, 10, 11):
+        worlds = _world_names(n)
+        names = tuple(sorted(worlds))
+        label = tuple(worlds.index(w) for w in names)
+        pairs = list(itertools.product(worlds, worlds))
+        for _ in range(20):
+            mask = rnd.getrandbits(n * n)
+            rel = [p for i, p in enumerate(pairs) if mask >> i & 1]
+            assert _rows(mask, n, label) == succ_masks(world_bits(names), rel)
 
 
 def _rename(rel, perm):
@@ -58,11 +74,11 @@ def test_least_preorders_are_one_per_isomorphism_class():
     for n, classes in ((1, 1), (2, 3), (3, 9), (4, 33)):
         worlds = _world_names(n)
         least = _least_in_orbit(n)
-        leaders = {rel for mask, rel in zip(_preorder_masks(n), _preorders(worlds))
+        leaders = {rel for mask, rel in zip(_preorder_masks(n), preorders(worlds))
                    if least(mask)}
         assert len(leaders) == classes
         renamings = [dict(zip(worlds, p)) for p in itertools.permutations(worlds)]
-        for rel in _preorders(worlds):
+        for rel in preorders(worlds):
             assert len({_rename(rel, r) for r in renamings} & leaders) == 1, rel
 
 

@@ -7,7 +7,7 @@ from conftest import (CN_CONNS, MD_CONNS, PL_CONNS, random_cond_model, random_fo
                       random_modal_model, random_prop_model, ref_sat)
 from cnx.errors import LanguageMismatch, UnknownWorld
 from cnx.model import (BiSet, FrameClass, Kind, KripkeModel, get_fixture, masks_of,
-                       rel_masks, world_bits)
+                       relation, succ_masks, world_bits)
 from cnx.search import SearchBounds, _mask_models, enumerate_models
 from cnx.semantics import (UNKNOWN, biextension, check_consecution, consecution,
                            consecution_program, consulted_indices, refutable_worlds,
@@ -261,7 +261,7 @@ def _relations(mm):
     """Every relation on mm's worlds, in mask form."""
     bit = world_bits(mm.names)
     pairs = list(product(mm.names, repeat=2))
-    return [rel_masks(bit, mm.up, [p for i, p in enumerate(pairs) if mask >> i & 1])
+    return [relation(mm.up, succ_masks(bit, [p for i, p in enumerate(pairs) if mask >> i & 1]))
             for mask in range(1 << len(pairs))]
 
 
