@@ -84,7 +84,8 @@ class KripkeModel:
         if not self.worlds:
             raise StructuralError("a model needs at least one world")
         for w in self.worlds:
-            if not w or any(ch.isspace() for ch in w):
+            # the model file format reads whitespace, '#', '/' and ';' as syntax
+            if not w or any(ch.isspace() or ch in "#/;" for ch in w):
                 raise StructuralError(f"bad world id {w!r}")
         for (w, v) in self.leq:
             if w not in self.worlds or v not in self.worlds:
@@ -528,6 +529,7 @@ def load_model(text: str) -> tuple[KripkeModel, str | None]:
     val_pos: dict[int, set] = {}
     val_neg: dict[int, set] = {}
     point = None
+    first_r: dict[Kind, int] = {}  # the line of the first r line of each shape
 
     def atom_index(tok, ln):
         if not tok.startswith("p") or not (tok[1:].isascii() and tok[1:].isdigit()):
@@ -563,10 +565,12 @@ def load_model(text: str) -> tuple[KripkeModel, str | None]:
                 xs_raw, ys_raw = (s.strip() for s in mid.split(";", 1))
                 idx = bi(xs_raw.split(), ys_raw.split())
                 cond_r.setdefault(idx, set()).add((src, tgt))
+                first_r.setdefault(Kind.COND, ln)
             else:
                 if len(parts) != 3:
                     raise ModelFormatError(f"line {ln}: modal r takes two ids")
                 modal_r.add((parts[1], parts[2]))
+                first_r.setdefault(Kind.MODAL, ln)
         elif head in ("val+", "val-"):
             if len(parts) < 2:
                 raise ModelFormatError(f"line {ln}: {head} takes an atom")
@@ -582,6 +586,12 @@ def load_model(text: str) -> tuple[KripkeModel, str | None]:
 
     if kind is None:
         raise ModelFormatError("missing 'kind' line")
+    # the kind line may come last, so r lines are matched to it here
+    stray = min(((ln, shape) for shape, ln in first_r.items() if shape is not kind),
+                default=None)
+    if stray:
+        ln, shape = stray
+        raise ModelFormatError(f"line {ln}: {shape.value} r line in a {kind.value} model")
     leq |= {(w, w) for w in worlds}
     access = modal_r if kind is Kind.MODAL else (cond_r if kind is Kind.COND else None)
     model = KripkeModel(kind, worlds, leq, access, val_pos, val_neg)

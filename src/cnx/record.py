@@ -6,7 +6,9 @@ Instances are frozen, compare equal when they are of the same class and
 their fields are equal, hash as the tuple of their fields, and print as
 `Cls(field=value, ...)`.  `__post_init__`, when a class defines it, runs
 after the fields are set.  `__init_subclass__` records the fields once;
-every method is shared by all records.
+every method is shared by all records.  Formulas (cnx.syntax.Formula) are
+records built through an intern table instead, so for them equality is
+identity.
 """
 
 from __future__ import annotations
@@ -29,42 +31,41 @@ def _given(*values) -> tuple:
     return tuple(v for v in values if v is not _MISSING)
 
 
+def field_values(cls, args: tuple, kwargs: dict) -> tuple:
+    """The field values of the call cls(*args, **kwargs), in field order, or
+    the TypeError that a frozen dataclass's generated __init__ raises."""
+    fields = cls.__match_args__
+    if len(args) > len(fields):
+        n = len(fields)
+        raise TypeError(f"{cls.__name__}() takes {n} positional argument{'s' * (n != 1)} "
+                        f"but {len(args)} {'was' if len(args) == 1 else 'were'} given")
+    for name in fields[:len(args)]:
+        if name in kwargs:
+            raise TypeError(f"{cls.__name__}() got multiple values for argument {name!r}")
+    args = [*args]
+    for name in fields[len(args):]:
+        value = kwargs.pop(name, cls._defaults.get(name, _MISSING))
+        if value is _MISSING:
+            raise TypeError(f"{cls.__name__}() missing argument {name!r}")
+        args.append(value)
+    if kwargs:
+        raise TypeError(f"{cls.__name__}() got an unexpected argument {[*kwargs][0]!r}")
+    return tuple(args)
+
+
 def _init(self, *args, **kwargs):
     cls = type(self)
     fields = cls.__match_args__
     if kwargs or len(args) != len(fields):
-        if len(args) > len(fields):
-            n = len(fields)
-            raise TypeError(f"{cls.__name__}() takes {n} positional argument{'s' * (n != 1)} "
-                            f"but {len(args)} {'was' if len(args) == 1 else 'were'} given")
-        for name in fields[:len(args)]:
-            if name in kwargs:
-                raise TypeError(f"{cls.__name__}() got multiple values for argument {name!r}")
-        args = [*args]
-        for name in fields[len(args):]:
-            value = kwargs.pop(name, cls._defaults.get(name, _MISSING))
-            if value is _MISSING:
-                raise TypeError(f"{cls.__name__}() missing argument {name!r}")
-            args.append(value)
-        if kwargs:
-            raise TypeError(f"{cls.__name__}() got an unexpected argument {[*kwargs][0]!r}")
+        args = field_values(cls, args, kwargs)
     for name, value in zip(fields, args):
         _set(self, name, value)
     if cls._post_init:
         self.__post_init__()
 
 
-# the same for one and two positional arguments, the common calls, without
-# the packing of *args; any other call goes to _init, which checks it
-def _init1(self, a=_MISSING, /, *more, **kwargs):
-    if kwargs or more or a is _MISSING:
-        return _init(self, *_given(a), *more, **kwargs)
-    cls = type(self)
-    _set(self, cls.__match_args__[0], a)
-    if cls._post_init:
-        self.__post_init__()
-
-
+# the same for two positional arguments, the common call, without the
+# packing of *args; any other call goes to _init, which checks it
 def _init2(self, a=_MISSING, b=_MISSING, /, *more, **kwargs):
     if kwargs or more or b is _MISSING:
         return _init(self, *_given(a, b), *more, **kwargs)
@@ -88,7 +89,7 @@ class Record:
         cls._post_init = hasattr(cls, "__post_init__")
         # the fields as a tuple; a lone field bare, which __hash__ wraps
         cls._key = attrgetter(*fields) if fields else staticmethod(_no_fields)
-        cls.__init__ = {1: _init1, 2: _init2}.get(len(fields), _init)
+        cls.__init__ = _init2 if len(fields) == 2 else _init
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")

@@ -3,10 +3,10 @@
 Verification ('+') and falsification ('-') are computed together by one
 bitset evaluator.  A formula or consecution is compiled once per model kind,
 which is when its language is checked, into a topologically ordered tuple of
-hash-consed subformula nodes: equal subformulas share one node.  A run of the
-program on a model's mask form (model.masks_of, where world sets are ints)
-labels every node with its bi-extension as a (pos, neg) pair of masks, in one
-loop.  Compiled programs are cached per (formula or consecution, kind) and
+subformula nodes, one per distinct subformula (formulas are interned, so equal
+subformulas are one object).  A run of the program on a model's mask form
+(model.masks_of, where world sets are ints) labels every node with its
+bi-extension as a (pos, neg) pair of masks, in one loop.  Compiled programs are cached per (formula or consecution, kind) and
 the mask form on the model; both are pure functions of their keys, so results
 are independent of evaluation order and cache state.
 """
@@ -20,8 +20,8 @@ from .errors import LanguageMismatch, UnknownWorld
 from .model import (LANGUAGES, BiSet, Kind, KripkeModel, MaskModel, PointedModel,
                     masks_of, world_set)
 from .record import Record
-from .syntax import (LANGUAGE_BITS, LANGUAGE_OF_CODE, And, Atom, Box, Dia, Formula,
-                     Imp, MightTo, Neg, Or, WouldTo)
+from .syntax import (And, Atom, Box, Dia, Formula, Imp, MightTo, Neg, Or, WouldTo,
+                     language_of)
 
 SIGNS = ("+", "-")
 
@@ -52,30 +52,26 @@ class Program(NamedTuple):
 def _compile(gamma: tuple, delta: tuple, kind: Kind) -> Program:
     ids: dict[Formula, int] = {}
     nodes = []
-    codes = []  # the language code of each node (syntax.LANGUAGE_BITS)
 
     def node(f) -> int:
         i = ids.get(f)
         if i is None:
             cls = type(f)
             if cls is Atom:
-                entry, code = (_ATOM, f.index, 0), 0
+                entry = (_ATOM, f.index, 0)
             elif cls in (Neg, Box, Dia):
-                a = node(f.body)
-                entry, code = (_OPS[cls], a, 0), codes[a]
+                entry = (_OPS[cls], node(f.body), 0)
             elif cls in _OPS:
-                a, b = node(f.left), node(f.right)
-                entry, code = (_OPS[cls], a, b), codes[a] | codes[b]
+                entry = (_OPS[cls], node(f.left), node(f.right))
             else:
                 raise TypeError(f"not a formula: {f!r}")
             i = ids[f] = len(nodes)
             nodes.append(entry)
-            codes.append(code | LANGUAGE_BITS.get(cls, 0))
         return i
 
     g, d = tuple(map(node, gamma)), tuple(map(node, delta))
-    for i in g + d:
-        tag = LANGUAGE_OF_CODE[codes[i]]
+    for f in gamma + delta:
+        tag = language_of(f)
         if tag not in LANGUAGES[kind]:
             raise LanguageMismatch(
                 f"{tag.value} formula cannot be evaluated on a {kind.value} model")

@@ -12,9 +12,10 @@ import functools
 import re
 from enum import Enum
 from typing import Callable
+from weakref import KeyedRef
 
 from .errors import FormulaSyntaxError
-from .record import Record
+from .record import Record, field_values
 
 _set = object.__setattr__
 
@@ -26,60 +27,58 @@ class LanguageTag(Enum):
     MIXED = "Mixed"
 
 
+# the one node of each distinct formula: (class, *fields) -> a weak reference
+# to the node, whose entry goes when the node is freed
+_NODES: dict[tuple, KeyedRef] = {}
+
+
+def _forget(dead: KeyedRef, nodes=_NODES) -> None:
+    # the entry may already hold a newer node of the same key
+    if nodes.get(dead.key) is dead:
+        del nodes[dead.key]
+
+
 class Formula(Record):
-    """A core formula: one of the nine constructors below.  Its hash, and its
-    language code (language_of), are computed once and kept on the node."""
+    """A core formula: one of the nine constructors below.  Formulas are
+    hash-consed: a call cls(*fields) returns the one node of its class and
+    fields (_NODES), built the first time, so equal formulas are one object
+    and == is `is`.  A node's hash (that of its field tuple), language code
+    (language_of) and depth are computed when it is built, from its
+    children; a field that is not a formula counts as an atom."""
 
-    _hash = None
-    _language = None
+    __eq__ = object.__eq__
 
-    # formula nodes are hashed millions of times during bounded search, and
-    # the hash of the fields would re-walk the whole tree on every call
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.__init__ = object.__init__  # __new__ sets the fields, once
+
+    def __new__(cls, *args, **kwargs):
+        if kwargs or len(args) != len(cls.__match_args__):
+            args = field_values(cls, args, kwargs)
+        key = (cls, *args)
+        node = _NODES.get(key)
+        if node is not None and (f := node()) is not None:
+            return f
+        f = object.__new__(cls)
+        code, height = LANGUAGE_BITS.get(cls, 0), 0
+        for name, value in zip(cls.__match_args__, args):
+            _set(f, name, value)
+            if isinstance(value, Formula):
+                code |= value._language
+                if value._depth > height:
+                    height = value._depth
+        _set(f, "_hash", hash(args))
+        _set(f, "_language", code)
+        _set(f, "_depth", 0 if cls is Atom else height + 1)
+        _NODES[key] = KeyedRef(f, _forget, key)
+        return f
+
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = Record.__hash__(self)
-            _set(self, "_hash", h)
-        return h
+        return self._hash
 
-    # comparing the fields would walk a DAG of shared sugar as a tree, once
-    # per path to each shared node
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if type(other) is not type(self):
-            return NotImplemented
-        h, k = self._hash, other._hash
-        if h is not None and k is not None and h != k:
-            return False
-        return _same(self, other)
-
-
-def _same(f: Formula, g: Formula) -> bool:
-    """Whether two formulas are equal, comparing each pair of nodes once: a
-    pair met again is equal, or still pending, since any unequal pair ends
-    the comparison."""
-    seen = set()
-    stack = [(f, g)]
-    while stack:
-        f, g = stack.pop()
-        cls = type(f)
-        if type(g) is not cls:
-            return False
-        if cls is Atom:
-            if f.index != g.index:
-                return False
-        elif not isinstance(f, Formula):
-            if f != g:  # a field that is not a formula
-                return False
-        elif f is not g and (pair := (id(f), id(g))) not in seen:
-            seen.add(pair)
-            if cls in _BINARY_OPS:
-                stack.append((f.left, g.left))
-                stack.append((f.right, g.right))
-            elif cls in _PREFIX_OPS:
-                stack.append((f.body, g.body))
-    return True
+    # pickle and copy rebuild a formula through __new__
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, n) for n in self.__match_args__)
 
 
 class Atom(Formula):
@@ -217,23 +216,7 @@ LANGUAGE_OF_CODE = (LanguageTag.PL, LanguageTag.MD, LanguageTag.CN, LanguageTag.
 
 
 def language_of(f: Formula) -> LanguageTag:
-    return LANGUAGE_OF_CODE[_language_code(f)]
-
-
-def _language_code(f: Formula) -> int:
-    # kept on the node like its hash, so a shared subformula is classified once
-    code = f._language
-    if code is None:
-        cls = type(f)
-        if cls in _PREFIX_OPS:
-            code = _language_code(f.body)
-        elif cls in _BINARY_OPS:
-            code = _language_code(f.left) | _language_code(f.right)
-        else:
-            code = 0
-        code |= LANGUAGE_BITS.get(cls, 0)
-        _set(f, "_language", code)
-    return code
+    return LANGUAGE_OF_CODE[f._language]
 
 
 def map_formula(f: Formula, fn: Callable[[Formula], Formula]) -> Formula:
@@ -266,22 +249,8 @@ def substitute(phi: Formula, psi: Formula, p: int) -> Formula:
 
 
 def depth(f: Formula) -> int:
-    memo = {}  # each distinct node once, as in map_formula
-
-    def go(g: Formula) -> int:
-        d = memo.get(id(g))
-        if d is None:
-            cls = type(g)
-            if cls is Atom:
-                d = 0
-            elif cls in _PREFIX_OPS:
-                d = 1 + go(g.body)
-            else:
-                d = 1 + max(go(g.left), go(g.right))
-            memo[id(g)] = d
-        return d
-
-    return go(f)
+    """The connectives on f's longest path from the root to an atom."""
+    return f._depth
 
 
 # ---------------------------------------------------------------------------
@@ -333,9 +302,6 @@ MAX_DEPTH = 100
 
 _PREFIX = {op: cls for cls, op in _PREFIX_OPS.items()}
 _BINARY = {**{op: cls for cls, op in _BINARY_OPS.items()}, **SUGAR}
-# at most this many levels are added above an operand once the operator is
-# expanded into the core
-_BINARY_DEPTH = {op: depth(make(Atom(0), Atom(0))) for op, make in _BINARY.items()}
 
 # a balanced parenthesized group nested at most 16 deep (the corpus nests 13);
 # a deeper group is parsed afresh each time
@@ -346,11 +312,11 @@ _GROUP_RE = re.compile(functools.reduce(
 class Parser:
     """Reads formulas from text[pos:], lexing each token when it is needed:
     the current one is `tok` of `kind` (a group of _TOKEN_RE, "end" at the
-    end), from `start` to `end`.  Each level returns (formula, depth), so the
-    depth cap is checked as nodes are built; only parentheses recurse.  `memo`
-    maps each group's text to (formula, depth, parenthesis depth inside), so
-    a group seen again in the same parse or proof file is neither lexed nor
-    rebuilt, and its formula is shared."""
+    end), from `start` to `end`.  Each node's depth is checked against the
+    cap as it is built; only parentheses recurse.  `memo` maps each group's
+    text to (formula, parenthesis depth inside), so a group seen again in the
+    same parse or proof file is not lexed again; formulas are interned, so
+    it is one node wherever it occurs."""
 
     def __init__(self, text: str, memo: dict, pos: int = 0):
         self.text = text
@@ -377,16 +343,15 @@ class Parser:
         return FormulaSyntaxError(f"formula nested more than {MAX_DEPTH} levels deep",
                                   self.start)
 
-    def _binary(self, op: str, left, right) -> tuple[Formula, int]:
-        d = max(left[1], right[1]) + _BINARY_DEPTH[op]
-        if d > MAX_DEPTH:
+    def _capped(self, f: Formula) -> Formula:
+        if f._depth > MAX_DEPTH:
             raise self._too_deep()
-        return _BINARY[op](left[0], right[0]), d
+        return f
 
     def formula(self) -> Formula:
-        return self.equiv()[0]
+        return self.equiv()
 
-    def equiv(self) -> tuple[Formula, int]:
+    def equiv(self) -> Formula:
         left = self.arrow()
         op = self.take_op(_EQUIVS)
         if op is None:
@@ -395,9 +360,9 @@ class Parser:
         if self.tok in _EQUIVS:
             raise FormulaSyntaxError("equivalences do not associate", self.start,
                                      expected="parentheses around the inner equivalence")
-        return self._binary(op, left, right)
+        return self._capped(_BINARY[op](left, right))
 
-    def arrow(self) -> tuple[Formula, int]:
+    def arrow(self) -> Formula:
         # right-associative across the whole family
         operands = [self.disj()]
         ops = []
@@ -406,61 +371,61 @@ class Parser:
             operands.append(self.disj())
         f = operands.pop()
         while ops:
-            f = self._binary(ops.pop(), operands.pop(), f)
+            f = self._capped(_BINARY[ops.pop()](operands.pop(), f))
         return f
 
-    def disj(self) -> tuple[Formula, int]:
+    def disj(self) -> Formula:
         f = self.conj()
         while self.take_op({"|"}):
-            f = self._binary("|", f, self.conj())
+            f = self._capped(Or(f, self.conj()))
         return f
 
-    def conj(self) -> tuple[Formula, int]:
+    def conj(self) -> Formula:
         f = self.unary()
         while self.take_op({"&"}):
-            f = self._binary("&", f, self.unary())
+            f = self._capped(And(f, self.unary()))
         return f
 
-    def unary(self) -> tuple[Formula, int]:
+    def unary(self) -> Formula:
         prefixes = []
         while (op := self.take_op(_PREFIX)) is not None:
             prefixes.append(_PREFIX[op])
         if self.kind == "atom":
-            f, d = Atom(int(self.tok[1:])), 0
+            f = Atom(int(self.tok[1:]))
             self.seek(self.end)
         elif self.tok == "(":
-            f, d = self.group()
+            f = self.group()
         else:
             raise FormulaSyntaxError("formula ended unexpectedly" if self.kind == "end"
                                      else f"unexpected token {self.tok!r}", self.start,
                                      expected="an atom, '~', '[]', '<>' or '('")
-        if d + len(prefixes) > MAX_DEPTH:
-            raise self._too_deep()
         for cls in reversed(prefixes):
             f = cls(f)
-        return f, d + len(prefixes)
+        if f._depth > MAX_DEPTH:
+            raise self._too_deep()
+        return f
 
-    def group(self) -> tuple[Formula, int]:
+    def group(self) -> Formula:
         start, outer = self.start, self.parens
         m = _GROUP_RE.match(self.text, start)
         hit = m and self.memo.get(m.group())
         # a group reused deeper than the cap is parsed again, to fail there
-        if hit and outer + hit[2] <= MAX_DEPTH:
-            self.deepest = max(self.deepest, outer + hit[2])
+        if hit and outer + hit[1] <= MAX_DEPTH:
+            self.deepest = max(self.deepest, outer + hit[1])
             self.seek(m.end())
-            return hit[:2]
+            return hit[0]
         self.parens = inner = outer + 1
         if inner > MAX_DEPTH:
             raise self._too_deep()
         enclosing, self.deepest = self.deepest, inner
         self.seek(self.end)
-        f, d = self.equiv()
+        f = self.equiv()
         if self.tok != ")":
             raise FormulaSyntaxError("unclosed parenthesis", self.start, expected="')'")
-        self.memo[self.text[start:self.end]] = f, d, self.deepest - outer
+        self.memo[self.text[start:self.end]] = f, self.deepest - outer
         self.parens, self.deepest = outer, max(enclosing, self.deepest)
         self.seek(self.end)
-        return f, d
+        return f
 
 
 def parse(text: str) -> Formula:

@@ -166,6 +166,46 @@ def test_fixture_round_trip_through_validate(tmp_path, capsys):
         assert out3 == out
 
 
+@pytest.mark.parametrize("text, argv, message", [
+    # each was read, its r line dropped, and gave the answer in the comment
+    ("kind prop\nworld a\nr a a\n", ("validate", "-C", "P"),
+     "line 3: modal r line in a prop model"),  # ok
+    ("kind cond\nworld a\nr a a\n", ("check", "-w", "a", "~(p0 ?> p0)"),
+     "line 3: modal r line in a cond model"),  # false
+    ("kind modal\nworld a\nr a / a ; / a\n", ("check", "-w", "a", "<>(p0 -> p0)"),
+     "line 3: cond r line in a modal model"),  # false
+])
+def test_model_r_line_of_another_shape_exit_2(tmp_path, capsys, text, argv, message):
+    f = tmp_path / "m.kmd"
+    f.write_text(text)
+    code, out, err = run(capsys, argv[0], "-m", str(f), *argv[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}")
+
+
+def test_model_r_lines_of_the_kind_still_count(tmp_path, capsys):
+    for text, formula, answer in (("kind modal\nworld a\nr a a\n", "<>(p0 -> p0)", "true"),
+                                  ("kind cond\nworld a\nr a / a ; / a\n",
+                                   "~(p0 ?> p0)", "false")):
+        f = tmp_path / "m.kmd"
+        f.write_text(text)
+        code, out, _ = run(capsys, "check", "-m", str(f), "-w", "a", formula)
+        assert out.strip() == answer and code == (answer == "false")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("kind prop\nworld a/b\n", "bad world id 'a/b'"),
+    ("kind prop\nworld a;b\n", "bad world id 'a;b'"),
+    # the r line names the world as it must, and reads as a bad conditional triple
+    ("kind modal\nworld a/b\nworld c\nr a/b c\n", "line 4: cond r is 'r SRC / X ; Y / TGT'"),
+])
+def test_world_id_with_model_format_syntax_exit_2(tmp_path, capsys, text, message):
+    f = tmp_path / "m.kmd"
+    f.write_text(text)
+    code, out, err = run(capsys, "validate", "-m", str(f), "-C", "P")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_validate_violations_exit_1(tmp_path, capsys):
     _, out, _ = run(capsys, "fixture", "show", "M2")
     f = tmp_path / "m2.kmd"

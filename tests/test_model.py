@@ -1,9 +1,10 @@
 import itertools
+import random
 
 import pytest
 
-from conftest import preorders
-from cnx.errors import StructuralError, UnknownFixture
+from conftest import preorders, random_cond_model, random_modal_model, random_prop_model
+from cnx.errors import ModelFormatError, StructuralError, UnknownFixture
 from cnx.model import (FIXTURE_CLASS, FIXTURE_NAMES, BiSet, FrameClass, Kind,
                        KripkeModel, bi, close_valuations, closure_faults, fs_faults,
                        get_fixture, load_model, relation, serialize_model,
@@ -205,6 +206,47 @@ def test_model_file_roundtrip_all_fixtures():
         assert m2.val_pos == pm.model.val_pos
         assert m2.val_neg == pm.model.val_neg
         assert m2.access == pm.model.access
+
+
+def same_model(m1, m2) -> bool:
+    return (m1.kind, m1.worlds, m1.leq, m1.access, m1.val_pos, m1.val_neg) == \
+        (m2.kind, m2.worlds, m2.leq, m2.access, m2.val_pos, m2.val_neg)
+
+
+def test_model_file_roundtrip_random_models():
+    rnd = random.Random(37)
+    kinds = set()
+    for make in (random_prop_model, random_modal_model, random_cond_model) * 100:
+        m = make(rnd, 3, (0, 1, 2))
+        point = rnd.choice(sorted(m.worlds) + [None])
+        m2, point2 = load_model(serialize_model(m, point))
+        assert same_model(m, m2) and point2 == point
+        kinds.add((m.kind, bool(m.access)))
+    assert kinds == {(Kind.PROP, False), (Kind.MODAL, False), (Kind.MODAL, True),
+                     (Kind.COND, False), (Kind.COND, True)}
+
+
+@pytest.mark.parametrize("w", ["x#y", "a/b", "a;b", "#", "a b", ""])
+def test_world_ids_exclude_the_model_format_syntax(w):
+    with pytest.raises(StructuralError, match="bad world id"):
+        KripkeModel(Kind.PROP, {w}, {(w, w)})
+    with pytest.raises(StructuralError, match="bad world id"):
+        KripkeModel(Kind.MODAL, {"v", w}, set())
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("kind prop\nworld a\nr a a\n", 3, "modal r line in a prop model"),
+    ("kind prop\nworld a\nr a / ; / a\n", 3, "cond r line in a prop model"),
+    ("kind cond\nworld a\nr a / a ; / a\nr a a\n", 4, "modal r line in a cond model"),
+    ("kind modal\nworld a\nr a a\nr a / a ; / a\n", 4, "cond r line in a modal model"),
+    # the kind line may come after the r lines
+    ("r a a\nr a / ; / a\nworld a\nkind modal\n", 2, "cond r line in a modal model"),
+    ("r a / ; / a\nr a a\nworld a\nkind modal\n", 1, "cond r line in a modal model"),
+])
+def test_model_file_rejects_r_lines_of_another_shape(text, line, message):
+    with pytest.raises(ModelFormatError) as e:
+        load_model(text)
+    assert str(e.value) == f"line {line}: {message}"
 
 
 def test_model_file_implied_reflexivity_and_comments():

@@ -1,5 +1,9 @@
+import copy
+import gc
+import pickle
 import random
 import time
+import weakref
 
 import pytest
 
@@ -8,12 +12,12 @@ from conftest import (CN_CONNS, MD_CONNS, PL_CONNS, random_formula, ref_lex,
 from cnx.corpus import CORPUS_DIR
 from cnx.errors import FormulaSyntaxError
 from cnx.model import get_fixture
-from cnx.proof import parse_proof
+from cnx.proof import AXIOMS, instantiate, match_scheme, parse_proof
 from cnx.semantics import sat
 from cnx.syntax import (MAX_DEPTH, SUGAR, And, Atom, Box, Dia, Imp, LanguageTag,
                         MightTo, Neg, Or, Parser, WouldTo, atoms_of, check_lexable,
-                        depth, language_of, map_formula, parse, render, strong_iff,
-                        substitute)
+                        _NODES, depth, language_of, map_formula, parse, render, strong_iff,
+                        strong_strict_imp, strong_would, substitute)
 from cnx.transform import i_translate, tr_phi
 
 p0, p1, p2 = Atom(0), Atom(1), Atom(2)
@@ -142,7 +146,7 @@ def test_formula_equality_matches_the_tree():
     # repr spells out the tree, shared nodes once per occurrence
     for seed in range(100):
         f, g = (shared_formula(random.Random(seed), 3) for _ in range(2))
-        assert f is not g and f == g and not f != g
+        assert f is g and f == g and not f != g
         h = shared_formula(random.Random(seed + 1), 3)
         assert (f == h) == (repr(f) == repr(h)) == (not f != h)
 
@@ -153,10 +157,107 @@ def test_formula_equality_compares_shared_nodes_once():
     chain = "(p1 <=> " * 11 + "p0" + ")" * 11
     f = parse(chain)
     for other, equal in ((parse(chain), True), (parse(chain.replace("p0", "p2")), False)):
-        assert f is not other
+        assert (f is other) is equal
         start = time.perf_counter()
         assert (f == other) is equal
         assert time.perf_counter() - start < 1
+
+
+def test_equal_formulas_are_one_object():
+    # formulas are interned, so whichever way a formula is built, an equal
+    # one is the same node
+    text = "[](p0 => p1) & (p2 @=> ~p0)"
+    f = parse(text)
+    builds = [
+        parse(text),
+        parse(render(f)),
+        Parser(f"{text} ok", {}).formula(),
+        And(Box(And(Imp(p0, p1), Imp(Neg(p1), Neg(p0)))),
+            And(WouldTo(p2, Neg(p0)), WouldTo(Neg(Neg(p0)), Neg(p2)))),
+        And(right=strong_would(p2, Neg(p0)), left=strong_strict_imp(p0, p1)),
+        substitute(parse("[](p0 => p1) & (p3 @=> ~p0)"), p2, 3),
+        map_formula(parse("<>(p0 => p1) & (p2 @=> ~p0)"),
+                    lambda g: Box(g.body) if type(g) is Dia else g),
+        instantiate(parse("p0 & (p1 @=> ~p2)"), {"phi": f.left, "psi": p2, "chi": p0}),
+        copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f)),
+    ]
+    for g in builds:
+        assert g is f
+    a1 = instantiate(AXIOMS["a1"], {"phi": f, "psi": p1})
+    assert a1 is parse(f"({text}) -> (p1 -> ({text}))")
+    assert match_scheme(a1, AXIOMS["a1"]) == {"phi": f, "psi": p1}
+    assert tr_phi(p0, Box(f.left.body)) is WouldTo(p0, f.left.body)
+    assert tr_phi(p2, parse("[]p0 -> <>p1")) is parse("(p2 @> p0) -> (p2 ?> p1)")
+    # equal fields of another class, or of a twin record, are another formula
+    assert Neg(p0) is not Box(p0) and Imp(p0, p1) is not WouldTo(p0, p1)
+    assert Atom(0) is p0 and Atom(index=0) is p0
+
+
+def test_dropped_formulas_leave_the_table():
+    gc.collect()
+    before = len(_NODES)
+    f = parse("p900001 -> (p900002 & ~p900001)")
+    nodes = [f, f.left, f.right, f.right.left, f.right.right]
+    assert len(_NODES) == before + len(nodes)
+    assert sorted(id(r()) for r in _NODES.values() if r() in nodes) == sorted(map(id, nodes))
+    refs = [weakref.ref(g) for g in nodes]
+    del f, nodes
+    gc.collect()
+    assert all(r() is None for r in refs)
+    assert len(_NODES) == before
+    assert not any(k[0] is Atom and k[1] > 900_000 for k in _NODES)
+    # built again, it is a new node, which the table holds
+    g = parse("p900001 -> (p900002 & ~p900001)")
+    assert _NODES[(Imp, g.left, g.right)]() is g
+
+
+def tree_language(f):
+    """language_of from its definition: which operators occur in f's tree."""
+    def classes(g):
+        if type(g) is Atom:
+            return set()
+        return {type(g)}.union(*map(classes, children(g)))
+    found = classes(f)
+    modal, cond = bool(found & {Box, Dia}), bool(found & {WouldTo, MightTo})
+    return {(False, False): LanguageTag.PL, (True, False): LanguageTag.MD,
+            (False, True): LanguageTag.CN, (True, True): LanguageTag.MIXED}[modal, cond]
+
+
+def children(g):
+    if type(g) is Atom:
+        return ()
+    if type(g) in (Neg, Box, Dia):
+        return (g.body,)
+    return (g.left, g.right)
+
+
+def subformulas(f):
+    """The distinct nodes of f."""
+    seen, stack = {}, [f]
+    while stack:
+        g = stack.pop()
+        if id(g) not in seen:
+            seen[id(g)] = g
+            stack += children(g)
+    return seen.values()
+
+
+def test_node_language_and_depth_match_a_tree_walk():
+    rnd = random.Random(29)
+    sample = [shared_formula(rnd, rnd.randint(0, 3)) for _ in range(150)]
+    corpus = []
+    for path in sorted(CORPUS_DIR.rglob("*.prf")):
+        proof = parse_proof(path.read_text())
+        corpus += proof.hypotheses + proof.goals + tuple(l.formula for l in proof.lines)
+    assert len(corpus) > 3_000
+    checked = 0
+    for f in sample + corpus:
+        for g in subformulas(f):
+            assert language_of(g) is tree_language(g), g
+            assert depth(g) == tree_depth(g), g
+            checked += 1
+    assert checked > 20_000
+    assert {language_of(f) for f in corpus} == set(LanguageTag) - {LanguageTag.MIXED}
 
 
 def test_shared_sugar_chain_is_mapped_once_per_node():
