@@ -37,11 +37,6 @@ def _read(path: str) -> str:
     return Path(path).read_text()
 
 
-def _load_model_arg(path: str):
-    model, point = load_model(_read(path))
-    return model, point
-
-
 def _frame_class(name: str) -> FrameClass:
     for fc in FrameClass:
         if fc.value == name:
@@ -55,14 +50,14 @@ def cmd_parse(args) -> int:
 
 
 def cmd_check(args) -> int:
-    model, _ = _load_model_arg(args.model)
+    model, _ = load_model(_read(args.model))
     result = sat(model, args.world, parse(args.formula), args.sign)
     print("true" if result else "false")
     return OK if result else NEGATIVE
 
 
 def cmd_biext(args) -> int:
-    model, _ = _load_model_arg(args.model)
+    model, _ = load_model(_read(args.model))
     ext = biextension(model, parse(args.formula))
     print("+ " + " ".join(sorted(ext.pos)))
     print("- " + " ".join(sorted(ext.neg)))
@@ -172,7 +167,7 @@ def cmd_fixture(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    model, _ = _load_model_arg(args.model)
+    model, _ = load_model(_read(args.model))
     if args.close:
         model = close_valuations(model)
     report = validate_model(model, _frame_class(args.frame_class))

@@ -52,15 +52,9 @@ CONNECTIVES: dict[str, Callable[[Formula, Formula], Formula]] = {
     "?=>": strong_might,
 }
 
-_MODAL_CONNECTIVES = {"#>", "#=>"}
-
 
 def connective_defined_in(conn: str, logic: Logic) -> bool:
-    if conn in ("->", "=>"):
-        return True
-    if conn in _MODAL_CONNECTIVES:
-        return logic is Logic.CnK
-    return logic in (Logic.CnCK, Logic.CnCK_R)
+    return logic.admits(CONNECTIVES[conn](Atom(0), Atom(1)))
 
 
 def thesis_instance(conn: str, thesis: Thesis,
@@ -257,15 +251,14 @@ def run_thesis(logic: Logic, conn: str, thesis: Thesis,
 DEFAULT_BOUNDS = SearchBounds(max_worlds=2, atoms=(0, 1), max_cond_indices=2)
 
 
-def run_suite(logic: Logic, conn: str,
-              bounds: SearchBounds = DEFAULT_BOUNDS) -> ConnexivityReport:
+def run_suite(logic: Logic, conn: str) -> ConnexivityReport:
     if conn not in CONNECTIVES:
         raise ValueError(f"unknown connective {conn!r}")
     if not connective_defined_in(conn, logic):
         raise LanguageMismatch(
             f"{conn} is not expressible in the language of {logic.value}")
     load_corpus()
-    statuses = tuple(run_thesis(logic, conn, thesis, bounds)
+    statuses = tuple(run_thesis(logic, conn, thesis, DEFAULT_BOUNDS)
                      for thesis in Thesis)
     return ConnexivityReport(logic, conn, statuses)
 
@@ -273,7 +266,7 @@ def run_suite(logic: Logic, conn: str,
 ALL_CELLS: tuple[tuple[Logic, str], ...] = tuple(
     (logic, conn)
     for logic in Logic
-    for conn in ("->", "=>", "#>", "#=>", "@>", "?>", "@=>", "?=>")
+    for conn in CONNECTIVES
     if connective_defined_in(conn, logic))
 
 

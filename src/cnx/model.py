@@ -545,6 +545,8 @@ def load_model(text: str) -> tuple[KripkeModel, str | None]:
         if head == "kind":
             if len(parts) != 2 or parts[1] not in ("prop", "modal", "cond"):
                 raise ModelFormatError(f"line {ln}: kind must be prop|modal|cond")
+            if kind is not None:
+                raise ModelFormatError(f"line {ln}: a second 'kind' line")
             kind = Kind(parts[1])
         elif head == "world":
             if len(parts) != 2:
@@ -580,6 +582,8 @@ def load_model(text: str) -> tuple[KripkeModel, str | None]:
         elif head == "point":
             if len(parts) != 2:
                 raise ModelFormatError(f"line {ln}: point takes one id")
+            if point is not None:
+                raise ModelFormatError(f"line {ln}: a second 'point' line")
             point = parts[1]
         else:
             raise ModelFormatError(f"line {ln}: unknown directive {head!r}")

@@ -385,6 +385,8 @@ def parse_proof(text: str) -> Proof:
         at = len(code) - len(rest)  # where rest starts in the line
         try:
             if head in ("system", "kind", "name"):
+                if head in header:
+                    raise ProofFormatError(f"line {ln}: a second {head!r} line")
                 header[head] = rest
             elif head in ("hyp", "goal"):
                 (hyps if head == "hyp" else goals).append(
@@ -458,6 +460,8 @@ def _parse_just(p: Parser, ln: int) -> Justification:
         p.seek(p.end)
         if p.kind != "eq":
             raise ProofFormatError(f"line {ln}: expected '=' after {name}")
+        if name in binding:
+            raise ProofFormatError(f"line {ln}: {name} is bound twice")
         p.seek(p.end)
         binding[name] = p.formula()
     return AxiomJust(ax, binding or None)

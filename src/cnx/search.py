@@ -14,15 +14,15 @@ KripkeModel only for the witness; enumerate_models builds one per model.
 
 find_countermodel skips the conditional models that hold an index the query
 never consults.  A conditional looks up only the index equal to its
-antecedent's bi-extension.  When every antecedent is propositional, those
-bi-extensions depend on the valuation alone, so the consulted indices are
-known before any relation is chosen (semantics.consulted_indices), and only
-combinations of them are enumerated.  A skipped model evaluates exactly like
-the same model with its unconsulted indices dropped, which comes earlier: it
-has the same valuation and fewer indices.  The models kept are a subsequence
-of the full order, so the first hit and an exhausted verdict are those of
-the full enumeration.  Queries with a conditional antecedent try every
-combination of indices.
+antecedent's bi-extension.  When every antecedent is propositional, which
+the compiled program records, those bi-extensions depend on the valuation
+alone, so the consulted indices are known before any relation is chosen
+(semantics.consulted_indices), and only combinations of them are
+enumerated.  A skipped model evaluates exactly like the same model with its
+unconsulted indices dropped, which comes earlier: it has the same valuation
+and fewer indices.  The models kept are a subsequence of the full order, so
+the first hit and an exhausted verdict are those of the full enumeration.
+Queries with a conditional antecedent try every combination of indices.
 
 Within a combination, the relations are assigned depth first in the order
 of itertools.product, the first chosen index outermost.  Before the loop

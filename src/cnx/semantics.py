@@ -2,13 +2,14 @@
 
 Verification ('+') and falsification ('-') are computed together by one
 bitset evaluator.  A formula or consecution is compiled once per model kind,
-which is when its language is checked, into a topologically ordered tuple of
-subformula nodes, one per distinct subformula (formulas are interned, so equal
-subformulas are one object).  A run of the program on a model's mask form
-(model.masks_of, where world sets are ints) labels every node with its
-bi-extension as a (pos, neg) pair of masks, in one loop.  Compiled programs are cached per (formula or consecution, kind) and
-the mask form on the model; both are pure functions of their keys, so results
-are independent of evaluation order and cache state.
+which is when its language is checked, into a program: one node per distinct
+subformula, in the order of syntax.subformulas (children first; formulas are
+interned, so equal subformulas are one node).  A run of the program on a
+model's mask form (model.masks_of, where world sets are ints) labels every
+node with its bi-extension as a (pos, neg) pair of masks, in one loop.
+Compiled programs are cached per (formula or consecution, kind) and the mask
+form on the model; both are pure functions of their keys, so results are
+independent of evaluation order and cache state.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from .errors import LanguageMismatch, UnknownWorld
 from .model import (LANGUAGES, BiSet, Kind, KripkeModel, MaskModel, PointedModel,
                     masks_of, world_set)
 from .record import Record
-from .syntax import (And, Atom, Box, Dia, Formula, Imp, MightTo, Neg, Or, WouldTo,
-                     language_of)
+from .syntax import (And, Atom, Box, Dia, Formula, Imp, LanguageTag, MightTo, Neg, Or,
+                     WouldTo, language_of, subformulas)
 
 SIGNS = ("+", "-")
 
@@ -47,35 +48,31 @@ class Program(NamedTuple):
     nodes: tuple[tuple[int, int, int], ...]  # (op, child or atom index, child)
     gamma: tuple[int, ...]                   # the node of each gamma member
     delta: tuple[int, ...]                   # the node of each delta member
+    pl_antecedents: bool                     # every @>/?> antecedent is PL
 
 
 def _compile(gamma: tuple, delta: tuple, kind: Kind) -> Program:
-    ids: dict[Formula, int] = {}
+    ids: dict[int, int] = {}  # id of each subformula -> its node
     nodes = []
-
-    def node(f) -> int:
-        i = ids.get(f)
-        if i is None:
-            cls = type(f)
-            if cls is Atom:
-                entry = (_ATOM, f.index, 0)
-            elif cls in (Neg, Box, Dia):
-                entry = (_OPS[cls], node(f.body), 0)
-            elif cls in _OPS:
-                entry = (_OPS[cls], node(f.left), node(f.right))
-            else:
-                raise TypeError(f"not a formula: {f!r}")
-            i = ids[f] = len(nodes)
-            nodes.append(entry)
-        return i
-
-    g, d = tuple(map(node, gamma)), tuple(map(node, delta))
+    pl_antecedents = True
+    for i, f in enumerate(subformulas(*gamma, *delta)):
+        cls = type(f)
+        if cls is Atom:
+            nodes.append((_ATOM, f.index, 0))
+        elif cls in (Neg, Box, Dia):
+            nodes.append((_OPS[cls], ids[id(f.body)], 0))
+        else:
+            nodes.append((_OPS[cls], ids[id(f.left)], ids[id(f.right)]))
+            if cls in (WouldTo, MightTo) and language_of(f.left) is not LanguageTag.PL:
+                pl_antecedents = False
+        ids[id(f)] = i
     for f in gamma + delta:
         tag = language_of(f)
         if tag not in LANGUAGES[kind]:
             raise LanguageMismatch(
                 f"{tag.value} formula cannot be evaluated on a {kind.value} model")
-    return Program(tuple(nodes), g, d)
+    return Program(tuple(nodes), tuple(ids[id(f)] for f in gamma),
+                   tuple(ids[id(f)] for f in delta), pl_antecedents)
 
 
 @lru_cache(maxsize=4096)
@@ -165,22 +162,12 @@ def consulted_indices(prog: Program):
     masks that a run of prog can look up: the bi-extensions of those
     antecedents, which do not depend on conditional access.  None when some
     antecedent is itself conditional."""
-    antecedents = [a for op, a, _ in prog.nodes if op in (_WOULD, _MIGHT)]
-    propositional: list[bool] = []
-    for op, a, b in prog.nodes:
-        if op == _ATOM:
-            propositional.append(True)
-        elif op == _NEG:
-            propositional.append(propositional[a])
-        elif op in (_AND, _OR, _IMP):
-            propositional.append(propositional[a] and propositional[b])
-        else:
-            propositional.append(False)
-    if not all(propositional[a] for a in antecedents):
+    if not prog.pl_antecedents:
         return None
+    antecedents = [a for op, a, _ in prog.nodes if op in (_WOULD, _MIGHT)]
     # nodes are topologically ordered, so this prefix holds every antecedent
     # and its subformulas; the conditionals among them run without access
-    prefix = Program(prog.nodes[:max(antecedents, default=-1) + 1], (), ())
+    prefix = Program(prog.nodes[:max(antecedents, default=-1) + 1], (), (), True)
 
     def consulted(up: tuple[int, ...], vp: dict, vn: dict) -> set[tuple[int, int]]:
         vals = _run(prefix, MaskModel((), up, vp, vn, {}))

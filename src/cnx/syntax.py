@@ -190,23 +190,41 @@ SUGAR = {
 # ---------------------------------------------------------------------------
 # analysis helpers
 
-def atoms_of(f: Formula) -> frozenset[int]:
-    # each distinct node once: sugar expansion shares operands (a <=> b holds
-    # each side four times), so walking the tree would take exponential time
-    atoms, seen, stack = set(), set(), [f]
+_EXIT = object()  # marks, on subformulas' stack, a node whose children are done
+
+
+def subformulas(*roots: Formula) -> list[Formula]:
+    """Each distinct subformula of the roots once, children before parents,
+    left before right, the roots in the order given: the order in which a
+    recursive walk that skips the nodes it has seen finishes them.  Sugar
+    shares operands (a <=> b holds each side four times), so a tree walk would
+    take exponential time.  Every formula walk builds on this one; its stack is
+    explicit, so it takes any depth.  TypeError for a node that is not a formula."""
+    out, seen = [], set()
+    stack = [*reversed(roots)]
+    pop = stack.pop
     while stack:
-        g = stack.pop()
+        g = pop()
+        if g is _EXIT:
+            out.append(pop())
+            continue
         if id(g) in seen:
             continue
         seen.add(id(g))
         cls = type(g)
         if cls is Atom:
-            atoms.add(g.index)
+            out.append(g)
         elif cls in _PREFIX_OPS:
-            stack.append(g.body)
+            stack += (g, _EXIT, g.body)
+        elif cls in _BINARY_OPS:
+            stack += (g, _EXIT, g.right, g.left)
         else:
-            stack += (g.left, g.right)
-    return frozenset(atoms)
+            raise TypeError(f"not a formula: {g!r}")
+    return out
+
+
+def atoms_of(f: Formula) -> frozenset[int]:
+    return frozenset(g.index for g in subformulas(f) if type(g) is Atom)
 
 
 # the constructors that take a formula out of PL, as bits of a language code,
@@ -223,24 +241,17 @@ def map_formula(f: Formula, fn: Callable[[Formula], Formula]) -> Formula:
     """Rebuild f bottom up: each node is first rebuilt from its mapped
     children, then replaced by fn(node).  What fn returns is not walked again.
     A node shared within f is mapped once, and its image is shared."""
-    memo = {}
-
-    def go(g: Formula) -> Formula:
-        out = memo.get(id(g))
-        if out is None:
-            cls = type(g)
-            if cls in _PREFIX_OPS:
-                out = cls(go(g.body))
-            elif cls in _BINARY_OPS:
-                out = cls(go(g.left), go(g.right))
-            elif cls is Atom:
-                out = g
-            else:
-                raise TypeError(f"not a formula: {g!r}")
-            out = memo[id(g)] = fn(out)
-        return out
-
-    return go(f)
+    image = {}
+    for g in subformulas(f):
+        cls = type(g)
+        if cls is Atom:
+            out = g
+        elif cls in _PREFIX_OPS:
+            out = cls(image[id(g.body)])
+        else:
+            out = cls(image[id(g.left)], image[id(g.right)])
+        image[id(g)] = fn(out)
+    return image[id(f)]
 
 
 def substitute(phi: Formula, psi: Formula, p: int) -> Formula:
@@ -295,9 +306,10 @@ def check_lexable(text: str, start: int, extended: bool) -> None:
 # parser (recursive descent; precedence: prefix > & > | > arrows > equivalences)
 
 # Cap on formula depth (connectives after sugar expansion) and on parenthesis
-# nesting.  Parsing recurses about six frames per parenthesis, and render and
-# evaluation one frame per connective, so the cap keeps all of them far from
-# the interpreter's recursion limit.  The deepest corpus formula is 13 deep.
+# nesting.  Parsing recurses about six frames per parenthesis, and the cap
+# keeps it far from the interpreter's recursion limit.  No other formula walk
+# recurses (they all go through subformulas), so for them the cap is input
+# validation only.  The deepest corpus formula is 13 deep.
 MAX_DEPTH = 100
 
 _PREFIX = {op: cls for cls, op in _PREFIX_OPS.items()}
@@ -444,15 +456,14 @@ def parse(text: str) -> Formula:
 
 def render(f: Formula) -> str:
     """Fully parenthesized canonical text; parse(render(f)) == f."""
-    match f:
-        case Atom(index):
-            return f"p{index}"
-        case Neg(body):
-            return f"~({render(body)})"
-        case Box(body):
-            return f"[]({render(body)})"
-        case Dia(body):
-            return f"<>({render(body)})"
-        case _:
-            op = _BINARY_OPS[type(f)]
-            return f"({render(f.left)} {op} {render(f.right)})"
+    text = {}
+    for g in subformulas(f):
+        cls = type(g)
+        if cls is Atom:
+            out = f"p{g.index}"
+        elif cls in _PREFIX_OPS:
+            out = f"{_PREFIX_OPS[cls]}({text[id(g.body)]})"
+        else:
+            out = f"({text[id(g.left)]} {_BINARY_OPS[cls]} {text[id(g.right)]})"
+        text[id(g)] = out
+    return text[id(f)]

@@ -183,6 +183,39 @@ def test_model_r_line_of_another_shape_exit_2(tmp_path, capsys, text, argv, mess
     assert err.startswith(f"error: {message}")
 
 
+@pytest.mark.parametrize("text, argv, message", [
+    # each was read with its last kind or point line, and gave the answer in
+    # the comment
+    ("kind prop\nkind modal\nworld a\nr a a\n", ("validate", "-C", "FSM"),
+     "line 2: a second 'kind' line"),  # ok
+    ("kind prop\nworld a\nworld b\npoint b\npoint a\n", ("validate", "-C", "P"),
+     "line 5: a second 'point' line"),  # ok, at point a
+])
+def test_model_repeated_kind_or_point_exit_2(tmp_path, capsys, text, argv, message):
+    f = tmp_path / "m.kmd"
+    f.write_text(text)
+    code, out, err = run(capsys, argv[0], "-m", str(f), *argv[1:])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+_AXIOM_LINE = "goal p0 -> (p1 -> p0)\n1 p0 -> (p1 -> p0) axiom a1"
+
+
+@pytest.mark.parametrize("text, message", [
+    # each was checked with its last line or binding, and passed
+    (f"system C\nsystem CnK\nkind theorem\n{_AXIOM_LINE}\n", "line 2: a second 'system' line"),
+    (f"system C\nkind theorem\nname t\nname u\n{_AXIOM_LINE}\n",
+     "line 4: a second 'name' line"),
+    (f"system C\nkind theorem\n{_AXIOM_LINE} phi=p1 phi=p0 psi=p1\n",
+     "line 4: phi is bound twice"),
+])
+def test_proof_repeated_header_or_binding_exit_2(tmp_path, capsys, text, message):
+    f = tmp_path / "p.prf"
+    f.write_text(text)
+    code, out, err = run(capsys, "prove", "--no-corpus", str(f))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_model_r_lines_of_the_kind_still_count(tmp_path, capsys):
     for text, formula, answer in (("kind modal\nworld a\nr a a\n", "<>(p0 -> p0)", "true"),
                                   ("kind cond\nworld a\nr a / a ; / a\n",

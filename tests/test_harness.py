@@ -1,7 +1,7 @@
 import pytest
 
 from cnx.errors import LanguageMismatch
-from cnx.harness import (ALL_CELLS, BoundedEvidence, CountermodelEvidence,
+from cnx.harness import (ALL_CELLS, CONNECTIVES, BoundedEvidence, CountermodelEvidence,
                          ConnexivityReport, ProofEvidence, Thesis,
                          ThesisStatus, connective_defined_in, run_suite,
                          run_thesis, thesis_instance, DEFAULT_BOUNDS)
@@ -16,6 +16,16 @@ def test_cell_inventory():
     assert (Logic.C, "#>") not in ALL_CELLS
     assert (Logic.CnK, "@>") not in ALL_CELLS
     assert (Logic.CnCK_R, "?=>") in ALL_CELLS
+
+
+def test_connectives_are_defined_by_the_logic_language():
+    # -> and => are propositional, #> and #=> modal, the rest conditional
+    defined = {"->": set(Logic), "=>": set(Logic), "#>": {Logic.CnK}, "#=>": {Logic.CnK}}
+    for conn in CONNECTIVES:
+        for logic in Logic:
+            expected = logic in defined.get(conn, {Logic.CnCK, Logic.CnCK_R})
+            assert connective_defined_in(conn, logic) is expected, (conn, logic)
+    assert len(CONNECTIVES) * len(Logic) == 32
 
 
 def test_thesis_instances():

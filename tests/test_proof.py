@@ -186,6 +186,20 @@ class TestProofFiles:
         with pytest.raises(ProofFormatError):
             parse_proof("kind theorem\ngoal p0\n1 p0 hyp\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("system C\nsystem CnK\nkind theorem\n", "line 2: a second 'system' line"),
+        ("system C\nkind theorem\nkind entail\n", "line 3: a second 'kind' line"),
+        ("system C\nkind theorem\nname t\nname u\n", "line 4: a second 'name' line"),
+        ("system C\nkind theorem\ngoal p1 -> (p0 -> p1)\n"
+         "1 p1 -> (p0 -> p1) axiom a1 phi=p1 phi=p0 psi=p1\n", "line 4: phi is bound twice"),
+        ("system C\nkind theorem\n1 p0 -> (p0 -> p0) axiom a1 psi=p0 phi=p0 psi=p0\n",
+         "line 3: psi is bound twice"),
+    ])
+    def test_repeated_header_or_binding_is_rejected(self, text, message):
+        # each was read, the last line or binding taken
+        with pytest.raises(ProofFormatError, match=f"^{message}$"):
+            parse_proof(text)
+
     def test_strict_arrows_are_rejected_not_cut(self):
         for arrow in ("#>", "#=>", "<#>", "<#=>"):
             for line in (f"hyp p0 {arrow} p1", f"1 p0 {arrow} p1 hyp",

@@ -2,22 +2,24 @@ import copy
 import gc
 import pickle
 import random
+import sys
 import time
 import weakref
 
 import pytest
 
-from conftest import (CN_CONNS, MD_CONNS, PL_CONNS, random_formula, ref_lex,
-                      ref_parse, ref_parse_prefix)
+from conftest import (CN_CONNS, MD_CONNS, PL_CONNS, random_cond_model, random_formula,
+                      random_modal_model, random_prop_model, ref_lex, ref_parse,
+                      ref_parse_prefix)
 from cnx.corpus import CORPUS_DIR
 from cnx.errors import FormulaSyntaxError
-from cnx.model import get_fixture
+from cnx.model import LANGUAGES, KripkeModel, get_fixture
 from cnx.proof import AXIOMS, instantiate, match_scheme, parse_proof
-from cnx.semantics import sat
+from cnx.semantics import biextension, sat
 from cnx.syntax import (MAX_DEPTH, SUGAR, And, Atom, Box, Dia, Imp, LanguageTag,
                         MightTo, Neg, Or, Parser, WouldTo, atoms_of, check_lexable,
                         _NODES, depth, language_of, map_formula, parse, render, strong_iff,
-                        strong_strict_imp, strong_would, substitute)
+                        strong_strict_imp, strong_would, subformulas, substitute)
 from cnx.transform import i_translate, tr_phi
 
 p0, p1, p2 = Atom(0), Atom(1), Atom(2)
@@ -231,28 +233,74 @@ def children(g):
     return (g.left, g.right)
 
 
-def subformulas(f):
-    """The distinct nodes of f."""
-    seen, stack = {}, [f]
-    while stack:
-        g = stack.pop()
-        if id(g) not in seen:
-            seen[id(g)] = g
-            stack += children(g)
-    return seen.values()
+def ref_subformulas(*roots):
+    """subformulas from its definition: a recursive walk that lists each node
+    when it is done with the node's children, and skips a node listed before."""
+    out = []
+
+    def visit(g):
+        if g not in out:
+            for c in children(g):
+                visit(c)
+            out.append(g)
+
+    for f in roots:
+        visit(f)
+    return out
+
+
+def corpus_formulas():
+    """Every hypothesis, goal and line formula of the corpus files."""
+    out = []
+    for path in sorted(CORPUS_DIR.rglob("*.prf")):
+        proof = parse_proof(path.read_text())
+        out += proof.hypotheses + proof.goals + tuple(l.formula for l in proof.lines)
+    return out
+
+
+def ref_render(f):
+    """render from its definition, recursing through the tree."""
+    if type(f) is Atom:
+        return f"p{f.index}"
+    if type(f) in (Neg, Box, Dia):
+        return {Neg: "~", Box: "[]", Dia: "<>"}[type(f)] + f"({ref_render(f.body)})"
+    op = {And: "&", Or: "|", Imp: "->", WouldTo: "@>", MightTo: "?>"}[type(f)]
+    return f"({ref_render(f.left)} {op} {ref_render(f.right)})"
+
+
+def test_subformulas_match_a_recursive_walk():
+    rnd = random.Random(31)
+    sample = [shared_formula(rnd, rnd.randint(0, 3)) for _ in range(150)]
+    corpus = corpus_formulas()
+    assert len(corpus) > 3_000
+    for f in sample + corpus:
+        nodes = subformulas(f)
+        assert nodes == ref_subformulas(f), f
+        assert len(set(map(id, nodes))) == len(nodes) and nodes[-1] is f
+    # several roots in the order given, each node once however many share it
+    for f, g, h in zip(sample, sample[1:], corpus):
+        assert subformulas(f, g, h, f) == ref_subformulas(f, g, h)
+    assert subformulas() == []
+    for bad in ((p0, "p1"), (Neg("p1"),), (None,)):
+        with pytest.raises(TypeError, match="^not a formula: "):
+            subformulas(*bad)
+
+
+def test_render_is_unchanged_on_the_corpus():
+    for f in corpus_formulas():
+        text = render(f)
+        assert text == ref_render(f)
+        assert parse(text) is f
 
 
 def test_node_language_and_depth_match_a_tree_walk():
     rnd = random.Random(29)
     sample = [shared_formula(rnd, rnd.randint(0, 3)) for _ in range(150)]
-    corpus = []
-    for path in sorted(CORPUS_DIR.rglob("*.prf")):
-        proof = parse_proof(path.read_text())
-        corpus += proof.hypotheses + proof.goals + tuple(l.formula for l in proof.lines)
+    corpus = corpus_formulas()
     assert len(corpus) > 3_000
     checked = 0
     for f in sample + corpus:
-        for g in subformulas(f):
+        for g in ref_subformulas(f):
             assert language_of(g) is tree_language(g), g
             assert depth(g) == tree_depth(g), g
             checked += 1
@@ -267,11 +315,74 @@ def test_shared_sugar_chain_is_mapped_once_per_node():
     chain = "(p1 <=> " * 11 + "p0" + ")" * 11
     f = parse(chain)
     assert depth(f) == 44
+    # p0, p1, ~p1 and 8 nodes a level: the walk lists each once
+    assert len(subformulas(f)) == 91
     out = substitute(f, Neg(p2), 1)
     assert out == parse(chain.replace("p1", "~p2"))
     assert depth(out) == 45
     assert i_translate(f) == f
     assert tr_phi(p0, Box(f)) == WouldTo(p0, f)
+
+
+DEEP = 5_000
+
+
+def chain(step, base=p0):
+    """step applied DEEP times to base."""
+    f = base
+    for _ in range(DEEP):
+        f = step(f)
+    return f
+
+
+def unrolled_biextension(m, step, n):
+    """The bi-extension on m of step applied n times to p0, one application
+    at a time: the next is that of step(p9) on m with p9 valued as the last.
+    The sequence is eventually periodic, so it stops at its first repeat."""
+    exts = [biextension(m, p0)]
+    while exts[-1] not in exts[:-1]:
+        pos, neg = exts[-1]
+        m9 = KripkeModel(m.kind, m.worlds, m.leq, m.access,
+                         {**m.val_pos, 9: pos}, {**m.val_neg, 9: neg})
+        exts.append(biextension(m9, step(Atom(9))))
+    start = exts.index(exts[-1])
+    if n < len(exts):
+        return exts[n]
+    return exts[start + (n - start) % (len(exts) - 1 - start)]
+
+
+@pytest.mark.parametrize("step, tr_step, i_step", [
+    (Neg, Neg, Neg),
+    (Box, lambda x: WouldTo(p2, x), None),
+    (lambda x: Imp(p1, x), lambda x: Imp(p1, x), lambda x: Imp(p1, x)),
+    (lambda x: WouldTo(p1, x), None, lambda x: Box(Imp(p1, x))),
+], ids=["neg", "box", "imp", "would"])
+def test_deep_chains_pass_every_walker(step, tr_step, i_step):
+    # built with the constructors, whose depth is not capped, and walked at
+    # the default recursion limit, which a recursive walk would pass
+    assert DEEP > sys.getrecursionlimit()
+    f = chain(step)
+    assert depth(f) == DEEP
+    assert atoms_of(f) == atoms_of(step(p0))
+    head, tail = render(step(Atom(9))).split("p9")
+    assert render(f) == head * DEEP + "p0" + tail * DEEP
+    assert substitute(f, Neg(p2), 0) is chain(step, Neg(p2))
+    assert map_formula(f, lambda g: g) is f
+    if tr_step:
+        assert tr_phi(p2, f) is chain(tr_step)
+    if i_step:
+        assert i_translate(f) is chain(i_step)
+    rnd = random.Random(37)
+    for make in (random_prop_model, random_modal_model, random_cond_model):
+        for _ in range(3):
+            m = make(rnd, 3)
+            if language_of(f) not in LANGUAGES[m.kind]:
+                continue
+            ext = biextension(m, f)
+            assert ext == unrolled_biextension(m, step, DEEP)
+            for w in m.worlds:
+                assert sat(m, w, f, "+") == (w in ext.pos)
+                assert sat(m, w, f, "-") == (w in ext.neg)
 
 
 def test_language_classification():
