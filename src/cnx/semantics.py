@@ -15,10 +15,11 @@ independent of evaluation order and cache state.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import and_, or_
 from typing import NamedTuple
 
 from .errors import LanguageMismatch, UnknownWorld
-from .model import (LANGUAGES, BiSet, Kind, KripkeModel, MaskModel, PointedModel,
+from .model import (LANGUAGES, BiSet, Kind, KripkeModel, MaskModel, PointedModel, Rel,
                     masks_of, world_set)
 from .record import Record
 from .syntax import (And, Atom, Box, Dia, Formula, Imp, LanguageTag, MightTo, Neg, Or,
@@ -154,6 +155,83 @@ def _run(prog: Program, mm: MaskModel) -> list[tuple[int, int]]:
                 r = _some(rel.succ, bp, bn)
         push(r)
     return vals
+
+
+@lru_cache(maxsize=4096)
+def _members(masks: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The indices of the set bits of each mask, ascending."""
+    return tuple(tuple(i for i in range(m.bit_length()) if m >> i & 1) for m in masks)
+
+
+def _union(targets: tuple[tuple[int, ...], ...], slices: list[int]) -> list[int]:
+    """Per world, the union of the slices of its targets."""
+    out = []
+    for ts in targets:
+        x = 0
+        for t in ts:
+            x |= slices[t]
+        out.append(x)
+    return out
+
+
+def _run_sliced(prog: Program, up: tuple[int, ...], slices: dict, full: int,
+                acc: Rel | None) -> list[tuple[list[int], list[int]]]:
+    """_run on a propositional or modal frame under many valuations at once.
+    A slice is an int whose bit v stands for the v-th valuation; full has a
+    bit for each of them.  slices maps each atom to its (pos, neg) lists of
+    per-world slices (an atom it does not list is empty).  Every node gets
+    such a pair of lists, and bit v of its slice at world i is bit i of the
+    node's mask under _run on the v-th valuation's model."""
+    above = _members(up)
+    if acc is not None:
+        succ, image = _members(acc.succ), _members(acc.up_image)
+    empty = [0] * len(up)
+    vals: list[tuple[list[int], list[int]]] = []
+    push = vals.append
+    for op, a, b in prog.nodes:
+        if op == _ATOM:
+            r = slices.get(a) or (empty, empty)
+        elif op == _NEG:
+            p, n = vals[a]
+            r = (n, p)
+        elif op == _AND:
+            (ap, an), (bp, bn) = vals[a], vals[b]
+            r = (list(map(and_, ap, bp)), list(map(or_, an, bn)))
+        elif op == _OR:
+            (ap, an), (bp, bn) = vals[a], vals[b]
+            r = (list(map(or_, ap, bp)), list(map(and_, an, bn)))
+        elif op == _IMP:
+            # no world above where the antecedent holds and the consequent
+            # fails to be verified (to be falsified)
+            ap = vals[a][0]
+            bp, bn = vals[b]
+            r = ([full ^ x for x in _union(above, [x & ~y for x, y in zip(ap, bp)])],
+                 [full ^ x for x in _union(above, [x & ~y for x, y in zip(ap, bn)])])
+        elif op == _BOX:
+            p, n = vals[a]
+            r = ([full ^ x for x in _union(image, [full ^ y for y in p])],
+                 [full ^ x for x in _union(image, [full ^ y for y in n])])
+        elif op == _DIA:
+            p, n = vals[a]
+            r = (_union(succ, p), _union(succ, n))
+        else:
+            raise ValueError("a conditional program cannot be run sliced")
+        push(r)
+    return vals
+
+
+def satisfying_slices(prog: Program, up: tuple[int, ...], slices: dict, full: int,
+                      acc: Rel | None) -> list[int]:
+    """satisfying_worlds under many valuations at once (see _run_sliced): per
+    world, the valuations under which every gamma root and no delta root of
+    prog is verified there."""
+    vals = _run_sliced(prog, up, slices, full, acc)
+    out = [full] * len(up)
+    for i in prog.gamma:
+        out = list(map(and_, out, vals[i][0]))
+    for i in prog.delta:
+        out = [x & ~y for x, y in zip(out, vals[i][0])]
+    return out
 
 
 def consulted_indices(prog: Program):

@@ -6,14 +6,13 @@ from conftest import CN_CONNS, MD_CONNS, PL_CONNS, random_formula
 from cnx.corpus import CORPUS_DIR, corpus_proof, corpus_registry, load_corpus
 from cnx.errors import ProofFormatError
 from cnx.logics import Logic
-from cnx.proof import (AXIOMS, Proof, Registry, check_proof, instantiate,
-                       match_scheme, parse_proof, render_proof,
-                       system_includes)
+from cnx.proof import (AXIOMS, SYSTEMS, Proof, Registry, check_proof, instantiate,
+                       match_scheme, parse_proof, render_proof, system_includes)
 from cnx.proofgen import (Hyp, b_strong_dne, build_corpus, discharge, mp,
                           subst_strong_eq, theorem)
 from cnx.search import SearchBounds, Status, find_countermodel
 from cnx.semantics import consecution
-from cnx.syntax import Atom, Imp, parse
+from cnx.syntax import Atom, Imp, atoms_of, parse
 
 
 class TestMatching:
@@ -44,6 +43,37 @@ class TestSystems:
         assert system_includes("CnCK", "CnCKR")
         assert not system_includes("CnK", "CnCK")
         assert not system_includes("CnCK", "CnK")
+
+    @staticmethod
+    def _scheme_models(logic, system, worlds, max_atoms=3):
+        """The models each scheme of the system, taken at p0/p1/p2 and
+        searched at its own atoms, evaluates before it exhausts the bounds."""
+        models = {}
+        for name in sorted(SYSTEMS[system].axioms):
+            atoms = tuple(sorted(atoms_of(AXIOMS[name])))
+            if len(atoms) <= max_atoms:
+                out = find_countermodel(logic, consecution([], [AXIOMS[name]]),
+                                        SearchBounds(worlds, atoms))
+                assert out.status is Status.EXHAUSTED, (system, name)
+                models[name] = out.models
+        return models
+
+    def test_schemes_hold_on_every_small_model(self):
+        # valuations range over every hereditary bi-set, so a scheme that
+        # holds at distinct atoms on every model of at most n worlds holds
+        # for each of its instances there
+        assert sum(self._scheme_models(Logic.C, "C", 3).values()) == 778_980
+        assert sum(self._scheme_models(Logic.CnK, "CnK", 2).values()) == 211_410
+        # all but a2 and a8, which have three atoms
+        three_worlds = self._scheme_models(Logic.CnK, "CnK", 3, max_atoms=2)
+        assert len(three_worlds) == 16 and sum(three_worlds.values()) == 33_910_240
+        # positive controls: Peirce's law is not a C theorem, and CnK has
+        # no T axiom
+        for logic, text in ((Logic.C, "((p0 -> p1) -> p0) -> p0"),
+                            (Logic.CnK, "[]p0 -> p0")):
+            out = find_countermodel(logic, consecution([], [parse(text)]),
+                                    SearchBounds(3, (0, 1)))
+            assert out.found, text
 
     def test_proofs_transfer_upward(self):
         # a C proof is accepted verbatim in every extension

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -16,16 +17,19 @@ from cnx.corpus import CORPUS_DIR
 from cnx.errors import EvidenceError, LanguageMismatch
 from cnx.harness import DEFAULT_BOUNDS, Thesis, _as_consecution, thesis_instance
 from cnx.logics import Logic
-from cnx.model import (FrameClass, Kind, KripkeModel, PointedModel, from_masks,
+from cnx.model import (FrameClass, Kind, KripkeModel, MaskModel, PointedModel, from_masks,
                        get_fixture, serialize_model, serialize_pointed, succ_masks,
                        validate_model, world_bits)
 from cnx.proof import parse_proof
-from cnx.search import (SearchBounds, Status, _first_world, _least_in_orbit,
-                        _mask_models, _preorder_masks, _rows, _world_names,
-                        check_evidence, enumerate_models, find_countermodel)
-from cnx.semantics import (check_consecution, consecution, consecution_program,
-                           consulted_indices, satisfying_worlds)
-from cnx.syntax import parse
+from cnx import search
+from cnx.search import (SearchBounds, Status, _first_world, _frames, _inner_slices,
+                        _least_in_orbit, _mask_models, _preorder_masks, _rows,
+                        _valuations, _world_names, check_evidence, enumerate_models,
+                        find_countermodel)
+from cnx.semantics import (_run, _run_sliced, check_consecution, consecution,
+                           consecution_program, consulted_indices, satisfying_slices,
+                           satisfying_worlds)
+from cnx.syntax import And, Atom, Imp, Neg, parse
 
 
 def labeled_preorders_oracle(n):
@@ -297,6 +301,137 @@ def test_orbit_skip_matches_unpruned_scan():
     # every logic has queries refuted at 2 worlds and queries that exhaust
     assert all(sizes[logic, 2] and sizes[logic, 0] for logic, _, _ in cases), sizes
     assert sizes[Logic.C, 3], sizes
+
+
+def _bits_at(slices, v):
+    """The mask of the worlds whose slice has bit v."""
+    return sum((s >> v & 1) << i for i, s in enumerate(slices))
+
+
+def test_sliced_run_matches_run_on_every_small_model():
+    # every node, sign and world of the sliced evaluator against _run on
+    # each model of at most 2 worlds over p0/p1, whose valuations the slices
+    # list in _valuations order
+    rnd = random.Random(23)
+    atoms = (0, 1)
+    for frame, conns, total in ((FrameClass.P, PL_CONNS, 450),
+                                (FrameClass.FSM, MD_CONNS, 5714)):
+        refuted = Counter()
+        for _ in range(3):
+            c = consecution([random_formula(rnd, 3, atoms, conns)],
+                            [random_formula(rnd, 3, atoms, conns) for _ in range(2)])
+            prog = consecution_program(c, frame.kind)
+            models = 0
+            for n in (1, 2):
+                for names, up, ups, rels in _frames(frame, n, False):
+                    full = (1 << len(ups) ** 4) - 1
+                    slices = dict(zip(atoms, _inner_slices(ups, n, len(atoms))))
+                    for acc in rels or [None]:
+                        sliced = _run_sliced(prog, up, slices, full, acc)
+                        hits = satisfying_slices(prog, up, slices, full, acc)
+                        for v, (vp, vn) in enumerate(_valuations(atoms, ups)):
+                            mm = MaskModel(names, up, vp, vn, acc)
+                            for want, (pos, neg) in zip(_run(prog, mm), sliced):
+                                assert want == (_bits_at(pos, v), _bits_at(neg, v))
+                            assert _bits_at(hits, v) == satisfying_worlds(prog, mm)
+                            refuted[bool(_bits_at(hits, v))] += 1
+                            models += 1
+            assert models == total
+        # models that refute the consecution and models that do not
+        assert len(refuted) == 2, refuted
+
+
+def _not_refuted_at_one_world(rnd, logic, bounds, conns, n):
+    """n seeded random consecutions that no 1-world model refutes."""
+    one_world = SearchBounds(1, bounds.atoms)
+    out = []
+    while len(out) < n:
+        gamma = [random_formula(rnd, 2, bounds.atoms, conns)
+                 for _ in range(rnd.randint(0, 1))]
+        c = consecution(gamma, [random_formula(rnd, 3, bounds.atoms, conns)])
+        if not find_countermodel(logic, c, one_world).found:
+            out.append(c)
+    return out
+
+
+def _assert_first_hits(logic, bounds, cases):
+    """Each case's search gives the unpruned scan's first hit, or exhausts
+    where the scan finds none; the sizes of the witnesses, 0 for none."""
+    sizes = Counter()
+    for c in cases:
+        expected = _unpruned_first_hit(logic, c, bounds)
+        out = find_countermodel(logic, c, bounds)
+        if expected is None:
+            assert out.status is Status.EXHAUSTED, c
+        else:
+            assert out.found and serialize_pointed(out.witness) == expected, c
+        sizes[len(out.witness.model.worlds) if out.found else 0] += 1
+    return sizes
+
+
+def test_sliced_search_matches_unpruned_scan_at_three_worlds():
+    bounds = SearchBounds(3, (0, 1))
+    cases = _not_refuted_at_one_world(random.Random(29), Logic.C, bounds, PL_CONNS, 12)
+    cases += [consecution([], [parse(t)]) for t in ("(p0 -> p1) -> (p1 -> p0)",
+                                                     "((p0 -> p1) -> p0) -> p0")]
+    sizes = _assert_first_hits(Logic.C, bounds, cases)
+    assert sizes[2] and sizes[3] and sizes[0], sizes
+
+
+def test_sliced_search_across_chunks(monkeypatch):
+    # with the real chunk size: one world and nine atoms make 2**18
+    # valuations, four chunks; the first valuation that falsifies p0, the
+    # outermost atom, opens the second
+    c = consecution([], [parse("~p0 -> p1")])
+    bounds = SearchBounds(1, tuple(range(9)))
+    assert 4 ** 9 > search.CHUNK_BITS == 4 ** 8
+    out = find_countermodel(Logic.C, c, bounds)
+    assert out.found and out.models == search.CHUNK_BITS + 1
+    assert serialize_pointed(out.witness) == _unpruned_first_hit(Logic.C, c, bounds)
+    # chunks of at most 16 valuations: a frame with three or four up-closed
+    # sets is cut into chunks over the last atom, one with more into single
+    # valuations
+    monkeypatch.setattr(search, "CHUNK_BITS", 16)
+    known = [consecution([], [parse(t)]) for t in ("(p0 -> p1) -> (p1 -> p0)",
+                                                    "((p0 -> p1) -> p0) -> p0")]
+    for logic, bounds, conns, extra in (
+            (Logic.C, SearchBounds(3, (0, 1)), PL_CONNS, known),
+            (Logic.CnK, SearchBounds(2, (0, 1)), MD_CONNS, [])):
+        cases = _not_refuted_at_one_world(random.Random(33), logic, bounds, conns, 8)
+        sizes = _assert_first_hits(logic, bounds, cases + extra)
+        assert sizes[2] and sizes[0], sizes
+    for logic, c, bounds, evaluated in (
+            (Logic.C, _corpus_goal("strong_refl", 0), SearchBounds(3, (0,)), 237),
+            (Logic.CnK, _corpus_goal("neg_box_swap", 1), SearchBounds(2, (1,)), 377)):
+        out = find_countermodel(logic, c, bounds)
+        assert out.status is Status.EXHAUSTED and out.models == evaluated
+
+
+def test_large_program_takes_smaller_chunks():
+    # ~p0 -> p1 beside a true gamma of 3,300 nodes: a chunk of 2**16
+    # valuations would hold about 40 MB of slices, so it takes 2**14; the
+    # first hit and its count are those of the query alone
+    small = consecution([], [parse("~p0 -> p1")])
+    bounds = SearchBounds(1, tuple(range(9)))
+    chain, parts = Atom(2), []
+    for _ in range(1_100):
+        chain = Neg(chain)
+        parts.append(Imp(chain, chain))
+    while len(parts) > 1:
+        parts = [And(*parts[i:i + 2]) if i + 1 < len(parts) else parts[i]
+                 for i in range(0, len(parts), 2)]
+    c = consecution(parts, small.delta)
+    assert len(consecution_program(c, Logic.C.frame_class.kind).nodes) > 3_000
+    tracemalloc.start()
+    try:
+        out = find_countermodel(Logic.C, c, bounds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.found and out.models == search.CHUNK_BITS + 1
+    expected = find_countermodel(Logic.C, small, bounds).witness
+    assert serialize_pointed(out.witness) == serialize_pointed(expected)
+    assert peak < 20 * 2 ** 20, peak
 
 
 def _corpus_goal(name, offset):

@@ -4,6 +4,7 @@ import pickle
 import random
 import sys
 import time
+import tracemalloc
 import weakref
 
 import pytest
@@ -366,6 +367,10 @@ def test_deep_chains_pass_every_walker(step, tr_step, i_step):
     assert atoms_of(f) == atoms_of(step(p0))
     head, tail = render(step(Atom(9))).split("p9")
     assert render(f) == head * DEEP + "p0" + tail * DEEP
+    head, tail = repr(step(Atom(9))).split("Atom(index=9)")
+    assert repr(f) == head * DEEP + "Atom(index=0)" + tail * DEEP
+    assert copy.copy(f) is f and copy.deepcopy(f) is f
+    assert pickle.loads(pickle.dumps(f)) is f
     assert substitute(f, Neg(p2), 0) is chain(step, Neg(p2))
     assert map_formula(f, lambda g: g) is f
     if tr_step:
@@ -383,6 +388,22 @@ def test_deep_chains_pass_every_walker(step, tr_step, i_step):
             for w in m.worlds:
                 assert sat(m, w, f, "+") == (w in ext.pos)
                 assert sat(m, w, f, "-") == (w in ext.neg)
+
+
+@pytest.mark.parametrize("step", [Neg, lambda x: Imp(p1, x), lambda x: WouldTo(p1, x)],
+                         ids=["neg", "imp", "would"])
+def test_render_memory_is_linear_in_its_output(step):
+    # the pieces go into one list that is joined once; keeping the text of
+    # every subformula made this quadratic, about 87 MB for a 40 kB text
+    f = chain(step)
+    tracemalloc.start()
+    try:
+        text = render(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 3 * DEEP
+    assert peak < 10 * len(text)
 
 
 def test_language_classification():

@@ -1,0 +1,124 @@
+"""Time exhaustive P and FSM searches, with the models each one evaluates.
+
+    python3 tools/bench_schemes.py [--root LABEL=CHECKOUT ...] [--out FILE]
+
+Two groups of searches, each `find_countermodel` on a bare formula:
+
+- the scheme sweep: every axiom scheme of C, taken at p0/p1/p2 and searched
+  at its own atoms, in C at 3 worlds; every scheme of CnK in CnK at 2
+  worlds; and the CnK schemes of one or two atoms in CnK at 3 worlds;
+- the corpus goals that the `search` benchmark searches exhaustively in C
+  (at 3 worlds) and in CnK (at 2 worlds), at their own atoms.
+
+Each checkout (default: the one holding this script, as `change`) runs
+once, in a fresh interpreter with CHECKOUT/src first on the path.  A
+search stops after TIME_LIMIT_S and is reported as timed out.  Prints a
+table and writes FILE (default BENCH_sliced.json in the current directory)
+with each search's status, models and seconds, the sums per group, and the
+machine.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+TIME_LIMIT_S = 120.0
+
+# (group, logic, worlds, most atoms): the scheme sweep
+SWEEPS = [("schemes C w3", "C", 3, 3),
+          ("schemes CnK w2", "CnK", 2, 3),
+          ("schemes CnK w3", "CnK", 3, 2)]
+# (group, logic, worlds, corpus goals)
+GOALS = [("goals C w3", "C", 3,
+          ("alpha9_instance", "at_arrow", "strong_refl", "strong_dne",
+           "neg_inconsistency_imp", "neg_inconsistency_strong", "at_strong")),
+         ("goals CnK w2", "CnK", 2,
+          ("neg_box_swap", "neg_dia_swap", "at_strict", "at_sstrict",
+           "contr_m_imp", "contr_m_strong", "contr_m_strict", "contr_m_sstrict"))]
+
+# one run in the checkout: every search once, as JSON lines
+CHILD = r"""
+import json, sys, time
+from cnx.corpus import CORPUS_DIR
+from cnx.logics import Logic
+from cnx.proof import AXIOMS, SYSTEMS, parse_proof
+from cnx.search import SearchBounds, find_countermodel
+from cnx.semantics import consecution
+from cnx.syntax import atoms_of
+sweeps, goals, limit = json.loads(sys.argv[1])
+searches = []
+for group, logic, worlds, most in sweeps:
+    for name in sorted(SYSTEMS[logic].axioms):
+        if len(atoms_of(AXIOMS[name])) <= most:
+            searches.append((group, name, logic, worlds, AXIOMS[name]))
+for group, logic, worlds, names in goals:
+    for name in names:
+        proof = parse_proof((CORPUS_DIR / f"{name}.prf").read_text())
+        searches.append((group, name, logic, worlds, proof.goals[0]))
+for group, name, logic, worlds, f in searches:
+    bounds = SearchBounds(worlds, tuple(sorted(atoms_of(f))), time_limit=limit)
+    start = time.perf_counter()
+    out = find_countermodel(getattr(Logic, logic), consecution([], [f]), bounds)
+    seconds = time.perf_counter() - start
+    print(json.dumps([group, name, out.status.value, out.models, seconds]), flush=True)
+"""
+
+
+def run_checkout(root: Path) -> dict:
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    arg = json.dumps([SWEEPS, GOALS, TIME_LIMIT_S])
+    proc = subprocess.run([sys.executable, "-c", CHILD, arg], cwd=root, env=env,
+                          capture_output=True, text=True)
+    if proc.returncode:
+        sys.exit(f"{root}: exit code {proc.returncode}\n{proc.stderr}")
+    groups: dict[str, dict] = {}
+    for line in proc.stdout.splitlines():
+        group, name, status, models, seconds = json.loads(line)
+        items = groups.setdefault(group, {"items": {}})["items"]
+        items[name] = {"status": status, "models": models, "seconds": seconds}
+    for g in groups.values():
+        g["models"] = sum(i["models"] for i in g["items"].values())
+        g["seconds"] = sum(i["seconds"] for i in g["items"].values())
+        g["timed_out"] = sum(i["status"] == "timed-out" for i in g["items"].values())
+    return {"groups": groups}
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--root", action="append", metavar="LABEL=CHECKOUT",
+                    help="a checkout to time, under a label (repeatable)")
+    ap.add_argument("--out", default="BENCH_sliced.json")
+    args = ap.parse_args()
+    roots = {}
+    for item in args.root or [f"change={HERE.parent}"]:
+        label, sep, path = item.partition("=")
+        if not sep:
+            ap.error(f"--root takes LABEL=CHECKOUT, got {item!r}")
+        roots[label] = Path(path).resolve()
+    result = {"machine": {"python": platform.python_version(),
+                          "platform": platform.platform(), "cpus": os.cpu_count()},
+              "time_limit_s": TIME_LIMIT_S,
+              "checkouts": {label: run_checkout(root)
+                            for label, root in roots.items()}}
+    print(f"{'group':16} " + " ".join(f"{label:>28}" for label in roots))
+    first = next(iter(result["checkouts"].values()))
+    for group in first["groups"]:
+        cells = []
+        for c in result["checkouts"].values():
+            g = c["groups"][group]
+            late = f" ({g['timed_out']} timed out)" if g["timed_out"] else ""
+            cells.append(f"{g['models']:>12,} {g['seconds']:9.3f} s{late}")
+        print(f"{group:16} " + " ".join(f"{cell:>28}" for cell in cells))
+    Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
