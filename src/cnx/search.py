@@ -26,46 +26,37 @@ first refuting model of the full enumeration lies in a kept block, where
 the other skips keep it: neither the witness nor an exhausted verdict
 changes.  enumerate_models still yields every block.
 
-For P and FSM, find_countermodel evaluates all the valuations of a kept
-frame at once (bit-slicing; Biham, "A fast new DES implementation in
-software", 1997, and Knuth, TAOCP 4A, 7.1.3).  Bit v of a slice stands for
-the v-th valuation of _valuations.  An atom's slices depend only on the
-frame's up-closed sets, so they are built once per preorder, as a repeated
-block; semantics.satisfying_slices runs the program on them once per
-relation (once for P), and gives per world the valuations refuting the
-query there.  Within a preorder the models come valuation by valuation and,
-for each, relation by relation, so the first refuting model is the least
-refuting valuation, at the first relation that refutes under it, and its
-point is the first world whose slice has that bit: the model one at a time
-evaluation would stop at.  Its position gives the count that evaluation
-would report: v * len(relations) + j + 1 models within the preorder, and
-every valuation times every relation for each preorder before it.  When a
-frame has more valuations than a pass may take (CHUNK_BITS, fewer for a
-program of more than 1024 nodes), the first atoms' valuations are taken one
-chunk at a time, in order, and each is constant within a chunk.
+find_countermodel chooses its search by the query's program.  A program
+without a conditional is evaluated under all the models of a kept frame at
+once (bit-slicing; Biham, "A fast new DES implementation in software",
+1997, and Knuth, TAOCP 4A, 7.1.3).  In a conditional class it evaluates
+each model like the same model without indices, which comes earlier, so
+only those are searched: P's models, in P's order.  Bit v*R + j of a slice
+stands for the v-th valuation of _valuations under the j-th of the frame's
+R relations (R = 1 without), the order of the enumeration: the first set
+bit is the first refuting model, its position plus one the count of models
+evaluated up to it, and its point the first world whose slice has it.  A
+pass takes at most CHUNK_BITS models (fewer for a program of more than 1024
+nodes): the first atoms' valuations one chunk at a time, each constant
+within its chunk, and the relations of a valuation that has more a
+contiguous range at a time, so each pass is a run of the enumeration.
 
-For the conditional classes find_countermodel evaluates one model at a time.
-It skips the models that hold an index the query never consults.  A
-conditional looks up only the index equal to its antecedent's bi-extension.
-When every antecedent is propositional, which the compiled program records,
-those bi-extensions depend on the valuation alone, so the consulted indices
-are known before any relation is chosen (semantics.consulted_indices), and
-only combinations of them are enumerated.  A skipped model evaluates exactly
-like the same model with its unconsulted indices dropped, which comes
-earlier: it has the same valuation and fewer indices.  The models kept are a
-subsequence of the full order, so the first hit and an exhausted verdict are
-those of the full enumeration.  Queries with a conditional antecedent try
-every combination of indices.
+A program with a conditional is evaluated one model at a time.  Per
+valuation the index-free model comes first, then the combinations of
+indices, fewest first, except those holding an index the query never
+consults.  A conditional looks up only the index equal to its antecedent's
+bi-extension; when every antecedent is propositional, those bi-extensions
+are the antecedents' values in the index-free model, and only combinations
+of them are tried.  A skipped model evaluates exactly like the same model
+with its unconsulted indices dropped, which comes earlier, so the first hit
+and an exhausted verdict are those of the full enumeration.
 
 Within a combination, the relations are assigned depth first in the order
-of itertools.product, the first chosen index outermost.  Before the loop
-over an index's relations, the partial model (the indices not assigned yet
-mapped to semantics.UNKNOWN) is bounded by semantics.refutable_worlds, a
-superset of the worlds at which some completion refutes the query; when it
-is empty the whole branch is skipped.  Every model a bound skips refutes
-nowhere, so the refuting models kept are exactly those of the full order,
-in the same relative order: the first hit, and whether the bounds are
-exhausted, are unchanged.  Only the count of models evaluated falls.
+of itertools.product.  Before the loop over an index's relations, the
+partial model (the indices not assigned yet mapped to semantics.UNKNOWN) is
+bounded by semantics.refutable_worlds, a superset of the worlds at which
+some completion refutes the query, and skipped when that is empty.  A
+skipped model refutes nowhere, so only the count of models evaluated falls.
 """
 
 from __future__ import annotations
@@ -73,24 +64,26 @@ from __future__ import annotations
 import math
 import time
 from enum import Enum
-from itertools import combinations, permutations, product
+from functools import reduce
+from itertools import chain, combinations, permutations, product
+from operator import or_
 from typing import Callable, Iterator
 
 from .errors import EvidenceError
 from .logics import Logic
-from .model import (FrameClass, KripkeModel, MaskModel, PointedModel, from_masks,
-                    fs_faults, masks_of, relation, target_faults, transitivity_faults,
-                    up_closed, validate_model)
+from .model import (FrameClass, Kind, KripkeModel, MaskModel, PointedModel, Rel,
+                    from_masks, fs_faults, masks_of, relation, target_faults,
+                    transitivity_faults, up_closed, validate_model)
 from .record import Record
-from .semantics import (UNKNOWN, Consecution, Program, check_consecution,
-                        consecution_program, consulted_indices, refutable_worlds,
-                        satisfying_slices, satisfying_worlds)
+from .semantics import (UNKNOWN, Consecution, Program, _run, check_consecution,
+                        consecution_program, refutable_worlds, satisfying_slices,
+                        satisfying_worlds)
 
 
-# find_countermodel evaluates a P or FSM frame under at most this many
-# valuations at once, and a program of more than 1024 nodes under fewer:
-# every node keeps a slice per world and sign for the whole pass, so a pass
-# holds at most 1024 * CHUNK_BITS bits per world and sign
+# find_countermodel runs a query without a conditional on at most this many
+# models at once, and a program of more than 1024 nodes on fewer: each node
+# keeps a slice per world and sign, so a pass holds at most 1024 * CHUNK_BITS
+# bits per world and sign
 CHUNK_BITS = 1 << 16
 
 
@@ -191,121 +184,119 @@ def _digits(v: int, base: int, count: int) -> list[tuple[int, int]]:
     return out[::-1]
 
 
-def _pattern(ups: list[int], world: int, run: int, length: int) -> int:
-    """The slice of length bits whose bit v says whether the world is in
-    ups[v // run % len(ups)]: one period of runs, repeated by multiplying
-    with a repunit."""
-    period = run * len(ups)
-    ones = (1 << run) - 1
-    block = sum(ones << k * run for k, s in enumerate(ups) if s >> world & 1)
-    return block * (((1 << length) - 1) // ((1 << period) - 1))
+def _repeat(block: int, period: int, length: int) -> int:
+    """The length bits that repeat block, of period bits, by doubling (a
+    product with a repunit costs period times as much)."""
+    while period < length:
+        block |= block << period
+        period *= 2
+    return block & ((1 << length) - 1)
 
 
-def _inner_slices(ups: list[int], n: int, k: int) -> list[tuple[list[int], list[int]]]:
+def _inner_slices(ups: list[int], n: int, k: int,
+                  reps: int = 1) -> list[tuple[list[int], list[int]]]:
     """The (pos, neg) per-world slices of the last k atoms over the first
-    len(ups)**(2k) valuations of _valuations, which repeat with that period.
-    The last atom's negative set steps with every valuation and its positive
-    set every len(ups) valuations; each atom before steps len(ups)**2 times
-    slower than the next."""
-    u, length = len(ups), len(ups) ** (2 * k)
-    out = []
-    for q in range(k):
-        run = u ** (2 * (k - 1 - q))
-        out.append(([_pattern(ups, i, u * run, length) for i in range(n)],
-                    [_pattern(ups, i, run, length) for i in range(n)]))
-    return out
+    len(ups)**(2k) valuations of _valuations, which repeat with that period,
+    each valuation's bit repeated reps times (bit v*reps + j stands for the
+    v-th).  The last atom's negative set steps with every valuation and its
+    positive set every len(ups) valuations; each atom before steps
+    len(ups)**2 times slower than the next."""
+    u, length = len(ups), len(ups) ** (2 * k) * reps
+
+    def pattern(world: int, run: int) -> int:  # bit b: world in ups[b // run % u]
+        block = sum(((1 << run) - 1) << m * run for m, s in enumerate(ups) if s >> world & 1)
+        return _repeat(block, run * u, length)
+    runs = [u ** (2 * (k - 1 - q)) * reps for q in range(k)]
+    return [([pattern(i, u * run) for i in range(n)], [pattern(i, run) for i in range(n)])
+            for run in runs]
 
 
-def _refutable_products(prog: Program, mm: MaskModel, chosen: tuple, choices: list,
-                        depth: int = 0) -> Iterator[MaskModel | None]:
-    """The models of product(*choices) assigned to the chosen indices of mm,
-    in product order, skipping each branch no completion of which refutes
-    prog.  mm assigns chosen[:depth] and maps the rest to UNKNOWN.  Yields
-    None before bounding each partial model."""
-    if depth == len(chosen):
-        yield mm
-        return
-    yield None
-    if not refutable_worlds(prog, mm):
-        return
-    idx = chosen[depth]
-    for rel in choices[depth]:
-        yield from _refutable_products(prog, mm._replace(access={**mm.access, idx: rel}),
-                                       chosen, choices, depth + 1)
+def _access_rows(rels: list[Rel], reps: int) -> tuple:
+    """The rows of [] and of <> (see semantics._run_sliced) for reps
+    valuations under each of rels, bit v*len(rels) + j standing for the v-th
+    valuation under rels[j]: per world, each target with the mask of the
+    models in which it is in the world's up_image (for []) or succ (<>)."""
+    n, r = len(rels[0].succ), len(rels)
+    rows = []
+    for field in (1, 0):  # Rel.up_image, Rel.succ
+        # bit j of a block: whether rels[j] takes world i to target t; read
+        # from a string, as a sum of shifted bits would be quadratic in r
+        masks = [[_repeat(int("".join(str(rel[field][i] >> t & 1) for rel in reversed(rels)), 2),
+                          r, reps * r) for t in range(n)] for i in range(n)]
+        rows.append(tuple(tuple((t, m) for t, m in enumerate(row) if m) for row in masks))
+    return tuple(rows)
 
 
-def _frames(frame: FrameClass, n: int, least_only: bool) -> Iterator[tuple]:
-    """The frames of the class on n worlds in enumeration order, as (names,
-    up, the up-closed masks, the Fischer-Servi relations or None for P).
-    With least_only, only those whose preorder is least in its orbit under
-    the renamings of the worlds."""
-    worlds = _world_names(n)
-    names = tuple(sorted(worlds))
-    label = tuple(worlds.index(w) for w in names)
-    least = _least_in_orbit(n) if least_only else None
-    if frame is not FrameClass.P:
-        succs = [_rows(r, n, label) for r in range(1 << n * n)]
-    for mask in _preorder_masks(n):
-        if least is not None and not least(mask):
-            continue
-        up = _rows(mask, n, label)
-        rels = None if frame is FrameClass.P else [
-            rel for rel in (relation(up, succ) for succ in succs) if not any(fs_faults(up, rel))]
-        yield names, up, up_closed(up), rels
+class _TimedOut(Exception):
+    """The deadline of a search has passed."""
 
 
-def _mask_models(frame: FrameClass, bounds: SearchBounds,
-                 prog: Program | None = None) -> Iterator[MaskModel | None]:
+def _check_deadline(deadline: float | None) -> None:
+    if deadline is not None and time.monotonic() > deadline:
+        raise _TimedOut
+
+
+def _frames(frame: FrameClass, max_worlds: int, least_only: bool,
+            deadline: float | None = None) -> Iterator[tuple]:
+    """The frames of the class on up to max_worlds worlds in enumeration
+    order, as (names, up, the up-closed masks, the Fischer-Servi relations
+    or None for P).  With least_only, only those whose preorder is least in
+    its orbit under the renamings of the worlds.  The relations are found by
+    testing every candidate in bitmask order, each generated when first
+    needed; the deadline is checked before each preorder and every 4096
+    candidates."""
+    for n in range(1, max_worlds + 1):
+        worlds = _world_names(n)
+        names = tuple(sorted(worlds))
+        label = tuple(worlds.index(w) for w in names)
+        least = _least_in_orbit(n) if least_only else None
+        succs: list[tuple[int, ...]] = []  # the candidates' rows, as first needed
+        for mask in _preorder_masks(n):
+            _check_deadline(deadline)
+            if least is not None and not least(mask):
+                continue
+            up = _rows(mask, n, label)
+            rels = None
+            if frame is not FrameClass.P:
+                rels = []
+                for r in range(1 << n * n):
+                    if not r & 4095:
+                        _check_deadline(deadline)
+                    if r == len(succs):
+                        succs.append(_rows(r, n, label))
+                    rel = relation(up, succs[r])
+                    if not any(fs_faults(up, rel)):
+                        rels.append(rel)
+            yield names, up, up_closed(up), rels
+
+
+def _index_choices(frame: FrameClass, ups: list[int], rels: list[Rel]) -> dict:
+    """The indices a model of the conditional class on a frame may hold, in
+    enumeration order, each mapped to the relations it may take: the nonempty
+    ones, for FSC_R only those with targets in the index's positive set."""
+    nonempty = [r for r in rels if any(r.succ)]
+    fits = {x: nonempty if frame is FrameClass.FSC else
+            [r for r in nonempty if not any(target_faults(r, x))] for x in ups}
+    return {(x, y): fits[x] for x in ups for y in ups if fits[x]}
+
+
+def _mask_models(frame: FrameClass, bounds: SearchBounds) -> Iterator[MaskModel]:
     """Every model of the class within the bounds, in mask form and in the
-    fixed enumeration order.  Given a query's program, it yields only the
-    models that can be its first refutation, in the same relative order:
-    those whose preorder is least in its orbit under the renamings of the
-    worlds and, for a conditional class, whose indices are all consulted
-    under their valuation (when semantics.consulted_indices knows them) and
-    that no bound on a partial assignment of their relations excludes.  It
-    also yields a None before each such bound, which a caller can use to
-    check a deadline."""
-    consulted = None if prog is None else consulted_indices(prog)
+    fixed enumeration order."""
     atoms = tuple(sorted(bounds.atoms))
-    for n in range(1, bounds.max_worlds + 1):
-        for names, up, ups, rels in _frames(frame, n, prog is not None):
-            if frame is FrameClass.P:
-                for vp, vn in _valuations(atoms, ups):
-                    yield MaskModel(names, up, vp, vn, None)
-                continue
-            if frame is FrameClass.FSM:
-                for vp, vn in _valuations(atoms, ups):
-                    for rel in rels:
-                        yield MaskModel(names, up, vp, vn, rel)
-                continue
-
-            # conditional classes
-            nonempty = [r for r in rels if any(r.succ)]
-            indices = [(x, y) for x in ups for y in ups]
-            if frame is FrameClass.FSC_R:
-                by_pos = {x: [r for r in nonempty if not any(target_faults(r, x))]
-                          for x in ups}
-                per_index = {idx: by_pos[idx[0]] for idx in indices}
-            else:
-                per_index = dict.fromkeys(indices, nonempty)
-            kmax = min(bounds.max_cond_indices, len(indices))
+    for names, up, ups, rels in _frames(frame, bounds.max_worlds, False):
+        if frame.kind is not Kind.COND:
             for vp, vn in _valuations(atoms, ups):
-                live = indices
-                if consulted is not None:
-                    wanted = consulted(up, vp, vn)
-                    live = [idx for idx in indices if idx in wanted]
-                for k in range(kmax + 1):
-                    for chosen in combinations(live, k):
-                        choices = [per_index[idx] for idx in chosen]
-                        if any(not c for c in choices):
-                            continue
-                        if prog is not None:
-                            partial = MaskModel(names, up, vp, vn,
-                                                dict.fromkeys(chosen, UNKNOWN))
-                            yield from _refutable_products(prog, partial, chosen, choices)
-                            continue
-                        for rels in product(*choices):
-                            yield MaskModel(names, up, vp, vn, dict(zip(chosen, rels)))
+                for rel in rels or [None]:
+                    yield MaskModel(names, up, vp, vn, rel)
+            continue
+        choices = _index_choices(frame, ups, rels)
+        kmax = min(bounds.max_cond_indices, len(choices))
+        for vp, vn in _valuations(atoms, ups):
+            for k in range(kmax + 1):
+                for chosen in combinations(choices, k):
+                    for picked in product(*(choices[idx] for idx in chosen)):
+                        yield MaskModel(names, up, vp, vn, dict(zip(chosen, picked)))
 
 
 def enumerate_models(frame: FrameClass, bounds: SearchBounds) -> Iterator[KripkeModel]:
@@ -354,69 +345,93 @@ def check_evidence(frame: FrameClass, c: Consecution, evidence) -> None:
 
 def _first_hit_sliced(frame: FrameClass, prog: Program, bounds: SearchBounds,
                       deadline: float | None):
-    """The first refuting model and point of the P or FSM enumeration, with
-    the models evaluated up to it: (status, mask model, point, models).
-    Each kept frame is run once per relation (once for P) over all its
-    valuations, or over chunks of them, in order."""
+    """The first refuting model and point among the class's index-free
+    models (all of them for P and FSM), with the models evaluated up to it:
+    (status, mask model, point, models).  Each kept frame is run in passes,
+    each over a contiguous run of its (valuation, relation) pairs."""
     atoms = tuple(sorted(bounds.atoms))
     most = min(CHUNK_BITS, (CHUNK_BITS << 10) // max(1, len(prog.nodes)))
+    shape = FrameClass.FSM if frame is FrameClass.FSM else FrameClass.P
     models = 0
-    for n in range(1, bounds.max_worlds + 1):
-        for names, up, ups, rels in _frames(frame, n, True):
-            u, accs = len(ups), rels or [None]
-            k = len(atoms)  # the atoms that vary within a chunk: the last k
-            while k and u ** (2 * k) > most:
+    try:
+        for names, up, ups, rels in _frames(shape, bounds.max_worlds, True, deadline):
+            n, u, accs = len(up), len(ups), rels or [None]
+            step = min(len(accs), most)  # the relations of a pass
+            k = len(atoms)  # the atoms that vary within a pass: the last k
+            while k and u ** (2 * k) * step > most:
                 k -= 1
-            length, outer = u ** (2 * k), atoms[:len(atoms) - k]
-            inner = dict(zip(atoms[len(outer):], _inner_slices(ups, n, k)))
-            full, block = (1 << length) - 1, models
+            reps, outer = u ** (2 * k), atoms[:len(atoms) - k]
+            inner = dict(zip(atoms[len(outer):], _inner_slices(ups, n, k, step)))
+            ranges = [(j, rels and _access_rows(accs[j:j + step], reps))
+                      for j in range(0, len(accs), step)]
             for hi in range(u ** (2 * len(outer))):
-                # an outer atom is constant within the chunk
-                slices = {a: ([full * (ups[p] >> i & 1) for i in range(n)],
-                              [full * (ups[q] >> i & 1) for i in range(n)])
-                          for a, (p, q) in zip(outer, _digits(hi, u, len(outer)))}
-                slices.update(inner)
-                best = None  # (valuation in the chunk, relation, per-world hits)
-                for j, acc in enumerate(accs):
-                    if deadline is not None and time.monotonic() > deadline:
-                        return Status.TIMED_OUT, None, None, models
-                    out = satisfying_slices(prog, up, slices, full, acc)
-                    hits = 0
-                    for x in out:
-                        hits |= x
-                    if best is not None:
-                        hits &= (1 << best[0]) - 1
-                    if hits:
-                        best = ((hits & -hits).bit_length() - 1, j, out)
-                    models += length
-                if best is not None:
-                    v, j, out = best
-                    v_all = hi * length + v
-                    models = block + v_all * len(accs) + j + 1
-                    digits = _digits(v_all, u, len(atoms))
+                for j, access in ranges:
+                    _check_deadline(deadline)
+                    width = min(step, len(accs) - j)
+                    full = (1 << reps * width) - 1
+                    # an outer atom is constant within the pass
+                    slices = inner | {
+                        a: ([full * (ups[p] >> i & 1) for i in range(n)],
+                            [full * (ups[q] >> i & 1) for i in range(n)])
+                        for a, (p, q) in zip(outer, _digits(hi, u, len(outer)))}
+                    out = satisfying_slices(prog, up, slices, full, access)
+                    hits = reduce(or_, out)
+                    if not hits:
+                        models += reps * width
+                        continue
+                    b = (hits & -hits).bit_length() - 1
+                    models += b + 1
+                    v, dj = divmod(b, width)
+                    digits = _digits(hi * reps + v, u, len(atoms))
                     mm = MaskModel(names, up,
                                    {a: ups[p] for a, (p, _) in zip(atoms, digits) if ups[p]},
                                    {a: ups[q] for a, (_, q) in zip(atoms, digits) if ups[q]},
-                                   accs[j])
-                    point = next(i for i, x in enumerate(out) if x >> v & 1)
+                                   {} if frame.kind is Kind.COND else accs[j + dj])
+                    point = next(i for i, x in enumerate(out) if x >> b & 1)
                     return Status.FOUND, mm, names[point], models
+    except _TimedOut:
+        return Status.TIMED_OUT, None, None, models
     return Status.EXHAUSTED, None, None, models
 
 
 def _first_hit_scan(frame: FrameClass, prog: Program, bounds: SearchBounds,
                     deadline: float | None):
-    """As _first_hit_sliced, for a conditional class: each model that
-    _mask_models keeps is run on its own."""
+    """As _first_hit_sliced, for a query with a conditional: one model at a
+    time, in the order of the module docstring."""
+    atoms = tuple(sorted(bounds.atoms))
     models = 0
-    for mm in _mask_models(frame, bounds, prog):
-        if deadline is not None and time.monotonic() > deadline:
-            return Status.TIMED_OUT, None, None, models
-        if mm is None:  # a partial model is about to be bounded
-            continue
-        models += 1
-        hits = satisfying_worlds(prog, mm)
-        if hits:
-            return Status.FOUND, mm, _first_world(mm, hits), models
+    try:
+        for names, up, ups, rels in _frames(frame, bounds.max_worlds, True, deadline):
+            choices = _index_choices(frame, ups, rels)
+            sizes = range(1, min(bounds.max_cond_indices, len(choices)) + 1)
+            for vp, vn in _valuations(atoms, ups):
+                _check_deadline(deadline)
+                free = MaskModel(names, up, vp, vn, {})
+                models += 1
+                vals = _run(prog, free)
+                hits = satisfying_worlds(prog, free, "+", vals)
+                if hits:
+                    return Status.FOUND, free, _first_world(free, hits), models
+                # with propositional antecedents, the indices they look up
+                wanted = {vals[a] for a in prog.antecedents} if prog.pl_antecedents else choices
+                live = [idx for idx in choices if idx in wanted]
+                for chosen in chain.from_iterable(combinations(live, k) for k in sizes):
+                    todo = [(0, free._replace(access=dict.fromkeys(chosen, UNKNOWN)))]
+                    while todo:  # depth first, in the order of itertools.product
+                        _check_deadline(deadline)
+                        depth, mm = todo.pop()
+                        if depth < len(chosen):
+                            if refutable_worlds(prog, mm):
+                                idx = chosen[depth]
+                                todo += [(depth + 1, mm._replace(access={**mm.access, idx: rel}))
+                                         for rel in reversed(choices[idx])]
+                            continue
+                        models += 1
+                        hits = satisfying_worlds(prog, mm)
+                        if hits:
+                            return Status.FOUND, mm, _first_world(mm, hits), models
+    except _TimedOut:
+        return Status.TIMED_OUT, None, None, models
     return Status.EXHAUSTED, None, None, models
 
 
@@ -427,24 +442,19 @@ def find_countermodel(logic: Logic, c: Consecution, bounds: SearchBounds) -> Sea
     within the bounds (and, for conditional classes, within the documented
     index restriction).  The witness is the first refuting model of the full
     enumeration, at its first refuting world, and models counts the models
-    evaluated up to it, or all of them, as one model at a time would: for P
-    and FSM each frame's valuations are evaluated at once, but the hit taken
-    is the least valuation refuted, at its first relation, and the count is
-    read off its position (see the module docstring).  The deadline is
-    checked before each frame, relation and chunk of valuations, and before
-    every conditional model and bound, so a long run of skipped branches
-    still times out.  On a timeout models is what was evaluated before it:
-    for P and FSM, every (valuation, relation) pair of each pass done, which
-    is not a position in the enumeration, since a chunk's passes go relation
-    by relation."""
+    evaluated up to it, or all of them, as one model at a time would (see
+    the module docstring).  The deadline is checked before each preorder,
+    every 4096 candidate relations, each pass, and every conditional model
+    and bound, so a long run of skipped branches still times out.  On a
+    timeout models is what was evaluated before it: without a conditional,
+    every model of each pass done."""
     for f in c.gamma | c.delta:
         logic.require(f)
     frame, kind = logic.frame_class, logic.frame_class.kind
     prog = consecution_program(c, kind)
     deadline = (time.monotonic() + bounds.time_limit
                 if bounds.time_limit is not None else None)
-    search = (_first_hit_sliced if frame in (FrameClass.P, FrameClass.FSM)
-              else _first_hit_scan)
+    search = _first_hit_scan if prog.antecedents else _first_hit_sliced
     status, mm, point, models = search(frame, prog, bounds, deadline)
     if status is not Status.FOUND:
         return SearchOutcome(status, None, bounds, models)

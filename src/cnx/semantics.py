@@ -19,8 +19,8 @@ from operator import and_, or_
 from typing import NamedTuple
 
 from .errors import LanguageMismatch, UnknownWorld
-from .model import (LANGUAGES, BiSet, Kind, KripkeModel, MaskModel, PointedModel, Rel,
-                    masks_of, world_set)
+from .model import (LANGUAGES, BiSet, Kind, KripkeModel, MaskModel, PointedModel, masks_of,
+                    world_set)
 from .record import Record
 from .syntax import (And, Atom, Box, Dia, Formula, Imp, LanguageTag, MightTo, Neg, Or,
                      WouldTo, language_of, subformulas)
@@ -49,12 +49,14 @@ class Program(NamedTuple):
     nodes: tuple[tuple[int, int, int], ...]  # (op, child or atom index, child)
     gamma: tuple[int, ...]                   # the node of each gamma member
     delta: tuple[int, ...]                   # the node of each delta member
+    antecedents: tuple[int, ...]             # the node of each @>/?> antecedent
     pl_antecedents: bool                     # every @>/?> antecedent is PL
 
 
 def _compile(gamma: tuple, delta: tuple, kind: Kind) -> Program:
     ids: dict[int, int] = {}  # id of each subformula -> its node
     nodes = []
+    antecedents: dict[int, None] = {}
     pl_antecedents = True
     for i, f in enumerate(subformulas(*gamma, *delta)):
         cls = type(f)
@@ -64,8 +66,9 @@ def _compile(gamma: tuple, delta: tuple, kind: Kind) -> Program:
             nodes.append((_OPS[cls], ids[id(f.body)], 0))
         else:
             nodes.append((_OPS[cls], ids[id(f.left)], ids[id(f.right)]))
-            if cls in (WouldTo, MightTo) and language_of(f.left) is not LanguageTag.PL:
-                pl_antecedents = False
+            if cls in (WouldTo, MightTo):
+                antecedents[ids[id(f.left)]] = None
+                pl_antecedents &= language_of(f.left) is LanguageTag.PL
         ids[id(f)] = i
     for f in gamma + delta:
         tag = language_of(f)
@@ -73,7 +76,7 @@ def _compile(gamma: tuple, delta: tuple, kind: Kind) -> Program:
             raise LanguageMismatch(
                 f"{tag.value} formula cannot be evaluated on a {kind.value} model")
     return Program(tuple(nodes), tuple(ids[id(f)] for f in gamma),
-                   tuple(ids[id(f)] for f in delta), pl_antecedents)
+                   tuple(ids[id(f)] for f in delta), tuple(antecedents), pl_antecedents)
 
 
 @lru_cache(maxsize=4096)
@@ -158,33 +161,34 @@ def _run(prog: Program, mm: MaskModel) -> list[tuple[int, int]]:
 
 
 @lru_cache(maxsize=4096)
-def _members(masks: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """The indices of the set bits of each mask, ascending."""
-    return tuple(tuple(i for i in range(m.bit_length()) if m >> i & 1) for m in masks)
+def _plain_rows(masks: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per mask, a (target, -1) pair for each of its set bits, ascending."""
+    return tuple(tuple((t, -1) for t in range(m.bit_length()) if m >> t & 1) for m in masks)
 
 
-def _union(targets: tuple[tuple[int, ...], ...], slices: list[int]) -> list[int]:
-    """Per world, the union of the slices of its targets."""
+def _union(rows: tuple[tuple[tuple[int, int], ...], ...], slices: list[int]) -> list[int]:
+    """Per world, the union of the slices of its targets, each cut to the
+    mask paired with the target in the world's row."""
     out = []
-    for ts in targets:
+    for row in rows:
         x = 0
-        for t in ts:
-            x |= slices[t]
+        for t, m in row:
+            x |= slices[t] & m
         out.append(x)
     return out
 
 
 def _run_sliced(prog: Program, up: tuple[int, ...], slices: dict, full: int,
-                acc: Rel | None) -> list[tuple[list[int], list[int]]]:
-    """_run on a propositional or modal frame under many valuations at once.
-    A slice is an int whose bit v stands for the v-th valuation; full has a
-    bit for each of them.  slices maps each atom to its (pos, neg) lists of
-    per-world slices (an atom it does not list is empty).  Every node gets
-    such a pair of lists, and bit v of its slice at world i is bit i of the
-    node's mask under _run on the v-th valuation's model."""
-    above = _members(up)
-    if acc is not None:
-        succ, image = _members(acc.succ), _members(acc.up_image)
+                access: tuple | None = None) -> list[tuple[list[int], list[int]]]:
+    """_run on a propositional or modal frame under many models at once.  A
+    slice is an int whose bit b stands for the b-th model; full has a bit for
+    each.  slices maps each atom to its (pos, neg) lists of per-world slices
+    (an atom it does not list is empty).  access, on a modal frame, gives
+    the rows of [] and <>: per world, (target, mask) pairs, the mask holding
+    the models in which the target is in the world's up_image (succ).  Bit b
+    of a node's slice at world i is bit i of its _run on the b-th model."""
+    above = _plain_rows(up)
+    image, succ = access or ((), ())
     empty = [0] * len(up)
     vals: list[tuple[list[int], list[int]]] = []
     push = vals.append
@@ -221,36 +225,17 @@ def _run_sliced(prog: Program, up: tuple[int, ...], slices: dict, full: int,
 
 
 def satisfying_slices(prog: Program, up: tuple[int, ...], slices: dict, full: int,
-                      acc: Rel | None) -> list[int]:
-    """satisfying_worlds under many valuations at once (see _run_sliced): per
-    world, the valuations under which every gamma root and no delta root of
-    prog is verified there."""
-    vals = _run_sliced(prog, up, slices, full, acc)
+                      access: tuple | None = None) -> list[int]:
+    """satisfying_worlds under many models at once (see _run_sliced): per
+    world, the models in which every gamma root and no delta root of prog is
+    verified there."""
+    vals = _run_sliced(prog, up, slices, full, access)
     out = [full] * len(up)
     for i in prog.gamma:
         out = list(map(and_, out, vals[i][0]))
     for i in prog.delta:
         out = [x & ~y for x, y in zip(out, vals[i][0])]
     return out
-
-
-def consulted_indices(prog: Program):
-    """When every conditional antecedent in prog is propositional, the
-    function that maps a model's (up, val_pos, val_neg) to the set of index
-    masks that a run of prog can look up: the bi-extensions of those
-    antecedents, which do not depend on conditional access.  None when some
-    antecedent is itself conditional."""
-    if not prog.pl_antecedents:
-        return None
-    antecedents = [a for op, a, _ in prog.nodes if op in (_WOULD, _MIGHT)]
-    # nodes are topologically ordered, so this prefix holds every antecedent
-    # and its subformulas; the conditionals among them run without access
-    prefix = Program(prog.nodes[:max(antecedents, default=-1) + 1], (), (), True)
-
-    def consulted(up: tuple[int, ...], vp: dict, vn: dict) -> set[tuple[int, int]]:
-        vals = _run(prefix, MaskModel((), up, vp, vn, {}))
-        return {vals[a] for a in antecedents}
-    return consulted
 
 
 # the access of an index whose relation is not chosen yet (refutable_worlds)
@@ -315,10 +300,11 @@ def refutable_worlds(prog: Program, mm: MaskModel) -> int:
     return out
 
 
-def satisfying_worlds(prog: Program, mm: MaskModel, sign: str = "+") -> int:
+def satisfying_worlds(prog: Program, mm: MaskModel, sign: str = "+",
+                      vals: list | None = None) -> int:
     """The worlds at which every gamma root and no delta root of prog is
-    sign-satisfied."""
-    vals = _run(prog, mm)
+    sign-satisfied; vals, if given, is the _run of prog on mm."""
+    vals = _run(prog, mm) if vals is None else vals
     k = SIGNS.index(sign)
     out = (1 << len(mm.up)) - 1
     for i in prog.gamma:

@@ -149,9 +149,6 @@ class JoinResult(Record):
     right_world_map: dict            # original right-component id -> joined id
     atom_offset: int                 # shift applied to right-component atoms
 
-    def map_right_atom(self, index: int) -> int:
-        return index + self.atom_offset
-
 
 def _fresh(base: str, taken: set[str]) -> str:
     cand = base

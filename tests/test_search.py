@@ -8,6 +8,7 @@ import textwrap
 import tracemalloc
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -22,13 +23,12 @@ from cnx.model import (FrameClass, Kind, KripkeModel, MaskModel, PointedModel, f
                        validate_model, world_bits)
 from cnx.proof import parse_proof
 from cnx import search
-from cnx.search import (SearchBounds, Status, _first_world, _frames, _inner_slices,
-                        _least_in_orbit, _mask_models, _preorder_masks, _rows,
-                        _valuations, _world_names, check_evidence, enumerate_models,
-                        find_countermodel)
+from cnx.search import (SearchBounds, Status, _access_rows, _first_world, _frames,
+                        _inner_slices, _least_in_orbit, _mask_models, _preorder_masks,
+                        _rows, _valuations, _world_names, check_evidence,
+                        enumerate_models, find_countermodel)
 from cnx.semantics import (_run, _run_sliced, check_consecution, consecution,
-                           consecution_program, consulted_indices, satisfying_slices,
-                           satisfying_worlds)
+                           consecution_program, satisfying_slices, satisfying_worlds)
 from cnx.syntax import And, Atom, Imp, Neg, parse
 
 
@@ -261,8 +261,7 @@ def test_pruned_search_matches_unpruned_scan():
             assert out.status is Status.EXHAUSTED, c
         else:
             assert out.found and serialize_pointed(out.witness) == expected, c
-        prunable = consulted_indices(
-            consecution_program(c, logic.frame_class.kind)) is not None
+        prunable = consecution_program(c, logic.frame_class.kind).pl_antecedents
         kinds[prunable, out.found] += 1
     # both kinds of query, each both refuted and not
     assert len(kinds) == 4, kinds
@@ -310,8 +309,9 @@ def _bits_at(slices, v):
 
 def test_sliced_run_matches_run_on_every_small_model():
     # every node, sign and world of the sliced evaluator against _run on
-    # each model of at most 2 worlds over p0/p1, whose valuations the slices
-    # list in _valuations order
+    # each model of at most 2 worlds over p0/p1: bit v*R + j of a frame's
+    # slices stands for the v-th valuation of _valuations under the j-th of
+    # its R relations (R = 1 for P)
     rnd = random.Random(23)
     atoms = (0, 1)
     for frame, conns, total in ((FrameClass.P, PL_CONNS, 450),
@@ -322,20 +322,22 @@ def test_sliced_run_matches_run_on_every_small_model():
                             [random_formula(rnd, 3, atoms, conns) for _ in range(2)])
             prog = consecution_program(c, frame.kind)
             models = 0
-            for n in (1, 2):
-                for names, up, ups, rels in _frames(frame, n, False):
-                    full = (1 << len(ups) ** 4) - 1
-                    slices = dict(zip(atoms, _inner_slices(ups, n, len(atoms))))
-                    for acc in rels or [None]:
-                        sliced = _run_sliced(prog, up, slices, full, acc)
-                        hits = satisfying_slices(prog, up, slices, full, acc)
-                        for v, (vp, vn) in enumerate(_valuations(atoms, ups)):
-                            mm = MaskModel(names, up, vp, vn, acc)
-                            for want, (pos, neg) in zip(_run(prog, mm), sliced):
-                                assert want == (_bits_at(pos, v), _bits_at(neg, v))
-                            assert _bits_at(hits, v) == satisfying_worlds(prog, mm)
-                            refuted[bool(_bits_at(hits, v))] += 1
-                            models += 1
+            for names, up, ups, rels in _frames(frame, 2, False):
+                accs, reps = rels or [None], len(ups) ** 4
+                full = (1 << reps * len(accs)) - 1
+                slices = dict(zip(atoms, _inner_slices(ups, len(up), len(atoms), len(accs))))
+                access = rels and _access_rows(rels, reps)
+                sliced = _run_sliced(prog, up, slices, full, access)
+                hits = satisfying_slices(prog, up, slices, full, access)
+                for v, (vp, vn) in enumerate(_valuations(atoms, ups)):
+                    for j, acc in enumerate(accs):
+                        b = v * len(accs) + j
+                        mm = MaskModel(names, up, vp, vn, acc)
+                        for want, (pos, neg) in zip(_run(prog, mm), sliced):
+                            assert want == (_bits_at(pos, b), _bits_at(neg, b))
+                        assert _bits_at(hits, b) == satisfying_worlds(prog, mm)
+                        refuted[bool(_bits_at(hits, b))] += 1
+                        models += 1
             assert models == total
         # models that refute the consecution and models that do not
         assert len(refuted) == 2, refuted
@@ -405,6 +407,82 @@ def test_sliced_search_across_chunks(monkeypatch):
             (Logic.CnK, _corpus_goal("neg_box_swap", 1), SearchBounds(2, (1,)), 377)):
         out = find_countermodel(logic, c, bounds)
         assert out.status is Status.EXHAUSTED and out.models == evaluated
+    # passes of at most 8 models: the discrete frame of CnK on 2 worlds has
+    # 16 relations, so each of its valuations takes two passes
+    monkeypatch.setattr(search, "CHUNK_BITS", 8)
+    bounds = SearchBounds(2, (0, 1))
+    cases = _not_refuted_at_one_world(random.Random(33), Logic.CnK, bounds, MD_CONNS, 8)
+    sizes = _assert_first_hits(Logic.CnK, bounds, cases)
+    assert sizes[2] and sizes[0], sizes
+    out = find_countermodel(Logic.CnK, _corpus_goal("neg_box_swap", 1), SearchBounds(2, (1,)))
+    assert out.status is Status.EXHAUSTED and out.models == 377
+
+
+def _count_calls(monkeypatch, name):
+    """Replace search's function of that name by one that also appends its
+    arguments to the returned list."""
+    calls, real = [], getattr(search, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(search, name, counted)
+    return calls
+
+
+def test_timed_out_sliced_search_counts_the_passes_it_finished(monkeypatch):
+    # a clock that moves one second per pass: a limit of 2.5 s stops the
+    # search before its fourth pass, and models counts the three run
+    passes = _count_calls(monkeypatch, "satisfying_slices")
+    monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: float(len(passes))))
+    for logic, c, bounds, chunk in (
+            (Logic.C, consecution([], [parse("p0 -> p0")]),
+             SearchBounds(1, tuple(range(9)), time_limit=2.5), search.CHUNK_BITS),
+            (Logic.CnK, _corpus_goal("neg_box_swap", 1),
+             SearchBounds(2, (1,), time_limit=2.5), 8)):
+        monkeypatch.setattr(search, "CHUNK_BITS", chunk)
+        passes.clear()
+        out = find_countermodel(logic, c, bounds)
+        assert out.status is Status.TIMED_OUT and len(passes) == 3
+        assert out.models == sum(args[3].bit_length() for args in passes)
+    assert out.models < 377
+
+
+def test_frame_generation_checks_the_deadline(monkeypatch):
+    # a clock that moves 10 us per candidate relation: every frame of CnK on
+    # 4 worlds has 65,536 candidates, and the 0.2 s limit must stop the
+    # search within a few thousand candidates of passing, not after a list
+    # of all of them
+    tested = _count_calls(monkeypatch, "relation")
+    monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: len(tested) * 1e-5))
+    out = find_countermodel(Logic.CnK, consecution([], [parse("[]p0 -> []p0")]),
+                            SearchBounds(4, (0,), time_limit=0.2))
+    assert out.status is Status.TIMED_OUT
+    assert 20_000 <= len(tested) <= 20_000 + 4_096, len(tested)
+
+
+def test_conditional_classes_search_propositional_queries_as_p():
+    # a query without a conditional is evaluated on the index-free models
+    # only, which are P's models in P's order: the full enumeration's first
+    # hit, and C's count of models
+    rnd = random.Random(43)
+    bounds = SearchBounds(2, (0, 1), max_cond_indices=1)
+    cases = _not_refuted_at_one_world(rnd, Logic.C, bounds, PL_CONNS, 4)
+    cases += [consecution([random_formula(rnd, 2, (0, 1), PL_CONNS)],
+                          [random_formula(rnd, 3, (0, 1), PL_CONNS)]) for _ in range(3)]
+    sizes = Counter()
+    for c in cases:
+        want = find_countermodel(Logic.C, c, bounds)
+        for logic in (Logic.CnCK, Logic.CnCK_R):
+            expected = _unpruned_first_hit(logic, c, bounds)
+            out = find_countermodel(logic, c, bounds)
+            if expected is None:
+                assert out.status is Status.EXHAUSTED, c
+            else:
+                assert out.found and serialize_pointed(out.witness) == expected, c
+            assert out.models == want.models, c
+        sizes[len(out.witness.model.worlds) if out.found else 0] += 1
+    assert sizes[1] and sizes[2] and sizes[0], sizes
 
 
 def test_large_program_takes_smaller_chunks():

@@ -10,8 +10,7 @@ from cnx.model import (BiSet, FrameClass, Kind, KripkeModel, get_fixture, masks_
                        relation, succ_masks, world_bits)
 from cnx.search import SearchBounds, _mask_models, enumerate_models
 from cnx.semantics import (UNKNOWN, biextension, check_consecution, consecution,
-                           consecution_program, consulted_indices, refutable_worlds,
-                           sat, satisfying_worlds)
+                           consecution_program, refutable_worlds, sat, satisfying_worlds)
 from cnx.syntax import Atom, Neg, WouldTo, parse
 
 p, q = "p0", "p1"
@@ -289,7 +288,7 @@ def test_bound_contains_the_refutations_of_every_completion():
                 completion = mm._replace(access={**mm.access, **dict(zip(unknown, rels))})
                 refuted |= satisfying_worlds(prog, completion)
             assert not refuted & ~bound, (prog, partial)
-            kinds.add((consulted_indices(prog) is None, bound == 0, bound == refuted))
+            kinds.add((prog.pl_antecedents, bound == 0, bound == refuted))
     # queries with and without a conditional antecedent, and bounds that
     # prune, that are exact without pruning, and that are loose
     assert {k[0] for k in kinds} == {False, True}

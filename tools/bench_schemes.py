@@ -1,4 +1,5 @@
-"""Time exhaustive P and FSM searches, with the models each one evaluates.
+"""Time exhaustive searches of queries without a conditional, with the models
+each one evaluates.
 
     python3 tools/bench_schemes.py [--root LABEL=CHECKOUT ...] [--out FILE]
 
@@ -7,8 +8,9 @@ Two groups of searches, each `find_countermodel` on a bare formula:
 - the scheme sweep: every axiom scheme of C, taken at p0/p1/p2 and searched
   at its own atoms, in C at 3 worlds; every scheme of CnK in CnK at 2
   worlds; and the CnK schemes of one or two atoms in CnK at 3 worlds;
-- the corpus goals that the `search` benchmark searches exhaustively in C
-  (at 3 worlds) and in CnK (at 2 worlds), at their own atoms.
+- the corpus goals without a conditional that the `search` benchmark
+  searches exhaustively, at their own atoms: in C (at 3 worlds), in CnK
+  (at 2 worlds), and in CnCKR and CnCK (at 2 worlds and 1 index).
 
 Each checkout (default: the one holding this script, as `change`) runs
 once, in a fresh interpreter with CHECKOUT/src first on the path.  A
@@ -35,13 +37,15 @@ TIME_LIMIT_S = 120.0
 SWEEPS = [("schemes C w3", "C", 3, 3),
           ("schemes CnK w2", "CnK", 2, 3),
           ("schemes CnK w3", "CnK", 3, 2)]
-# (group, logic, worlds, corpus goals)
-GOALS = [("goals C w3", "C", 3,
-          ("alpha9_instance", "at_arrow", "strong_refl", "strong_dne",
-           "neg_inconsistency_imp", "neg_inconsistency_strong", "at_strong")),
+C_GOALS = ("alpha9_instance", "at_arrow", "strong_refl", "strong_dne",
+           "neg_inconsistency_imp", "neg_inconsistency_strong", "at_strong")
+# (group, logic, worlds, corpus goals); conditional logics take 1 index
+GOALS = [("goals C w3", "C", 3, C_GOALS),
          ("goals CnK w2", "CnK", 2,
           ("neg_box_swap", "neg_dia_swap", "at_strict", "at_sstrict",
-           "contr_m_imp", "contr_m_strong", "contr_m_strict", "contr_m_sstrict"))]
+           "contr_m_imp", "contr_m_strong", "contr_m_strict", "contr_m_sstrict")),
+         ("goals CnCKR w2", "CnCK_R", 2, C_GOALS),
+         ("goals CnCK w2", "CnCK", 2, ("at_arrow",))]
 
 # one run in the checkout: every search once, as JSON lines
 CHILD = r"""
@@ -63,7 +67,8 @@ for group, logic, worlds, names in goals:
         proof = parse_proof((CORPUS_DIR / f"{name}.prf").read_text())
         searches.append((group, name, logic, worlds, proof.goals[0]))
 for group, name, logic, worlds, f in searches:
-    bounds = SearchBounds(worlds, tuple(sorted(atoms_of(f))), time_limit=limit)
+    bounds = SearchBounds(worlds, tuple(sorted(atoms_of(f))), max_cond_indices=1,
+                          time_limit=limit)
     start = time.perf_counter()
     out = find_countermodel(getattr(Logic, logic), consecution([], [f]), bounds)
     seconds = time.perf_counter() - start
