@@ -221,7 +221,14 @@ def _image(masks, x: int) -> int:
 def relation(up: tuple[int, ...], succ: tuple[int, ...]) -> Rel:
     """The relation with the given successor masks, over the frame whose
     worlds above each world are up."""
-    return Rel(succ, tuple(_image(succ, u) for u in up))
+    images = []
+    for above in up:
+        image = 0
+        for w, s in enumerate(succ):
+            if above >> w & 1:
+                image |= s
+        images.append(image)
+    return Rel(succ, tuple(images))
 
 
 def succ_masks(bit: dict[str, int], pairs) -> tuple[int, ...]:

@@ -14,6 +14,16 @@ its Fischer-Servi relations.  enumerate_models builds a KripkeModel for each
 model; find_countermodel evaluates them with a program compiled once per
 search and builds a KripkeModel only for the witness.
 
+Frames are built by construction, not by filtering candidates, and kept in
+per-process tables that every later search reads: each entry is built the
+first time a search needs it (never at import) and is never changed.  The
+preorders on n worlds come from those on n - 1 by placing the new world
+(McKay, "Isomorph-free exhaustive generation", 1998, generates by the same
+augmentation), then sorted into bitmask order; their up-closed sets come
+from the parent's.  A preorder's Fischer-Servi relations are built row by
+row, each row drawn only from the masks the rows chosen so far allow.  The
+tests hold the filters these replace, as the definition they must match.
+
 find_countermodel walks each world count's preorders once per isomorphism
 class (lex-leader symmetry breaking; Claessen and Soerensson, "New
 techniques that improve MACE-style finite model finding", 2003).  It skips
@@ -67,13 +77,12 @@ from enum import Enum
 from functools import reduce
 from itertools import chain, combinations, permutations, product
 from operator import or_
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .errors import EvidenceError
 from .logics import Logic
 from .model import (FrameClass, Kind, KripkeModel, MaskModel, PointedModel, Rel,
-                    from_masks, fs_faults, masks_of, relation, target_faults,
-                    transitivity_faults, up_closed, validate_model)
+                    from_masks, masks_of, relation, target_faults, validate_model)
 from .record import Record
 from .semantics import (UNKNOWN, Consecution, Program, _run, check_consecution,
                         consecution_program, refutable_worlds, satisfying_slices,
@@ -121,48 +130,159 @@ class SearchOutcome(Record):
 
 
 # ---------------------------------------------------------------------------
-# frame enumeration
+# frame construction
 
 def _world_names(n: int) -> tuple[str, ...]:
     return tuple(f"w{i + 1}" for i in range(n))
 
 
-def _rows(mask: int, n: int, label: tuple[int, ...]) -> tuple[int, ...]:
-    """The relation on n worlds whose bit i*n + j holds (w<i+1>, w<j+1>), as
-    successor masks over the sorted names; the p-th sorted name is
-    w<label[p]+1>.  (The two orders differ from 10 worlds on, where w10
-    sorts before w2.)"""
-    return tuple(sum(1 << q for q, j in enumerate(label) if mask >> i * n + j & 1)
-                 for i in label)
+# Per-process tables of frames, each entry built on first use (never at
+# import) and never changed after; a build that times out stores nothing.
+# _PREORDERS[n, False] holds every preorder on n worlds, _PREORDERS[n, True]
+# those least in their orbits, each as (mask, up, the up-closed masks) and
+# ascending by mask (bit i*n + j holding (w<i+1>, w<j+1>)); _RELATIONS[up]
+# holds the Fischer-Servi relations over the preorder up.
+_PREORDERS: dict[tuple[int, bool], tuple] = {(0, False): ((0, (), (0,)),)}
+_RELATIONS: dict[tuple[int, ...], tuple[Rel, ...]] = {}
 
 
-def _preorder_masks(n: int) -> Iterator[int]:
-    """The preorders on n worlds as masks (bit i*n + j holds (w<i+1>,
-    w<j+1>)), in increasing order: the diagonal is fixed and the
-    off-diagonal subsets ascend, each kept if its rows are transitive."""
-    diagonal = sum(1 << i * (n + 1) for i in range(n))
-    off = ((1 << n * n) - 1) ^ diagonal
-    row = (1 << n) - 1
-    s = 0
+def _preorders(n: int, least_only: bool, deadline: float | None) -> tuple:
+    """The preorders on n worlds of _PREORDERS[n, least_only].  Each
+    preorder extends exactly one on n - 1 worlds: the new world, the last,
+    goes above a down-closed set D and below an up-closed set U, every
+    member of D below every member of U, which is all transitivity asks.
+    The old up-closed sets that miss D stay up-closed, and those that hold
+    U are up-closed with the new world added.  A preorder is least in its
+    orbit under the renamings of the worlds unless it renames one kept
+    before it.  The deadline is checked before each preorder extended or
+    kept.  (Plain loops: a cold process pays for each code object run.)"""
+    key = (n, least_only)
+    if key in _PREORDERS:
+        return _PREORDERS[key]
+    built = []
+    if least_only:
+        moves = []  # each renaming, with the image of every row
+        for p in permutations(range(n)):
+            image = [0] * (1 << n)
+            for row in range(1, 1 << n):
+                low = row & -row
+                image[row] = image[row ^ low] | 1 << p[low.bit_length() - 1]
+            moves.append((p, image))
+        seen = set()
+        for entry in _preorders(n, False, deadline):
+            if entry[0] not in seen:
+                _check_deadline(deadline)
+                built.append(entry)
+                for p, image in moves:
+                    mask = 0
+                    for i, row in enumerate(entry[1]):
+                        mask |= image[row] << p[i] * n
+                    seen.add(mask)
+    else:
+        new = 1 << n - 1  # the new world's bit
+        for _, up, ups in _preorders(n - 1, False, deadline):
+            _check_deadline(deadline)
+            for closed in ups:
+                below = new - 1 ^ closed  # D
+                meet, rows, mask = new - 1, [], 0  # meet: the worlds above all of D
+                for i, row in enumerate(up):
+                    if below >> i & 1:
+                        meet &= row
+                        row |= new
+                    rows.append(row)
+                    mask |= row << i * n
+                missing = []  # the up-closed sets that miss D
+                for s in ups:
+                    if not s & below:
+                        missing.append(s)
+                for above in ups:  # U
+                    if not above & ~meet:
+                        sets = missing[:]
+                        for s in ups:
+                            if not above & ~s:
+                                sets.append(s | new)
+                        built.append((mask | (above | new) << n * n - n, (*rows, above | new),
+                                      tuple(sets)))
+        built.sort()
+    _PREORDERS[key] = built = tuple(built)
+    return built
+
+
+def _fs_relations(up: tuple[int, ...], deadline: float | None) -> tuple[Rel, ...]:
+    """The Fischer-Servi relations over the preorder up (_RELATIONS[up]), in
+    bitmask order: the successor rows are chosen from the last world's to the
+    first, depth first, each in ascending order.  On masks, the conditions
+    say of every world w: c1, that w's row lies in the worlds below some
+    successor of each world above w; c2, that the worlds above w's
+    successors are successors of some world above w.  Each is tested once
+    the last row it reads is chosen, and c1 bounds the rows it can: only the
+    submasks of the bound are tried.  The deadline is checked before each
+    row is entered."""
+    if up in _RELATIONS:
+        return _RELATIONS[up]
+    n, top = len(up), (1 << len(up)) - 1
+    # of each row t, the worlds below some member and those above some member
+    lower, upper = [0] * (top + 1), [0] * (top + 1)
+    for t in range(1, top + 1):
+        low = t & -t
+        w = low.bit_length() - 1
+        down = 0  # the worlds below w
+        for v in range(n):
+            if up[v] >> w & 1:
+                down |= 1 << v
+        lower[t], upper[t] = lower[t ^ low] | down, upper[t ^ low] | up[w]
+    # what row w is tested against once chosen: the later rows above it,
+    # which bound it (c1); the later rows below it (c1); and each world whose
+    # first world above is w, with the worlds above it (c2)
+    tests = []
+    for w in range(n):
+        over, under, close = [], [], []
+        for x in range(w + 1, n):
+            if up[w] >> x & 1:
+                over.append(x)
+            if up[x] >> w & 1:
+                under.append(x)
+        for x in range(w, n):
+            if up[x] & -up[x] == 1 << w:
+                above = []
+                for y in range(w, n):
+                    if up[x] >> y & 1:
+                        above.append(y)
+                close.append((x, above))
+        tests.append((over, under, close))
+    succ, bounds, rels = [0] * n, [top] * n, []
+    w = n - 1
+    _check_deadline(deadline)
     while True:
-        mask = diagonal | s
-        if not any(transitivity_faults(tuple(mask >> i * n & row for i in range(n)))):
-            yield mask
-        if s == off:
-            return
-        s = (s - off) & off
-
-
-def _least_in_orbit(n: int) -> Callable[[int], bool]:
-    """A test of whether a preorder mask on n worlds is least among the
-    masks that the renamings of the worlds map it to."""
-    # each renaming but the identity, as the (from, to) bit of every pair
-    moves = [[(1 << i * n + j, 1 << p[i] * n + p[j]) for i in range(n) for j in range(n)]
-             for p in permutations(range(n))][1:]
-
-    def least(mask: int) -> bool:
-        return all(sum(to for frm, to in mv if mask & frm) >= mask for mv in moves)
-    return least
+        over, under, close = tests[w]
+        s = succ[w]
+        for x in under:
+            if succ[x] & ~lower[s]:
+                break
+        else:
+            for x, above in close:
+                image = 0
+                for y in above:
+                    image |= succ[y]
+                if upper[succ[x]] & ~image:
+                    break
+            else:
+                if not w:
+                    rels.append(relation(up, tuple(succ)))
+                else:  # enter the row below, at its first submask, 0
+                    _check_deadline(deadline)
+                    w -= 1
+                    bound = top
+                    for x in tests[w][0]:
+                        bound &= lower[succ[x]]
+                    bounds[w], succ[w] = bound, 0
+                    continue
+        while succ[w] == bounds[w]:  # the row's last submask: back up
+            w += 1
+            if w == n:
+                _RELATIONS[up] = built = tuple(rels)
+                return built
+        succ[w] = (succ[w] - bounds[w]) & bounds[w]
 
 
 def _valuations(atoms, up_sets) -> Iterator[tuple[dict, dict]]:
@@ -241,33 +361,18 @@ def _frames(frame: FrameClass, max_worlds: int, least_only: bool,
     """The frames of the class on up to max_worlds worlds in enumeration
     order, as (names, up, the up-closed masks, the Fischer-Servi relations
     or None for P).  With least_only, only those whose preorder is least in
-    its orbit under the renamings of the worlds.  The relations are found by
-    testing every candidate in bitmask order, each generated when first
-    needed; the deadline is checked before each preorder and every 4096
-    candidates."""
+    its orbit under the renamings of the worlds.  The frames are read from
+    the per-process tables, whose entries are built on first use: a world
+    count's preorders at once, by extending those of the world count below,
+    and a preorder's relations when its frame is first reached.  A build
+    checks the deadline as it goes (see _preorders and _fs_relations)."""
     for n in range(1, max_worlds + 1):
-        worlds = _world_names(n)
-        names = tuple(sorted(worlds))
-        label = tuple(worlds.index(w) for w in names)
-        least = _least_in_orbit(n) if least_only else None
-        succs: list[tuple[int, ...]] = []  # the candidates' rows, as first needed
-        for mask in _preorder_masks(n):
-            _check_deadline(deadline)
-            if least is not None and not least(mask):
-                continue
-            up = _rows(mask, n, label)
-            rels = None
-            if frame is not FrameClass.P:
-                rels = []
-                for r in range(1 << n * n):
-                    if not r & 4095:
-                        _check_deadline(deadline)
-                    if r == len(succs):
-                        succs.append(_rows(r, n, label))
-                    rel = relation(up, succs[r])
-                    if not any(fs_faults(up, rel)):
-                        rels.append(rel)
-            yield names, up, up_closed(up), rels
+        # below 10 worlds the names sort in world order, and the tables
+        # cannot reach 10: they would first hold the 63,260,289,423
+        # preorders on 9 (OEIS A000798)
+        names = _world_names(n)
+        for _, up, ups in _preorders(n, least_only, deadline):
+            yield names, up, ups, None if frame is FrameClass.P else _fs_relations(up, deadline)
 
 
 def _index_choices(frame: FrameClass, ups: list[int], rels: list[Rel]) -> dict:
@@ -443,9 +548,10 @@ def find_countermodel(logic: Logic, c: Consecution, bounds: SearchBounds) -> Sea
     index restriction).  The witness is the first refuting model of the full
     enumeration, at its first refuting world, and models counts the models
     evaluated up to it, or all of them, as one model at a time would (see
-    the module docstring).  The deadline is checked before each preorder,
-    every 4096 candidate relations, each pass, and every conditional model
-    and bound, so a long run of skipped branches still times out.  On a
+    the module docstring).  The deadline is checked while frames are built
+    (before each preorder extended or kept and each relation row entered),
+    before each pass, and before every conditional model and bound, so a
+    long run of skipped branches still times out.  On a
     timeout models is what was evaluated before it: without a conditional,
     every model of each pass done."""
     for f in c.gamma | c.delta:

@@ -1,17 +1,20 @@
 """Shared helpers: seeded random formulas and models for property tests, a
 from-the-definition satisfaction relation that the evaluator is tested
-against, and an eager lexer and token-list parser that the parser is tested
-against."""
+against, the frames of the search from the definition (a filter over every
+candidate preorder and relation), and an eager lexer and token-list parser
+that the parser is tested against."""
 
 from __future__ import annotations
 
 import random
 import re
+from itertools import permutations
 
 from cnx.errors import FormulaSyntaxError
-from cnx.model import BiSet, FrameClass, Kind, KripkeModel, _up_sets, validate_model
+from cnx.model import (BiSet, FrameClass, Kind, KripkeModel, _up_sets, fs_faults, relation,
+                       transitivity_faults, up_closed, validate_model)
 from cnx.semantics import Consecution
-from cnx.search import _preorder_masks
+from cnx.search import _preorders, _world_names
 from cnx.syntax import (MAX_DEPTH, SUGAR, And, Atom, Box, Dia, Formula, Imp,
                         MightTo, Neg, Or, WouldTo, depth, map_formula)
 
@@ -38,11 +41,74 @@ def shift_atoms(f: Formula, offset: int) -> Formula:
 
 
 def preorders(worlds) -> list[frozenset]:
-    """The preorders of search._preorder_masks as pair sets, in its order;
-    bit i*n + j of a mask holds (worlds[i], worlds[j])."""
+    """The preorders that the search builds on len(worlds) worlds, as pair
+    sets in its order; bit i*n + j of a mask holds (worlds[i], worlds[j])."""
     pairs = [(a, b) for a in worlds for b in worlds]
     return [frozenset(p for i, p in enumerate(pairs) if mask >> i & 1)
-            for mask in _preorder_masks(len(worlds))]
+            for mask, _, _ in _preorders(len(worlds), False, None)]
+
+
+# ---------------------------------------------------------------------------
+# the frames of search._frames, from the definition
+
+def preorder_masks(n: int):
+    """The preorders on n worlds as masks (bit i*n + j holds (w<i+1>,
+    w<j+1>)), in increasing order: the diagonal is fixed and the
+    off-diagonal subsets ascend, each kept if its rows are transitive."""
+    diagonal = sum(1 << i * (n + 1) for i in range(n))
+    off = ((1 << n * n) - 1) ^ diagonal
+    row = (1 << n) - 1
+    s = 0
+    while True:
+        mask = diagonal | s
+        if not any(transitivity_faults(tuple(mask >> i * n & row for i in range(n)))):
+            yield mask
+        if s == off:
+            return
+        s = (s - off) & off
+
+
+def least_in_orbit(n: int):
+    """A test of whether a preorder mask on n worlds is least among the
+    masks that the renamings of the worlds map it to."""
+    # each renaming but the identity, as the (from, to) bit of every pair
+    moves = [[(1 << i * n + j, 1 << p[i] * n + p[j]) for i in range(n) for j in range(n)]
+             for p in permutations(range(n))][1:]
+
+    def least(mask: int) -> bool:
+        return all(sum(to for frm, to in mv if mask & frm) >= mask for mv in moves)
+    return least
+
+
+def mask_rows(mask: int, n: int, label: tuple[int, ...]) -> tuple[int, ...]:
+    """The relation on n worlds whose bit i*n + j holds (w<i+1>, w<j+1>), as
+    successor masks over the sorted names; the p-th sorted name is
+    w<label[p]+1>.  (The two orders differ from 10 worlds on, where w10
+    sorts before w2.)"""
+    return tuple(sum(1 << q for q, j in enumerate(label) if mask >> i * n + j & 1)
+                 for i in label)
+
+
+def definition_frames(frame: FrameClass, max_worlds: int, least_only: bool):
+    """What search._frames yields, from the definition: every candidate
+    preorder tested for transitivity, and with least_only for being least in
+    its orbit; every candidate relation in bitmask order tested for the
+    Fischer-Servi conditions."""
+    for n in range(1, max_worlds + 1):
+        worlds = _world_names(n)
+        names = tuple(sorted(worlds))
+        label = tuple(worlds.index(w) for w in names)
+        least = least_in_orbit(n)
+        for mask in preorder_masks(n):
+            if least_only and not least(mask):
+                continue
+            up = mask_rows(mask, n, label)
+            rels = None
+            if frame is not FrameClass.P:
+                rels = tuple(rel for r in range(1 << n * n)
+                             for rel in [relation(up, mask_rows(r, n, label))]
+                             if not any(fs_faults(up, rel)))
+            yield names, up, tuple(up_closed(up)), rels
 
 
 def is_fs(worlds, leq, rel) -> bool:

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -67,6 +68,10 @@ class TestSystems:
         # all but a2 and a8, which have three atoms
         three_worlds = self._scheme_models(Logic.CnK, "CnK", 3, max_atoms=2)
         assert len(three_worlds) == 16 and sum(three_worlds.values()) == 33_910_240
+        # the C schemes of one or two atoms at 5 worlds: a9 has one atom
+        # (16,329 models) and the other nine two (3,635,085 each)
+        five_worlds = self._scheme_models(Logic.C, "C", 5, max_atoms=2)
+        assert len(five_worlds) == 10 and sum(five_worlds.values()) == 32_732_094
         # positive controls: Peirce's law is not a C theorem, and CnK has
         # no T axiom
         for logic, text in ((Logic.C, "((p0 -> p1) -> p0) -> p0"),
@@ -261,6 +266,13 @@ class TestCorpus:
         registry, index = load_corpus()
         assert len(index) >= 60
         assert len(registry) >= 45
+
+    def test_every_proof_is_named_after_its_file(self):
+        # a proof can then be found by name alone, without the manifest
+        fnames = (CORPUS_DIR / "manifest.txt").read_text().split()
+        assert len(fnames) >= 60
+        for fname in fnames:
+            assert parse_proof((CORPUS_DIR / fname).read_text()).name == Path(fname).stem, fname
 
     def test_negative_fixtures(self):
         reg = corpus_registry()

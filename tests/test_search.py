@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import time
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -12,7 +13,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import (CN_CONNS, MD_CONNS, PL_CONNS, preorders, random_formula, ref_refutes,
+from conftest import (CN_CONNS, MD_CONNS, PL_CONNS, definition_frames, least_in_orbit,
+                      mask_rows, preorder_masks, preorders, random_formula, ref_refutes,
                       shift_atoms)
 from cnx.corpus import CORPUS_DIR
 from cnx.errors import EvidenceError, LanguageMismatch
@@ -20,13 +22,12 @@ from cnx.harness import DEFAULT_BOUNDS, Thesis, _as_consecution, thesis_instance
 from cnx.logics import Logic
 from cnx.model import (FrameClass, Kind, KripkeModel, MaskModel, PointedModel, from_masks,
                        get_fixture, serialize_model, serialize_pointed, succ_masks,
-                       validate_model, world_bits)
+                       transitivity_faults, validate_model, world_bits)
 from cnx.proof import parse_proof
 from cnx import search
 from cnx.search import (SearchBounds, Status, _access_rows, _first_world, _frames,
-                        _inner_slices, _least_in_orbit, _mask_models, _preorder_masks,
-                        _rows, _valuations, _world_names, check_evidence,
-                        enumerate_models, find_countermodel)
+                        _inner_slices, _mask_models, _preorders, _valuations, _world_names,
+                        check_evidence, enumerate_models, find_countermodel)
 from cnx.semantics import (_run, _run_sliced, check_consecution, consecution,
                            consecution_program, satisfying_slices, satisfying_worlds)
 from cnx.syntax import And, Atom, Imp, Neg, parse
@@ -52,7 +53,22 @@ def labeled_preorders_oracle(n):
 def test_preorders_match_the_definition_in_order():
     for n in (1, 2, 3):
         assert preorders(_world_names(n)) == labeled_preorders_oracle(n)
-    assert len(preorders(_world_names(4))) == 355
+    assert [mask for mask, _, _ in _preorders(4, False, None)] == list(preorder_masks(4))
+    # 6,942 preorders on 5 worlds (OEIS A000798), ascending and transitive
+    masks = [mask for mask, _, _ in _preorders(5, False, None)]
+    assert len(masks) == 6_942 and masks == sorted(set(masks))
+    for mask in masks:
+        rows = tuple(mask >> i * 5 & 31 for i in range(5))
+        assert all(row >> i & 1 for i, row in enumerate(rows))
+        assert not any(transitivity_faults(rows)), mask
+
+
+def test_frames_match_the_definition_in_order():
+    for frame, worlds in ((FrameClass.P, 4), (FrameClass.FSM, 3),
+                          (FrameClass.FSC, 2), (FrameClass.FSC_R, 2)):
+        for least_only in (False, True):
+            assert (list(_frames(frame, worlds, least_only))
+                    == list(definition_frames(frame, worlds, least_only))), (frame, least_only)
 
 
 def test_rows_map_world_labels_to_sorted_names():
@@ -66,7 +82,7 @@ def test_rows_map_world_labels_to_sorted_names():
         for _ in range(20):
             mask = rnd.getrandbits(n * n)
             rel = [p for i, p in enumerate(pairs) if mask >> i & 1]
-            assert _rows(mask, n, label) == succ_masks(world_bits(names), rel)
+            assert mask_rows(mask, n, label) == succ_masks(world_bits(names), rel)
 
 
 def _rename(rel, perm):
@@ -77,8 +93,8 @@ def test_least_preorders_are_one_per_isomorphism_class():
     # the unlabelled preorders on 1-4 points number 1, 3, 9 and 33
     for n, classes in ((1, 1), (2, 3), (3, 9), (4, 33)):
         worlds = _world_names(n)
-        least = _least_in_orbit(n)
-        leaders = {rel for mask, rel in zip(_preorder_masks(n), preorders(worlds))
+        least = least_in_orbit(n)
+        leaders = {rel for mask, rel in zip(preorder_masks(n), preorders(worlds))
                    if least(mask)}
         assert len(leaders) == classes
         renamings = [dict(zip(worlds, p)) for p in itertools.permutations(worlds)]
@@ -459,6 +475,17 @@ def test_frame_generation_checks_the_deadline(monkeypatch):
                             SearchBounds(4, (0,), time_limit=0.2))
     assert out.status is Status.TIMED_OUT
     assert 20_000 <= len(tested) <= 20_000 + 4_096, len(tested)
+
+
+def test_preorder_construction_checks_the_deadline():
+    # the 209,527 preorders on 6 worlds and their 718 orbit leaders take
+    # about a second to build; the limit stops the build, not the end of
+    # the world count
+    start = time.monotonic()
+    out = find_countermodel(Logic.C, consecution([], [parse("p0 -> p0")]),
+                            SearchBounds(6, (0,), time_limit=0.2))
+    assert out.status is Status.TIMED_OUT
+    assert time.monotonic() - start < 0.4
 
 
 def test_conditional_classes_search_propositional_queries_as_p():

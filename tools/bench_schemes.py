@@ -1,5 +1,5 @@
 """Time exhaustive searches of queries without a conditional, with the models
-each one evaluates.
+each one evaluates, and the cold set-up of the frames they search.
 
     python3 tools/bench_schemes.py [--root LABEL=CHECKOUT ...] [--out FILE]
 
@@ -7,17 +7,26 @@ Two groups of searches, each `find_countermodel` on a bare formula:
 
 - the scheme sweep: every axiom scheme of C, taken at p0/p1/p2 and searched
   at its own atoms, in C at 3 worlds; every scheme of CnK in CnK at 2
-  worlds; and the CnK schemes of one or two atoms in CnK at 3 worlds;
+  worlds; the CnK schemes of one or two atoms in CnK at 3 worlds; and the
+  C schemes of one or two atoms in C at 5 worlds;
 - the corpus goals without a conditional that the `search` benchmark
   searches exhaustively, at their own atoms: in C (at 3 worlds), in CnK
   (at 2 worlds), and in CnCKR and CnCK (at 2 worlds and 1 index).
 
 Each checkout (default: the one holding this script, as `change`) runs
-once, in a fresh interpreter with CHECKOUT/src first on the path.  A
-search stops after TIME_LIMIT_S and is reported as timed out.  Prints a
-table and writes FILE (default BENCH_sliced.json in the current directory)
-with each search's status, models and seconds, the sums per group, and the
-machine.  Standard library only.
+them once, in a fresh interpreter with CHECKOUT/src first on the path.  A
+search stops after TIME_LIMIT_S and is reported as timed out.
+
+Before them it times the cold set-up of the frames a search walks (one
+preorder per isomorphism class) for each class and world count of
+COLD_FRAMES, as a `cnx valid` process pays it: `search._frames` run to its
+end right after the imports, in a fresh interpreter each time, best of
+COLD_RUNS, with the page faults of that run.
+
+Prints a table and writes FILE (default BENCH_sliced.json in the current
+directory) with each set-up's frames, seconds and faults, each search's
+status, models and seconds, the sums per group, and the machine.  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -36,7 +45,8 @@ TIME_LIMIT_S = 120.0
 # (group, logic, worlds, most atoms): the scheme sweep
 SWEEPS = [("schemes C w3", "C", 3, 3),
           ("schemes CnK w2", "CnK", 2, 3),
-          ("schemes CnK w3", "CnK", 3, 2)]
+          ("schemes CnK w3", "CnK", 3, 2),
+          ("schemes C w5", "C", 5, 2)]
 C_GOALS = ("alpha9_instance", "at_arrow", "strong_refl", "strong_dne",
            "neg_inconsistency_imp", "neg_inconsistency_strong", "at_strong")
 # (group, logic, worlds, corpus goals); conditional logics take 1 index
@@ -46,6 +56,24 @@ GOALS = [("goals C w3", "C", 3, C_GOALS),
            "contr_m_imp", "contr_m_strong", "contr_m_strict", "contr_m_sstrict")),
          ("goals CnCKR w2", "CnCK_R", 2, C_GOALS),
          ("goals CnCK w2", "CnCK", 2, ("at_arrow",))]
+
+# (frame class, worlds): the cold frame set-ups
+COLD_FRAMES = [("P", 3), ("P", 4), ("P", 5), ("FSM", 2), ("FSM", 3), ("FSC_R", 2)]
+COLD_RUNS = 5
+
+# one cold set-up in a fresh interpreter, as JSON: [frames, seconds, faults]
+COLD_CHILD = r"""
+import json, resource, sys, time
+from cnx.model import FrameClass
+from cnx.search import _frames
+frame, worlds = FrameClass[sys.argv[1]], int(sys.argv[2])
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+start = time.perf_counter()
+frames = sum(1 for _ in _frames(frame, worlds, True))
+seconds = time.perf_counter() - start
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+print(json.dumps([frames, seconds, faults]))
+"""
 
 # one run in the checkout: every search once, as JSON lines
 CHILD = r"""
@@ -76,22 +104,33 @@ for group, name, logic, worlds, f in searches:
 """
 
 
-def run_checkout(root: Path) -> dict:
+def run_child(root: Path, *args: str) -> str:
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    arg = json.dumps([SWEEPS, GOALS, TIME_LIMIT_S])
-    proc = subprocess.run([sys.executable, "-c", CHILD, arg], cwd=root, env=env,
+    proc = subprocess.run([sys.executable, "-c", *args], cwd=root, env=env,
                           capture_output=True, text=True)
     if proc.returncode:
         sys.exit(f"{root}: exit code {proc.returncode}\n{proc.stderr}")
+    return proc.stdout
+
+
+def run_checkout(root: Path) -> dict:
     groups: dict[str, dict] = {}
-    for line in proc.stdout.splitlines():
+    for frame, worlds in COLD_FRAMES:
+        runs = [json.loads(run_child(root, COLD_CHILD, frame, str(worlds)))
+                for _ in range(COLD_RUNS)]
+        frames, seconds, faults = min(runs, key=lambda run: run[1])
+        groups[f"frames {frame} w{worlds}"] = {"frames": frames, "seconds": seconds,
+                                               "faults": faults}
+    out = run_child(root, CHILD, json.dumps([SWEEPS, GOALS, TIME_LIMIT_S]))
+    for line in out.splitlines():
         group, name, status, models, seconds = json.loads(line)
         items = groups.setdefault(group, {"items": {}})["items"]
         items[name] = {"status": status, "models": models, "seconds": seconds}
     for g in groups.values():
-        g["models"] = sum(i["models"] for i in g["items"].values())
-        g["seconds"] = sum(i["seconds"] for i in g["items"].values())
-        g["timed_out"] = sum(i["status"] == "timed-out" for i in g["items"].values())
+        if "items" in g:
+            g["models"] = sum(i["models"] for i in g["items"].values())
+            g["seconds"] = sum(i["seconds"] for i in g["items"].values())
+            g["timed_out"] = sum(i["status"] == "timed-out" for i in g["items"].values())
     return {"groups": groups}
 
 
@@ -118,6 +157,9 @@ def main() -> int:
         cells = []
         for c in result["checkouts"].values():
             g = c["groups"][group]
+            if "frames" in g:
+                cells.append(f"{g['frames']:>5} frames {g['seconds'] * 1e3:9.3f} ms")
+                continue
             late = f" ({g['timed_out']} timed out)" if g["timed_out"] else ""
             cells.append(f"{g['models']:>12,} {g['seconds']:9.3f} s{late}")
         print(f"{group:16} " + " ".join(f"{cell:>28}" for cell in cells))
