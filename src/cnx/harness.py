@@ -118,7 +118,6 @@ class ProofEvidence(Record):
 
 class CountermodelEvidence(Record):
     pointed: PointedModel
-    instance: object            # Formula or Consecution
     fixture: Optional[str]      # named fixture, if one supplied the model
 
     @property
@@ -219,8 +218,7 @@ def _as_consecution(instance) -> Consecution:
 
 def run_thesis(logic: Logic, conn: str, thesis: Thesis,
                bounds: SearchBounds) -> ThesisStatus:
-    instance = thesis_instance(conn, thesis)
-    c = _as_consecution(instance)
+    c = _as_consecution(thesis_instance(conn, thesis))
     for f in c.gamma | c.delta:
         logic.require(f)
     frame = logic.frame_class
@@ -237,14 +235,12 @@ def run_thesis(logic: Logic, conn: str, thesis: Thesis,
         if w is not None:
             hit = PointedModel(pm.model, w)
             check_evidence(frame, c, hit)
-            return ThesisStatus(thesis, "fails",
-                                CountermodelEvidence(hit, instance, fixture_name))
+            return ThesisStatus(thesis, "fails", CountermodelEvidence(hit, fixture_name))
 
     outcome = find_countermodel(logic, c, bounds)
     if outcome.status is Status.FOUND:
         check_evidence(frame, c, outcome.witness)
-        return ThesisStatus(thesis, "fails",
-                            CountermodelEvidence(outcome.witness, instance, None))
+        return ThesisStatus(thesis, "fails", CountermodelEvidence(outcome.witness, None))
     return ThesisStatus(thesis, "holds", BoundedEvidence(bounds))
 
 

@@ -36,37 +36,25 @@ first refuting model of the full enumeration lies in a kept block, where
 the other skips keep it: neither the witness nor an exhausted verdict
 changes.  enumerate_models still yields every block.
 
-find_countermodel chooses its search by the query's program.  A program
-without a conditional is evaluated under all the models of a kept frame at
-once (bit-slicing; Biham, "A fast new DES implementation in software",
-1997, and Knuth, TAOCP 4A, 7.1.3).  In a conditional class it evaluates
-each model like the same model without indices, which comes earlier, so
-only those are searched: P's models, in P's order.  Bit v*R + j of a slice
-stands for the v-th valuation of _valuations under the j-th of the frame's
-R relations (R = 1 without), the order of the enumeration: the first set
-bit is the first refuting model, its position plus one the count of models
-evaluated up to it, and its point the first world whose slice has it.  A
-pass takes at most CHUNK_BITS models (fewer for a program of more than 1024
-nodes): the first atoms' valuations one chunk at a time, each constant
-within its chunk, and the relations of a valuation that has more a
-contiguous range at a time, so each pass is a run of the enumeration.
-
-A program with a conditional is evaluated one model at a time.  Per
-valuation the index-free model comes first, then the combinations of
-indices, fewest first, except those holding an index the query never
-consults.  A conditional looks up only the index equal to its antecedent's
-bi-extension; when every antecedent is propositional, those bi-extensions
-are the antecedents' values in the index-free model, and only combinations
-of them are tried.  A skipped model evaluates exactly like the same model
-with its unconsulted indices dropped, which comes earlier, so the first hit
-and an exhausted verdict are those of the full enumeration.
-
-Within a combination, the relations are assigned depth first in the order
-of itertools.product.  Before the loop over an index's relations, the
-partial model (the indices not assigned yet mapped to semantics.UNKNOWN) is
-bounded by semantics.refutable_worlds, a superset of the worlds at which
-some completion refutes the query, and skipped when that is empty.  A
-skipped model refutes nowhere, so only the count of models evaluated falls.
+find_countermodel evaluates the models of a kept frame many at once
+(bit-slicing; Biham, "A fast new DES implementation in software", 1997;
+Knuth, TAOCP 4A, 7.1.3), in passes of at most CHUNK_BITS models (fewer for
+a program of more than 1024 nodes).  Bit b of a pass is its b-th model in
+the enumeration's order, so the first set bit is the first refuting model,
+its position the count of models evaluated before it, and its point the
+first world whose slice has it.  A query without a conditional is searched
+on the models without indices only (P's models, in a conditional class,
+which evaluate it as the models with indices do): bit v*R + j is the v-th
+valuation under the j-th of the frame's R relations (R = 1 without), the
+first atoms constant within a pass.  A query with a conditional is run a
+valuation at a time, a contiguous range of its models per pass: the one
+without indices, then combinations of indices, fewest first, in the orders
+of itertools.combinations and, for their relations, itertools.product.
+When every antecedent is propositional, only the indices equal to the
+antecedents' bi-extensions under the valuation are taken, since a
+conditional consults no other: a model holding another evaluates like the
+same model without it, which comes earlier, so the first hit and an
+exhausted verdict are those of the full enumeration.
 """
 
 from __future__ import annotations
@@ -74,8 +62,8 @@ from __future__ import annotations
 import math
 import time
 from enum import Enum
-from functools import reduce
-from itertools import chain, combinations, permutations, product
+from functools import lru_cache, reduce
+from itertools import combinations, permutations, product
 from operator import or_
 from typing import Iterator
 
@@ -84,15 +72,13 @@ from .logics import Logic
 from .model import (FrameClass, Kind, KripkeModel, MaskModel, PointedModel, Rel,
                     from_masks, masks_of, relation, target_faults, validate_model)
 from .record import Record
-from .semantics import (UNKNOWN, Consecution, Program, _run, check_consecution,
-                        consecution_program, refutable_worlds, satisfying_slices,
-                        satisfying_worlds)
+from .semantics import (Consecution, Program, _run_sliced, check_consecution,
+                        consecution_program, satisfying_slices, satisfying_worlds)
 
 
-# find_countermodel runs a query without a conditional on at most this many
-# models at once, and a program of more than 1024 nodes on fewer: each node
-# keeps a slice per world and sign, so a pass holds at most 1024 * CHUNK_BITS
-# bits per world and sign
+# find_countermodel runs a query on at most this many models at once, and a
+# program of more than 1024 nodes on fewer: each node keeps a slice per world
+# and sign, so a pass holds at most 1024 * CHUNK_BITS bits per world and sign
 CHUNK_BITS = 1 << 16
 
 
@@ -121,7 +107,6 @@ class Status(Enum):
 class SearchOutcome(Record):
     status: Status
     witness: PointedModel | None = None
-    bounds: SearchBounds | None = None
     models: int = 0  # the models evaluated
 
     @property
@@ -322,29 +307,86 @@ def _inner_slices(ups: list[int], n: int, k: int,
     positive set every len(ups) valuations; each atom before steps
     len(ups)**2 times slower than the next."""
     u, length = len(ups), len(ups) ** (2 * k) * reps
-
-    def pattern(world: int, run: int) -> int:  # bit b: world in ups[b // run % u]
-        block = sum(((1 << run) - 1) << m * run for m, s in enumerate(ups) if s >> world & 1)
-        return _repeat(block, run * u, length)
+    member = ["".join("1" if s >> i & 1 else "0" for s in ups) for i in range(n)]
     runs = [u ** (2 * (k - 1 - q)) * reps for q in range(k)]
-    return [([pattern(i, u * run) for i in range(n)], [pattern(i, run) for i in range(n)])
-            for run in runs]
+    return [([_runs(m, u * run, 0, length) for m in member],
+             [_runs(m, run, 0, length) for m in member]) for run in runs]
+
+
+def _relation_bits(rels: list[Rel]) -> list[tuple[tuple[int, int, int], str]]:
+    """Per (field of Rel, world i, target t) that some of rels relate: the
+    string whose r-th char is 1 iff rels[r] takes i to t in that field."""
+    worlds = range(len(rels[0].succ))
+    pairs = [((f, i, t), "".join("1" if rel[f][i] >> t & 1 else "0" for rel in rels))
+             for f, i, t in product((0, 1), worlds, worlds)]
+    return [(key, bits) for key, bits in pairs if "1" in bits]
+
+
+@lru_cache(maxsize=256)
+def _runs(bits: str, run: int, lo: int, hi: int) -> int:
+    """Bits lo to hi - 1, as bits 0 to hi - lo - 1, of the sequence in which
+    the chars of bits in turn, and then again, each fill a run of run bits."""
+    period = run * len(bits)
+    if period <= hi - lo:  # one period, then doubled
+        block = int(bits[::-1], 2) if run == 1 else sum(
+            ((1 << run) - 1) << m * run for m, c in enumerate(bits) if c == "1")
+        start = lo % period
+        return _repeat(block, period, start + hi - lo) >> start
+    first, last = lo // run, (hi - 1) // run  # at most len(bits) + 1 runs
+    return int("".join(bits[q % len(bits)] * (min(hi, q * run + run) - max(lo, q * run))
+                       for q in range(last, first - 1, -1)), 2)
+
+
+def _rows(n: int, masks: dict) -> tuple:
+    """The (up_image, succ) rows of masks keyed by (field of Rel, world, target)."""
+    return tuple(tuple(tuple((t, masks[f, i, t]) for t in range(n) if (f, i, t) in masks)
+                       for i in range(n)) for f in (1, 0))
 
 
 def _access_rows(rels: list[Rel], reps: int) -> tuple:
-    """The rows of [] and of <> (see semantics._run_sliced) for reps
-    valuations under each of rels, bit v*len(rels) + j standing for the v-th
-    valuation under rels[j]: per world, each target with the mask of the
-    models in which it is in the world's up_image (for []) or succ (<>)."""
-    n, r = len(rels[0].succ), len(rels)
-    rows = []
-    for field in (1, 0):  # Rel.up_image, Rel.succ
-        # bit j of a block: whether rels[j] takes world i to target t; read
-        # from a string, as a sum of shifted bits would be quadratic in r
-        masks = [[_repeat(int("".join(str(rel[field][i] >> t & 1) for rel in reversed(rels)), 2),
-                          r, reps * r) for t in range(n)] for i in range(n)]
-        rows.append(tuple(tuple((t, m) for t, m in enumerate(row) if m) for row in masks))
-    return tuple(rows)
+    """The rows of [] and <> for reps valuations under each of rels, bit
+    v*len(rels) + j standing for the v-th valuation under rels[j]."""
+    return _rows(len(rels[0].succ), {key: _runs(bits, 1, 0, reps * len(rels))
+                                     for key, bits in _relation_bits(rels)})
+
+
+def _passes(lists: list[list[Rel]], cap: int, most: int, bits: dict,
+            deadline: float | None, made: dict) -> Iterator[tuple]:
+    """A valuation's models, lists holding the relations its indices may
+    take, in passes of at most most models: (width, pieces, rows).  A piece
+    (chosen, strides, a, b, at) puts the models a to b - 1 of a combination's
+    block at bits at onwards; its o-th model gives each chosen j the
+    (o // stride % len(lists[j]))-th of lists[j].  rows holds each position's
+    rows, () if no model holds it, built from bits (_relation_bits by id),
+    checking the deadline before each piece.  made keeps, by the lists' ids,
+    the pass of a valuation that takes one."""
+    if (key := tuple(map(id, lists))) in made:
+        yield made[key]
+        return
+
+    def rows(pieces: list) -> list:
+        masks = [{} for _ in lists]
+        for chosen, strides, a, b, at in pieces:
+            _check_deadline(deadline)
+            for j, stride in zip(chosen, strides):
+                for cell, pattern in bits[id(lists[j])]:
+                    masks[j][cell] = masks[j].get(cell, 0) | _runs(pattern, stride, a, b) << at
+        return [m and _rows(len(lists[0][0].succ), m) for m in masks]
+    pieces, end = [], 0  # a pass ends at each multiple of most, a piece too
+    for k in range(min(cap, len(lists)) + 1):
+        for chosen in combinations(range(len(lists)), k):
+            sizes = [len(lists[j]) for j in chosen]
+            strides = [math.prod(sizes[q + 1:]) for q in range(k)]
+            begin, end = end, end + math.prod(sizes)
+            for a in [begin, *range(begin - begin % most + most, end, most)]:
+                b = min(end, a - a % most + most)
+                pieces.append((chosen, strides, a - begin, b - begin, a % most))
+                if not b % most:
+                    yield most, pieces, rows(pieces)
+                    pieces = []
+    if pieces:
+        last = (end % most, pieces, rows(pieces))
+        yield made.setdefault(key, last) if end < most else last
 
 
 class _TimedOut(Exception):
@@ -449,13 +491,12 @@ def check_evidence(frame: FrameClass, c: Consecution, evidence) -> None:
 
 
 def _first_hit_sliced(frame: FrameClass, prog: Program, bounds: SearchBounds,
-                      deadline: float | None):
+                      deadline: float | None, most: int):
     """The first refuting model and point among the class's index-free
     models (all of them for P and FSM), with the models evaluated up to it:
     (status, mask model, point, models).  Each kept frame is run in passes,
     each over a contiguous run of its (valuation, relation) pairs."""
     atoms = tuple(sorted(bounds.atoms))
-    most = min(CHUNK_BITS, (CHUNK_BITS << 10) // max(1, len(prog.nodes)))
     shape = FrameClass.FSM if frame is FrameClass.FSM else FrameClass.P
     models = 0
     try:
@@ -499,42 +540,48 @@ def _first_hit_sliced(frame: FrameClass, prog: Program, bounds: SearchBounds,
     return Status.EXHAUSTED, None, None, models
 
 
-def _first_hit_scan(frame: FrameClass, prog: Program, bounds: SearchBounds,
-                    deadline: float | None):
-    """As _first_hit_sliced, for a query with a conditional: one model at a
-    time, in the order of the module docstring."""
-    atoms = tuple(sorted(bounds.atoms))
-    models = 0
+def _first_hit_conditional(frame: FrameClass, prog: Program, bounds: SearchBounds,
+                           deadline: float | None, most: int):
+    """As _first_hit_sliced, for a query with a conditional: a valuation at
+    a time, in the passes of _passes."""
+    head = prog._replace(nodes=prog.nodes[:max(prog.antecedents) + 1])  # every antecedent
+    cap, models = bounds.max_cond_indices, 0
     try:
         for names, up, ups, rels in _frames(frame, bounds.max_worlds, True, deadline):
             choices = _index_choices(frame, ups, rels)
-            sizes = range(1, min(bounds.max_cond_indices, len(choices)) + 1)
-            for vp, vn in _valuations(atoms, ups):
-                _check_deadline(deadline)
-                free = MaskModel(names, up, vp, vn, {})
-                models += 1
-                vals = _run(prog, free)
-                hits = satisfying_worlds(prog, free, "+", vals)
-                if hits:
-                    return Status.FOUND, free, _first_world(free, hits), models
-                # with propositional antecedents, the indices they look up
-                wanted = {vals[a] for a in prog.antecedents} if prog.pl_antecedents else choices
-                live = [idx for idx in choices if idx in wanted]
-                for chosen in chain.from_iterable(combinations(live, k) for k in sizes):
-                    todo = [(0, free._replace(access=dict.fromkeys(chosen, UNKNOWN)))]
-                    while todo:  # depth first, in the order of itertools.product
-                        _check_deadline(deadline)
-                        depth, mm = todo.pop()
-                        if depth < len(chosen):
-                            if refutable_worlds(prog, mm):
-                                idx = chosen[depth]
-                                todo += [(depth + 1, mm._replace(access={**mm.access, idx: rel}))
-                                         for rel in reversed(choices[idx])]
-                            continue
-                        models += 1
-                        hits = satisfying_worlds(prog, mm)
-                        if hits:
-                            return Status.FOUND, mm, _first_world(mm, hits), models
+            # per frame: each up-set's slices in one model, and _passes' caches
+            sides = {x: [x >> i & 1 for i in range(len(up))] for x in ups}
+            side_of = {tuple(side): x for x, side in sides.items()}
+            bits = {id(r): r for r in choices.values()}
+            bits = {k: _relation_bits(r) for k, r in bits.items()}
+            made = {}
+            for vp, vn in _valuations(sorted(bounds.atoms), ups):
+                one = {a: (sides[vp.get(a, 0)], sides[vn.get(a, 0)]) for a in bounds.atoms}
+                live = list(choices)
+                if prog.pl_antecedents:  # each antecedent then consults one index
+                    vals = _run_sliced(head, up, one, 1, {})
+                    wanted = {(side_of[tuple(vals[a][0])], side_of[tuple(vals[a][1])])
+                              for a in prog.antecedents}
+                    live = [idx for idx in choices if idx in wanted]
+                lists = [choices[idx] for idx in live]
+                for width, pieces, rows in _passes(lists, cap, most, bits, deadline, made):
+                    _check_deadline(deadline)
+                    full = (1 << width) - 1
+                    slices = {a: ([full * x for x in p], [full * x for x in n])
+                              for a, (p, n) in one.items()}
+                    out = satisfying_slices(prog, up, slices, full,
+                                            {idx: r for idx, r in zip(live, rows) if r})
+                    hits = reduce(or_, out)
+                    if not hits:
+                        models += width
+                        continue
+                    b = (hits & -hits).bit_length() - 1
+                    chosen, strides, a, _, at = next(p for p in reversed(pieces) if p[4] <= b)
+                    access = {live[j]: lists[j][(a + b - at) // stride % len(lists[j])]
+                              for j, stride in zip(chosen, strides)}
+                    point = next(i for i, x in enumerate(out) if x >> b & 1)
+                    return (Status.FOUND, MaskModel(names, up, vp, vn, access), names[point],
+                            models + b + 1)
     except _TimedOut:
         return Status.TIMED_OUT, None, None, models
     return Status.EXHAUSTED, None, None, models
@@ -546,26 +593,25 @@ def find_countermodel(logic: Logic, c: Consecution, bounds: SearchBounds) -> Sea
     and re-check before being reported; exhausting the bounds refutes only
     within the bounds (and, for conditional classes, within the documented
     index restriction).  The witness is the first refuting model of the full
-    enumeration, at its first refuting world, and models counts the models
-    evaluated up to it, or all of them, as one model at a time would (see
-    the module docstring).  The deadline is checked while frames are built
-    (before each preorder extended or kept and each relation row entered),
-    before each pass, and before every conditional model and bound, so a
-    long run of skipped branches still times out.  On a
-    timeout models is what was evaluated before it: without a conditional,
-    every model of each pass done."""
+    enumeration, at its first refuting world; models counts the models up to
+    it, or all of them, by their positions in the passes (module docstring).
+    The deadline is checked while frames are built (before each preorder
+    extended or kept and each relation row entered), before each pass and
+    each piece of a pass's rows.  On a timeout, models counts those of the
+    passes done."""
     for f in c.gamma | c.delta:
         logic.require(f)
     frame, kind = logic.frame_class, logic.frame_class.kind
     prog = consecution_program(c, kind)
     deadline = (time.monotonic() + bounds.time_limit
                 if bounds.time_limit is not None else None)
-    search = _first_hit_scan if prog.antecedents else _first_hit_sliced
-    status, mm, point, models = search(frame, prog, bounds, deadline)
+    search = _first_hit_conditional if prog.antecedents else _first_hit_sliced
+    most = min(CHUNK_BITS, (CHUNK_BITS << 10) // max(1, len(prog.nodes)))
+    status, mm, point, models = search(frame, prog, bounds, deadline, most)
     if status is not Status.FOUND:
-        return SearchOutcome(status, None, bounds, models)
+        return SearchOutcome(status, None, models)
     # the model is decoded afresh, so the evidence re-check also covers the
     # mask form and the decoding of the valuation
     pm = PointedModel(from_masks(kind, mm), point)
     check_evidence(frame, c, pm)
-    return SearchOutcome(Status.FOUND, pm, bounds, models)
+    return SearchOutcome(Status.FOUND, pm, models)

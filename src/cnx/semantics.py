@@ -179,20 +179,41 @@ def _union(rows: tuple[tuple[tuple[int, int], ...], ...], slices: list[int]) -> 
 
 
 def _run_sliced(prog: Program, up: tuple[int, ...], slices: dict, full: int,
-                access: tuple | None = None) -> list[tuple[list[int], list[int]]]:
-    """_run on a propositional or modal frame under many models at once.  A
-    slice is an int whose bit b stands for the b-th model; full has a bit for
-    each.  slices maps each atom to its (pos, neg) lists of per-world slices
-    (an atom it does not list is empty).  access, on a modal frame, gives
-    the rows of [] and <>: per world, (target, mask) pairs, the mask holding
-    the models in which the target is in the world's up_image (succ).  Bit b
-    of a node's slice at world i is bit i of its _run on the b-th model."""
+                access: tuple | dict | None = None) -> list[tuple[list[int], list[int]]]:
+    """_run on one frame under many models at once.  A slice is an int whose
+    bit b stands for the b-th model; full has a bit for each.  slices maps
+    each atom to its (pos, neg) lists of per-world slices (an atom it does
+    not list is empty).  Rows give, per world, (target, mask) pairs, the
+    mask holding the models in which the target is in the world's up_image
+    (the rows of [] and @>) or succ (of <> and ?>).  access holds the
+    (up_image, succ) rows of a modal frame's relation or, on a conditional
+    frame, maps each index some model holds to those of its relation (in
+    which a model without the index has no pair); no model holds an index
+    it lacks, which acts as the empty relation.  Bit b of a node's slice at
+    world i is bit i of its _run on the b-th model."""
     above = _plain_rows(up)
-    image, succ = access or ((), ())
     empty = [0] * len(up)
     vals: list[tuple[list[int], list[int]]] = []
     push = vals.append
+    # per @>/?> antecedent, the rows of the relation each model consults
+    # there: that of the index equal to the antecedent's bi-extension
+    relations: dict[int, tuple] = {}
+    nothing = (((),) * len(up),) * 2
     for op, a, b in prog.nodes:
+        if op >= _WOULD and a not in relations:
+            ap, an = vals[a]
+            picks = []  # per index: the models in which it is a's bi-extension, its rows
+            for (x, y), rows in access.items():
+                models = full
+                for i, (p, n) in enumerate(zip(ap, an)):
+                    models &= (p if x >> i & 1 else ~p) & (n if y >> i & 1 else ~n)
+                if models:
+                    picks.append((models, rows))
+                    if models == full:  # so in no model is another index
+                        break
+            relations[a] = (picks[0][1] if picks[0][0] == full else tuple(
+                [[(t, m & models) for models, rows in picks for t, m in rows[k][i]]
+                 for i in range(len(up))] for k in (0, 1))) if picks else nothing
         if op == _ATOM:
             r = slices.get(a) or (empty, empty)
         elif op == _NEG:
@@ -211,21 +232,19 @@ def _run_sliced(prog: Program, up: tuple[int, ...], slices: dict, full: int,
             bp, bn = vals[b]
             r = ([full ^ x for x in _union(above, [x & ~y for x, y in zip(ap, bp)])],
                  [full ^ x for x in _union(above, [x & ~y for x, y in zip(ap, bn)])])
-        elif op == _BOX:
-            p, n = vals[a]
+        elif op == _BOX or op == _WOULD:
+            (image, _), (p, n) = (access, vals[a]) if op == _BOX else (relations[a], vals[b])
             r = ([full ^ x for x in _union(image, [full ^ y for y in p])],
                  [full ^ x for x in _union(image, [full ^ y for y in n])])
-        elif op == _DIA:
-            p, n = vals[a]
-            r = (_union(succ, p), _union(succ, n))
         else:
-            raise ValueError("a conditional program cannot be run sliced")
+            (_, succ), (p, n) = (access, vals[a]) if op == _DIA else (relations[a], vals[b])
+            r = (_union(succ, p), _union(succ, n))
         push(r)
     return vals
 
 
 def satisfying_slices(prog: Program, up: tuple[int, ...], slices: dict, full: int,
-                      access: tuple | None = None) -> list[int]:
+                      access: tuple | dict | None = None) -> list[int]:
     """satisfying_worlds under many models at once (see _run_sliced): per
     world, the models in which every gamma root and no delta root of prog is
     verified there."""
@@ -238,73 +257,9 @@ def satisfying_slices(prog: Program, up: tuple[int, ...], slices: dict, full: in
     return out
 
 
-# the access of an index whose relation is not chosen yet (refutable_worlds)
-UNKNOWN = object()
-
-
-def refutable_worlds(prog: Program, mm: MaskModel) -> int:
-    """A superset of the worlds at which some completion of mm refutes prog,
-    that is, of the satisfying_worlds of every completion.  prog is compiled
-    for conditional models; mm's access may map indices to UNKNOWN, and a
-    completion maps each of them to some relation.  Every node is bounded by
-    (pos_lo, pos_hi, neg_lo, neg_hi): under every completion, its bi-extension
-    (pos, neg) has pos_lo <= pos <= pos_hi and neg_lo <= neg <= neg_hi as
-    sets.  An index mm does not list is absent, as in _run, so on a complete
-    model the bounds are exact and the result is satisfying_worlds."""
-    up, vp, vn, acc = mm.up, mm.val_pos, mm.val_neg, mm.access
-    full = (1 << len(up)) - 1
-    vals: list[tuple[int, int, int, int]] = []
-    push = vals.append
-    for op, a, b in prog.nodes:
-        if op == _ATOM:
-            p, n = vp.get(a, 0), vn.get(a, 0)
-            r = (p, p, n, n)
-        elif op == _NEG:
-            pl, ph, nl, nh = vals[a]
-            r = (nl, nh, pl, ph)
-        elif op == _AND:
-            (apl, aph, anl, anh), (bpl, bph, bnl, bnh) = vals[a], vals[b]
-            r = (apl & bpl, aph & bph, anl | bnl, anh | bnh)
-        elif op == _OR:
-            (apl, aph, anl, anh), (bpl, bph, bnl, bnh) = vals[a], vals[b]
-            r = (apl | bpl, aph | bph, anl & bnl, anh & bnh)
-        elif op == _IMP:
-            # antitone in the antecedent, monotone in the consequent
-            apl, aph, _, _ = vals[a]
-            bpl, bph, bnl, bnh = vals[b]
-            pl, nl = _every(up, aph & ~bpl, aph & ~bnl)
-            ph, nh = _every(up, apl & ~bph, apl & ~bnh)
-            r = (pl, ph, nl, nh)
-        else:
-            apl, aph, anl, anh = vals[a]
-            rel = acc.get((apl, anl)) if apl == aph and anl == anh else UNKNOWN
-            bpl, bph, bnl, bnh = vals[b]
-            if rel is UNKNOWN:
-                r = (0, full, 0, full)
-            elif rel is None:
-                r = (full, full, full, full) if op == _WOULD else (0, 0, 0, 0)
-            else:
-                if op == _WOULD:
-                    pl, nl = _every(rel.up_image, ~bpl, ~bnl)
-                    ph, nh = _every(rel.up_image, ~bph, ~bnh)
-                else:
-                    pl, nl = _some(rel.succ, bpl, bnl)
-                    ph, nh = _some(rel.succ, bph, bnh)
-                r = (pl, ph, nl, nh)
-        push(r)
-    out = full
-    for i in prog.gamma:
-        out &= vals[i][1]
-    for i in prog.delta:
-        out &= ~vals[i][0]
-    return out
-
-
-def satisfying_worlds(prog: Program, mm: MaskModel, sign: str = "+",
-                      vals: list | None = None) -> int:
-    """The worlds at which every gamma root and no delta root of prog is
-    sign-satisfied; vals, if given, is the _run of prog on mm."""
-    vals = _run(prog, mm) if vals is None else vals
+def satisfying_worlds(prog: Program, mm: MaskModel, sign: str = "+") -> int:
+    """The worlds at which every gamma root and no delta root of prog is sign-satisfied."""
+    vals = _run(prog, mm)
     k = SIGNS.index(sign)
     out = (1 << len(mm.up)) - 1
     for i in prog.gamma:

@@ -175,7 +175,7 @@ def test_defaults_and_keywords():
     assert CheckResult(False, code="mp") == CheckResult(False, None, "mp", None)
     assert AxiomJust("a1").binding is None
     assert LiftMode("full").anchor is None
-    assert SearchOutcome(Status.FOUND) == SearchOutcome(Status.FOUND, None, None, 0)
+    assert SearchOutcome(Status.FOUND) == SearchOutcome(Status.FOUND, None, 0)
     assert Imp(right=p1, left=p0) == Imp(p0, p1)
     for make in (lambda: Imp(p0), lambda: Atom(0, 1), lambda: Atom(index=0, body=p0),
                  lambda: Atom(0, index=0), lambda: SearchBounds(), lambda: HypJust(p0),

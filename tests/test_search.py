@@ -1,5 +1,7 @@
+import functools
 import hashlib
 import itertools
+import operator
 import os
 import random
 import subprocess
@@ -200,7 +202,9 @@ def test_language_gate():
 
 
 # valid, and its antecedent is conditional, so a search for a countermodel
-# walks every enumerated model (7.36M FSC models at 2 worlds and 2 indices)
+# walks every model with indices the query may consult: all of them (7.17M
+# CnCK models at 2 worlds and 2 indices, exhausted in about 0.1 s; a
+# valuation of the first frame on 3 worlds has 526M)
 UNPRUNED_VALID = "((p0 @> p0) @> p1) -> ((p0 @> p0) @> p1)"
 
 
@@ -208,9 +212,28 @@ def test_timeout():
     # the search cannot finish within the limit
     out = find_countermodel(
         Logic.CnCK, consecution([], [parse(UNPRUNED_VALID)]),
-        SearchBounds(2, (0, 1), max_cond_indices=2, time_limit=0.05))
+        SearchBounds(3, (0, 1), max_cond_indices=2, time_limit=0.05))
     assert out.status is Status.TIMED_OUT
     assert out.witness is None
+
+
+def test_timed_out_conditional_search_holds_one_pass_at_a_time():
+    # past the 7,171,577 models of 2 worlds, a valuation of the discrete
+    # frame on 3 worlds has 526,452,641 (each of its 64 indices takes 511
+    # relations, up to two indices at a time): it runs in passes of at most
+    # CHUNK_BITS models, each with rows built for its range only
+    c = consecution([], [parse(UNPRUNED_VALID)])
+    two = find_countermodel(Logic.CnCK, c, SearchBounds(2, (0, 1), max_cond_indices=2))
+    assert two.status is Status.EXHAUSTED and two.models == 7_171_577
+    tracemalloc.start()
+    try:
+        out = find_countermodel(Logic.CnCK, c, SearchBounds(3, (0, 1), max_cond_indices=2,
+                                                             time_limit=1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.status is Status.TIMED_OUT and out.models > two.models
+    assert peak < 16 * 2 ** 20, peak
 
 
 def test_witness_is_first_model_the_reference_refutes():
@@ -359,6 +382,61 @@ def test_sliced_run_matches_run_on_every_small_model():
         assert len(refuted) == 2, refuted
 
 
+def test_sliced_run_matches_run_on_every_small_conditional_model():
+    # every node, sign and world of the sliced evaluator against _run on
+    # each FSC and FSC_R model of at most 2 worlds over p0 (cap 2), in the
+    # passes of search._passes over every index a frame may hold, of at most
+    # `most` models so that blocks are split: the b-th model of a
+    # valuation's passes is the next of _mask_models.  Each pass is run a
+    # second time with every up-closed pair it lacks mapped to the empty
+    # relation, which must change nothing.
+    atoms = (0,)
+    world_bit = [bytes.maketrans(bytes(range(256)), bytes(b"01"[v >> i & 1] for v in range(256)))
+                 for i in range(2)]
+    # every connective, antecedents with and without a conditional
+    c = consecution([parse("(p0 @> ~p0) | ~(p0 ?> p0)")],
+                    [parse("((p0 @> p0) ?> p0) & ((~p0 -> (p0 ?> ~p0)) @> ~p0)")])
+    prog = consecution_program(c, Kind.COND)
+    for frame, most, total in ((FrameClass.FSC, 4096, 479_978), (FrameClass.FSC_R, 333, 57_126)):
+        reference = _mask_models(frame, SearchBounds(2, atoms, max_cond_indices=2))
+        models, split, lacking, refuted = 0, 0, 0, Counter()
+        for names, up, ups, rels in _frames(frame, 2, False):
+            choices = search._index_choices(frame, ups, rels)
+            bits = {id(r): search._relation_bits(r) for r in choices.values()}
+            nothing = (((),) * len(up),) * 2
+            for vp, vn in _valuations(atoms, ups):
+                passes = list(search._passes(list(choices.values()), 2, most, bits, None, {}))
+                split += len(passes) > 1
+                for width, pieces, rows in passes:
+                    full = (1 << width) - 1
+                    slices = {0: ([full * (vp.get(0, 0) >> i & 1) for i in range(len(up))],
+                                  [full * (vn.get(0, 0) >> i & 1) for i in range(len(up))])}
+                    access = {idx: r for idx, r in zip(choices, rows) if r}
+                    padded = dict.fromkeys(itertools.product(ups, ups), nothing) | access
+                    lacking += len(padded) > len(access)
+                    sliced = _run_sliced(prog, up, slices, full, access)
+                    assert _run_sliced(prog, up, slices, full, padded) == sliced
+                    runs = []
+                    for mm in itertools.islice(reference, width):
+                        assert (mm.up, mm.val_pos, mm.val_neg) == (up, vp, vn)
+                        runs.append(_run(prog, mm))
+                    assert len(runs) == width
+                    # per node and sign, each model's mask as a byte, read
+                    # off per world as the string of the sliced int's bits
+                    for (pos, neg), column in zip(sliced, zip(*runs)):
+                        for got, masks in zip((pos, neg), map(bytes, zip(*column))):
+                            for i, x in enumerate(got):
+                                assert x == int(masks.translate(world_bit[i])[::-1], 2)
+                    hits = bin(functools.reduce(operator.or_, satisfying_slices(
+                        prog, up, slices, full, access))).count("1")
+                    refuted.update({True: hits, False: width - hits})
+                    models += width
+        assert models == total and next(reference, None) is None
+        # valuations split over several passes, passes that lack an index,
+        # and models that refute the consecution and models that do not
+        assert split and lacking and refuted[True] and refuted[False], (split, lacking, refuted)
+
+
 def _not_refuted_at_one_world(rnd, logic, bounds, conns, n):
     """n seeded random consecutions that no 1-world model refutes."""
     one_world = SearchBounds(1, bounds.atoms)
@@ -432,6 +510,30 @@ def test_sliced_search_across_chunks(monkeypatch):
     assert sizes[2] and sizes[0], sizes
     out = find_countermodel(Logic.CnK, _corpus_goal("neg_box_swap", 1), SearchBounds(2, (1,)))
     assert out.status is Status.EXHAUSTED and out.models == 377
+
+
+def test_conditional_search_across_passes(monkeypatch):
+    # passes of at most 64 models cut most valuations of CnCK and CnCKR on
+    # 2 worlds into several, and blocks of indices across passes: the
+    # status, the witness and the count of models are those of whole passes
+    rnd = random.Random(71)
+    bounds = SearchBounds(2, (0,), max_cond_indices=2)
+    cases = [(logic, consecution([random_formula(rnd, 2, (0,), CN_CONNS)],
+                                 [random_formula(rnd, 3, (0,), CN_CONNS)]))
+             for logic in (Logic.CnCK, Logic.CnCK_R) for _ in range(12)]
+    cases += [(logic, consecution([], [parse(UNPRUNED_VALID)]))
+              for logic in (Logic.CnCK, Logic.CnCK_R)]
+    whole = [find_countermodel(logic, c, bounds) for logic, c in cases]
+    monkeypatch.setattr(search, "CHUNK_BITS", 64)
+    kinds = Counter()
+    for (logic, c), want in zip(cases, whole):
+        out = find_countermodel(logic, c, bounds)
+        assert (out.status, out.models) == (want.status, want.models), c
+        assert not out.found or (serialize_pointed(out.witness)
+                                 == serialize_pointed(want.witness)), c
+        kinds[consecution_program(c, Kind.COND).pl_antecedents, out.found] += 1
+    # both kinds of query, each both refuted and not
+    assert len(kinds) == 4, kinds
 
 
 def _count_calls(monkeypatch, name):
@@ -546,20 +648,21 @@ def _corpus_goal(name, offset):
 
 
 def test_search_counts_the_models_it_evaluates():
-    # the deep first-hit search of the suite: 272,541 models unpruned,
-    # 5,393 once only consulted indices were enumerated, and 259 now that
-    # branches no completion of which refutes are skipped as well
+    # models counts positions in the enumeration, skipped indices aside.
+    # The deep first-hit search of the suite: 272,541 models unpruned, and
+    # 5,393 with only the indices its propositional antecedents consult
+    # (the branch and bound that evaluated 259 of them is gone)
     c = _as_consecution(thesis_instance("?=>", Thesis.WNONSYM))
     out = find_countermodel(Logic.CnCK_R, c, DEFAULT_BOUNDS)
-    assert out.found and out.models == 259
+    assert out.found and out.models == 5393
     # a conditional antecedent hides which indices are consulted, so every
-    # combination is tried; only the bounds on partial models prune
+    # model is evaluated: all those enumerated (92 and 48 under the bound)
     bounds = SearchBounds(1, (0, 1), max_cond_indices=2)
-    for logic, evaluated, enumerated in ((Logic.CnCK, 92, 176), (Logic.CnCK_R, 48, 64)):
+    for logic, evaluated in ((Logic.CnCK, 176), (Logic.CnCK_R, 64)):
         out = find_countermodel(logic, consecution([], [parse(UNPRUNED_VALID)]), bounds)
         assert out.status is Status.EXHAUSTED
         assert out.models == evaluated
-        assert sum(1 for _ in _mask_models(logic.frame_class, bounds)) == enumerated
+        assert sum(1 for _ in _mask_models(logic.frame_class, bounds)) == evaluated
     # no conditional at all: only models without indices are evaluated, 450
     # (the whole P stream) until only one preorder per isomorphism class was
     # searched, 369 since
@@ -569,7 +672,8 @@ def test_search_counts_the_models_it_evaluates():
     assert out.models == 369
     assert sum(1 for _ in _mask_models(FrameClass.P, SearchBounds(2, (0, 1)))) == 450
     # exhaustive searches before and after the orbit skip: 674 -> 237,
-    # 458 -> 377 and 202 -> 163 models
+    # 458 -> 377 and 202 -> 163 models (the last with the index its
+    # antecedent consults, which the bound never pruned)
     for logic, c, bounds, evaluated in (
             (Logic.C, _corpus_goal("strong_refl", 0), SearchBounds(3, (0,)), 237),
             (Logic.CnK, _corpus_goal("neg_box_swap", 1), SearchBounds(2, (1,)), 377),

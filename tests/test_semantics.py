@@ -1,16 +1,13 @@
 import random
-from itertools import count, islice, product
 
 import pytest
 
 from conftest import (CN_CONNS, MD_CONNS, PL_CONNS, random_cond_model, random_formula,
                       random_modal_model, random_prop_model, ref_sat)
 from cnx.errors import LanguageMismatch, UnknownWorld
-from cnx.model import (BiSet, FrameClass, Kind, KripkeModel, get_fixture, masks_of,
-                       relation, succ_masks, world_bits)
-from cnx.search import SearchBounds, _mask_models, enumerate_models
-from cnx.semantics import (UNKNOWN, biextension, check_consecution, consecution,
-                           consecution_program, refutable_worlds, sat, satisfying_worlds)
+from cnx.model import BiSet, FrameClass, KripkeModel, get_fixture, masks_of
+from cnx.search import SearchBounds, enumerate_models
+from cnx.semantics import biextension, check_consecution, consecution, sat
 from cnx.syntax import Atom, Neg, WouldTo, parse
 
 p, q = "p0", "p1"
@@ -229,67 +226,3 @@ class TestAgainstReference:
             models = [maker(rnd, max_worlds=3) for _ in range(60)]
             self._agree(models, conns, 53, 3)
 
-
-# ---------------------------------------------------------------------------
-# refutable_worlds, the bound the conditional search prunes with
-
-def _cond_mask_models(rnd, sampled):
-    """Every FSC and FSC_R model with 1 world, then `sampled` random
-    conditional models with 2 worlds, in mask form."""
-    for frame in (FrameClass.FSC, FrameClass.FSC_R):
-        yield from _mask_models(frame, SearchBounds(1, (0, 1), max_cond_indices=2))
-    models = (random_cond_model(rnd) for _ in count())
-    yield from islice((masks_of(m) for m in models if len(m.worlds) == 2), sampled)
-
-
-def _random_program(rnd):
-    gamma = [random_formula(rnd, 2, (0, 1), CN_CONNS) for _ in range(rnd.randint(0, 1))]
-    delta = [random_formula(rnd, 3, (0, 1), CN_CONNS)]
-    return consecution_program(consecution(gamma, delta), Kind.COND)
-
-
-def test_bound_of_a_complete_model_is_satisfying_worlds():
-    rnd = random.Random(83)
-    for mm in _cond_mask_models(rnd, 200):
-        for _ in range(3):
-            prog = _random_program(rnd)
-            assert refutable_worlds(prog, mm) == satisfying_worlds(prog, mm)
-
-
-def _relations(mm):
-    """Every relation on mm's worlds, in mask form."""
-    bit = world_bits(mm.names)
-    pairs = list(product(mm.names, repeat=2))
-    return [relation(mm.up, succ_masks(bit, [p for i, p in enumerate(pairs) if mask >> i & 1]))
-            for mask in range(1 << len(pairs))]
-
-
-def _up_closed(mm):
-    n = len(mm.up)
-    return [x for x in range(1 << n)
-            if all(not mm.up[i] & ~x for i in range(n) if x >> i & 1)]
-
-
-def test_bound_contains_the_refutations_of_every_completion():
-    rnd = random.Random(89)
-    kinds = set()
-    for mm in _cond_mask_models(rnd, 150):
-        relations, ups = _relations(mm), _up_closed(mm)
-        for _ in range(3):
-            prog = _random_program(rnd)
-            # some of the model's indices and some it lacks are left open
-            candidates = sorted({*mm.access, *((rnd.choice(ups), rnd.choice(ups))
-                                               for _ in range(2))})
-            unknown = rnd.sample(candidates, rnd.randint(1, min(2, len(candidates))))
-            partial = mm._replace(access={**mm.access, **dict.fromkeys(unknown, UNKNOWN)})
-            bound = refutable_worlds(prog, partial)
-            refuted = 0
-            for rels in product(relations, repeat=len(unknown)):
-                completion = mm._replace(access={**mm.access, **dict(zip(unknown, rels))})
-                refuted |= satisfying_worlds(prog, completion)
-            assert not refuted & ~bound, (prog, partial)
-            kinds.add((prog.pl_antecedents, bound == 0, bound == refuted))
-    # queries with and without a conditional antecedent, and bounds that
-    # prune, that are exact without pruning, and that are loose
-    assert {k[0] for k in kinds} == {False, True}
-    assert {k[1:] for k in kinds} == {(True, True), (False, True), (False, False)}, kinds

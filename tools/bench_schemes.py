@@ -1,9 +1,11 @@
-"""Time exhaustive searches of queries without a conditional, with the models
-each one evaluates, and the cold set-up of the frames they search.
+"""Time countermodel searches, with the models each one evaluates, and the
+cold set-up of the frames they search.
 
     python3 tools/bench_schemes.py [--root LABEL=CHECKOUT ...] [--out FILE]
+                                   [--only frames|schemes|cond ...]
 
-Two groups of searches, each `find_countermodel` on a bare formula:
+Two groups of searches of queries without a conditional, each
+`find_countermodel` on a bare formula:
 
 - the scheme sweep: every axiom scheme of C, taken at p0/p1/p2 and searched
   at its own atoms, in C at 3 worlds; every scheme of CnK in CnK at 2
@@ -13,9 +15,19 @@ Two groups of searches, each `find_countermodel` on a bare formula:
   searches exhaustively, at their own atoms: in C (at 3 worlds), in CnK
   (at 2 worlds), and in CnCKR and CnCK (at 2 worlds and 1 index).
 
+And the `cond` group, of queries with a conditional, in a fresh interpreter
+of its own:
+
+- the deep first-hit search of `cnx suite` (CnCKR `?=>` WnonSym), once as
+  the interpreter's first search (cold) and then at its best of WARM_RUNS;
+- UNPRUNED_VALID, whose antecedent is conditional, at 2 worlds and 2
+  indices in CnCK and CnCKR;
+- the CnCK schemes g1-g4 at 3 worlds and 1 index, in CnCK and CnCKR.
+
 Each checkout (default: the one holding this script, as `change`) runs
 them once, in a fresh interpreter with CHECKOUT/src first on the path.  A
-search stops after TIME_LIMIT_S and is reported as timed out.
+search stops after TIME_LIMIT_S and is reported as timed out.  --only
+runs the named parts: the frame set-ups, the two scheme groups, or cond.
 
 Before them it times the cold set-up of the frames a search walks (one
 preorder per isomorphism class) for each class and world count of
@@ -75,6 +87,46 @@ faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
 print(json.dumps([frames, seconds, faults]))
 """
 
+UNPRUNED_VALID = "((p0 @> p0) @> p1) -> ((p0 @> p0) @> p1)"
+WARM_RUNS = 5
+
+# the cond group in a fresh interpreter, as JSON lines
+COND_CHILD = r"""
+import json, sys, time
+from cnx.harness import DEFAULT_BOUNDS, Thesis, _as_consecution, thesis_instance
+from cnx.logics import Logic
+from cnx.proof import AXIOMS
+from cnx.search import SearchBounds, find_countermodel
+from cnx.semantics import consecution
+from cnx.syntax import atoms_of, parse
+unpruned, warm, limit = json.loads(sys.argv[1])
+
+
+def timed(logic, c, bounds):
+    start = time.perf_counter()
+    out = find_countermodel(getattr(Logic, logic), c, bounds)
+    return out, time.perf_counter() - start
+
+
+def emit(group, name, out, seconds):
+    print(json.dumps([group, name, out.status.value, out.models, seconds]), flush=True)
+
+
+deep = _as_consecution(thesis_instance("?=>", Thesis.WNONSYM))
+emit("cond deep", "WnonSym cold", *timed("CnCK_R", deep, DEFAULT_BOUNDS))
+emit("cond deep", "WnonSym warm",
+     *min((timed("CnCK_R", deep, DEFAULT_BOUNDS) for _ in range(warm)), key=lambda r: r[1]))
+for logic in ("CnCK", "CnCK_R"):
+    bounds = SearchBounds(2, (0, 1), max_cond_indices=2, time_limit=limit)
+    emit("cond unpruned w2", logic, *timed(logic, consecution([], [parse(unpruned)]), bounds))
+for logic in ("CnCK", "CnCK_R"):
+    for name in ("g1", "g2", "g3", "g4"):
+        f = AXIOMS[name]
+        bounds = SearchBounds(3, tuple(sorted(atoms_of(f))), max_cond_indices=1,
+                              time_limit=limit)
+        emit(f"cond {logic} w3", name, *timed(logic, consecution([], [f]), bounds))
+"""
+
 # one run in the checkout: every search once, as JSON lines
 CHILD = r"""
 import json, sys, time
@@ -104,6 +156,9 @@ for group, name, logic, worlds, f in searches:
 """
 
 
+PARTS = ("frames", "schemes", "cond")
+
+
 def run_child(root: Path, *args: str) -> str:
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     proc = subprocess.run([sys.executable, "-c", *args], cwd=root, env=env,
@@ -113,15 +168,19 @@ def run_child(root: Path, *args: str) -> str:
     return proc.stdout
 
 
-def run_checkout(root: Path) -> dict:
+def run_checkout(root: Path, parts: set[str]) -> dict:
     groups: dict[str, dict] = {}
-    for frame, worlds in COLD_FRAMES:
+    for frame, worlds in COLD_FRAMES if "frames" in parts else ():
         runs = [json.loads(run_child(root, COLD_CHILD, frame, str(worlds)))
                 for _ in range(COLD_RUNS)]
         frames, seconds, faults = min(runs, key=lambda run: run[1])
         groups[f"frames {frame} w{worlds}"] = {"frames": frames, "seconds": seconds,
                                                "faults": faults}
-    out = run_child(root, CHILD, json.dumps([SWEEPS, GOALS, TIME_LIMIT_S]))
+    out = ""
+    if "schemes" in parts:
+        out += run_child(root, CHILD, json.dumps([SWEEPS, GOALS, TIME_LIMIT_S]))
+    if "cond" in parts:
+        out += run_child(root, COND_CHILD, json.dumps([UNPRUNED_VALID, WARM_RUNS, TIME_LIMIT_S]))
     for line in out.splitlines():
         group, name, status, models, seconds = json.loads(line)
         items = groups.setdefault(group, {"items": {}})["items"]
@@ -139,6 +198,8 @@ def main() -> int:
     ap.add_argument("--root", action="append", metavar="LABEL=CHECKOUT",
                     help="a checkout to time, under a label (repeatable)")
     ap.add_argument("--out", default="BENCH_sliced.json")
+    ap.add_argument("--only", action="append", choices=PARTS,
+                    help="run only these parts (repeatable; default: all)")
     args = ap.parse_args()
     roots = {}
     for item in args.root or [f"change={HERE.parent}"]:
@@ -149,7 +210,7 @@ def main() -> int:
     result = {"machine": {"python": platform.python_version(),
                           "platform": platform.platform(), "cpus": os.cpu_count()},
               "time_limit_s": TIME_LIMIT_S,
-              "checkouts": {label: run_checkout(root)
+              "checkouts": {label: run_checkout(root, set(args.only or PARTS))
                             for label, root in roots.items()}}
     print(f"{'group':16} " + " ".join(f"{label:>28}" for label in roots))
     first = next(iter(result["checkouts"].values()))
