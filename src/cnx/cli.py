@@ -402,7 +402,7 @@ def main(argv=None) -> int:
             parser.commands[args.command].error(problem)
     try:
         return args.fn(args)
-    except (CnxError, ValueError, OSError) as exc:
+    except (CnxError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ERROR
 

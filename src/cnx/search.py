@@ -39,19 +39,22 @@ changes.  enumerate_models still yields every block.
 find_countermodel evaluates the models of a kept frame many at once
 (bit-slicing; Biham, "A fast new DES implementation in software", 1997;
 Knuth, TAOCP 4A, 7.1.3), in passes of at most CHUNK_BITS models (fewer for
-a program of more than 1024 nodes).  Bit b of a pass is its b-th model in
-the enumeration's order, so the first set bit is the first refuting model,
-its position the count of models evaluated before it, and its point the
-first world whose slice has it.  A query without a conditional is searched
-on the models without indices only (P's models, in a conditional class,
-which evaluate it as the models with indices do): bit v*R + j is the v-th
-valuation under the j-th of the frame's R relations (R = 1 without), the
-first atoms constant within a pass.  A query with a conditional is run a
-valuation at a time, a contiguous range of its models per pass: the one
+a program of more than 1024 nodes), in one loop (_first_hit).  Bit b of a
+pass is its b-th model in the enumeration's order, so the first set bit is
+the first refuting model, its position the count of models evaluated
+before it, and its point the first world whose slice has it.  A model is
+a valuation and relations assigned to slots: FSM's one slot, None, always
+holds one of the frame's relations, P has none, and a conditional model
+holds a relation at some indices.  The first atoms are constant within a
+pass and the last k vary inside it.  A query without a conditional is
+searched on the models without indices only (P's models, in a conditional
+class, which evaluate it as the models with indices do), k as large as a
+pass allows, a range of the relations a pass.  A query with a conditional
+has k = 0, a contiguous range of a valuation's models a pass: the one
 without indices, then combinations of indices, fewest first, in the orders
 of itertools.combinations and, for their relations, itertools.product.
-When every antecedent is propositional, only the indices equal to the
-antecedents' bi-extensions under the valuation are taken, since a
+When every antecedent is propositional, the slots are only the indices
+equal to the antecedents' bi-extensions under the valuation, since a
 conditional consults no other: a model holding another evaluates like the
 same model without it, which comes earlier, so the first hit and an
 exhausted verdict are those of the full enumeration.
@@ -72,7 +75,7 @@ from .logics import Logic
 from .model import (FrameClass, Kind, KripkeModel, MaskModel, PointedModel, Rel,
                     from_masks, masks_of, relation, target_faults, validate_model)
 from .record import Record
-from .semantics import (Consecution, Program, _run_sliced, check_consecution,
+from .semantics import (Consecution, Program, _run, check_consecution,
                         consecution_program, satisfying_slices, satisfying_worlds)
 
 
@@ -289,6 +292,12 @@ def _digits(v: int, base: int, count: int) -> list[tuple[int, int]]:
     return out[::-1]
 
 
+def _valuation(atoms, ups, digits) -> tuple[dict, dict]:
+    """The (val_pos, val_neg) of the atoms at digits (of _digits) in ups."""
+    return ({a: ups[p] for a, (p, _) in zip(atoms, digits) if ups[p]},
+            {a: ups[q] for a, (_, q) in zip(atoms, digits) if ups[q]})
+
+
 def _repeat(block: int, period: int, length: int) -> int:
     """The length bits that repeat block, of period bits, by doubling (a
     product with a repunit costs period times as much)."""
@@ -490,98 +499,73 @@ def check_evidence(frame: FrameClass, c: Consecution, evidence) -> None:
         raise EvidenceError(f"proof {evidence.name} does not prove the instance")
 
 
-def _first_hit_sliced(frame: FrameClass, prog: Program, bounds: SearchBounds,
-                      deadline: float | None, most: int):
-    """The first refuting model and point among the class's index-free
-    models (all of them for P and FSM), with the models evaluated up to it:
-    (status, mask model, point, models).  Each kept frame is run in passes,
-    each over a contiguous run of its (valuation, relation) pairs."""
-    atoms = tuple(sorted(bounds.atoms))
-    shape = FrameClass.FSM if frame is FrameClass.FSM else FrameClass.P
-    models = 0
+def _first_hit(frame: FrameClass, prog: Program, bounds: SearchBounds,
+               deadline: float | None, most: int):
+    """The first refuting model and point (module docstring), with the
+    models evaluated up to it: (status, mask model, point, models).  Bit
+    v*width + o of a pass is the v-th valuation of its inner atoms under its
+    o-th assignment of relations to slots, as its pieces lay them out."""
+    atoms, cap, models = tuple(sorted(bounds.atoms)), bounds.max_cond_indices, 0
+    # the program of every antecedent, if any; without, FSM is searched as
+    # itself and every other class as P
+    head = prog.antecedents and prog._replace(nodes=prog.nodes[:max(prog.antecedents) + 1])
+    shape = frame if head or frame is FrameClass.FSM else FrameClass.P
     try:
         for names, up, ups, rels in _frames(shape, bounds.max_worlds, True, deadline):
-            n, u, accs = len(up), len(ups), rels or [None]
-            step = min(len(accs), most)  # the relations of a pass
-            k = len(atoms)  # the atoms that vary within a pass: the last k
-            while k and u ** (2 * k) * step > most:
-                k -= 1
+            n, u = len(up), len(ups)
+            sides = [[x >> i & 1 for i in range(n)] for x in ups]  # each up-set per world
+            k = 0  # the atoms that vary within a pass: the last k
+            if head:  # a slot per live index, laid out by _passes a valuation at a time
+                choices = _index_choices(frame, ups, rels)
+                bits = {id(r): r for r in choices.values()}
+                bits, made = {key: _relation_bits(r) for key, r in bits.items()}, {}
+            else:  # FSM's one slot, None, takes a range of the relations a pass; P has none
+                slots, lists = ([None], [rels]) if rels else ([], [])
+                step = min(len(rels), most) if rels else 1
+                k = len(atoms)
+                while k and u ** (2 * k) * step > most:
+                    k -= 1
+                passes = [(len(part), [((0,), (1,), j, j + len(part), 0)],
+                           {None: _access_rows(part, u ** (2 * k))})
+                          for j in range(0, len(rels), step) for part in [rels[j:j + step]]
+                          ] if rels else [(1, [((), (), 0, 1, 0)], {})]
             reps, outer = u ** (2 * k), atoms[:len(atoms) - k]
-            inner = dict(zip(atoms[len(outer):], _inner_slices(ups, n, k, step)))
-            ranges = [(j, rels and _access_rows(accs[j:j + step], reps))
-                      for j in range(0, len(accs), step)]
+            inner = dict(zip(atoms[len(outer):], _inner_slices(ups, n, k, step))) if k else {}
             for hi in range(u ** (2 * len(outer))):
-                for j, access in ranges:
+                digits = _digits(hi, u, len(outer))
+                if head:
+                    slots = list(choices)
+                    if prog.pl_antecedents:  # each antecedent then consults one index
+                        val = _valuation(atoms, ups, digits)
+                        vals = _run(head, MaskModel(names, up, *val, {}))
+                        wanted = {vals[a] for a in prog.antecedents}
+                        slots = [idx for idx in slots if idx in wanted]
+                    lists = [choices[idx] for idx in slots]
+                    passes = ((width, pieces, {idx: r for idx, r in zip(slots, rows) if r})
+                              for width, pieces, rows
+                              in _passes(lists, cap, most, bits, deadline, made))
+                for width, pieces, access in passes:
                     _check_deadline(deadline)
-                    width = min(step, len(accs) - j)
                     full = (1 << reps * width) - 1
                     # an outer atom is constant within the pass
-                    slices = inner | {
-                        a: ([full * (ups[p] >> i & 1) for i in range(n)],
-                            [full * (ups[q] >> i & 1) for i in range(n)])
-                        for a, (p, q) in zip(outer, _digits(hi, u, len(outer)))}
+                    slices = inner | {a: ([full * x for x in sides[p]],
+                                          [full * x for x in sides[q]])
+                                      for a, (p, q) in zip(outer, digits)}
                     out = satisfying_slices(prog, up, slices, full, access)
                     hits = reduce(or_, out)
                     if not hits:
                         models += reps * width
                         continue
                     b = (hits & -hits).bit_length() - 1
-                    models += b + 1
-                    v, dj = divmod(b, width)
-                    digits = _digits(hi * reps + v, u, len(atoms))
-                    mm = MaskModel(names, up,
-                                   {a: ups[p] for a, (p, _) in zip(atoms, digits) if ups[p]},
-                                   {a: ups[q] for a, (_, q) in zip(atoms, digits) if ups[q]},
-                                   {} if frame.kind is Kind.COND else accs[j + dj])
-                    point = next(i for i, x in enumerate(out) if x >> b & 1)
-                    return Status.FOUND, mm, names[point], models
-    except _TimedOut:
-        return Status.TIMED_OUT, None, None, models
-    return Status.EXHAUSTED, None, None, models
-
-
-def _first_hit_conditional(frame: FrameClass, prog: Program, bounds: SearchBounds,
-                           deadline: float | None, most: int):
-    """As _first_hit_sliced, for a query with a conditional: a valuation at
-    a time, in the passes of _passes."""
-    head = prog._replace(nodes=prog.nodes[:max(prog.antecedents) + 1])  # every antecedent
-    cap, models = bounds.max_cond_indices, 0
-    try:
-        for names, up, ups, rels in _frames(frame, bounds.max_worlds, True, deadline):
-            choices = _index_choices(frame, ups, rels)
-            # per frame: each up-set's slices in one model, and _passes' caches
-            sides = {x: [x >> i & 1 for i in range(len(up))] for x in ups}
-            side_of = {tuple(side): x for x, side in sides.items()}
-            bits = {id(r): r for r in choices.values()}
-            bits = {k: _relation_bits(r) for k, r in bits.items()}
-            made = {}
-            for vp, vn in _valuations(sorted(bounds.atoms), ups):
-                one = {a: (sides[vp.get(a, 0)], sides[vn.get(a, 0)]) for a in bounds.atoms}
-                live = list(choices)
-                if prog.pl_antecedents:  # each antecedent then consults one index
-                    vals = _run_sliced(head, up, one, 1, {})
-                    wanted = {(side_of[tuple(vals[a][0])], side_of[tuple(vals[a][1])])
-                              for a in prog.antecedents}
-                    live = [idx for idx in choices if idx in wanted]
-                lists = [choices[idx] for idx in live]
-                for width, pieces, rows in _passes(lists, cap, most, bits, deadline, made):
-                    _check_deadline(deadline)
-                    full = (1 << width) - 1
-                    slices = {a: ([full * x for x in p], [full * x for x in n])
-                              for a, (p, n) in one.items()}
-                    out = satisfying_slices(prog, up, slices, full,
-                                            {idx: r for idx, r in zip(live, rows) if r})
-                    hits = reduce(or_, out)
-                    if not hits:
-                        models += width
-                        continue
-                    b = (hits & -hits).bit_length() - 1
-                    chosen, strides, a, _, at = next(p for p in reversed(pieces) if p[4] <= b)
-                    access = {live[j]: lists[j][(a + b - at) // stride % len(lists[j])]
+                    v, o = divmod(b, width)
+                    chosen, strides, a, _, at = next(p for p in reversed(pieces) if p[4] <= o)
+                    picked = {slots[j]: lists[j][(a + o - at) // stride % len(lists[j])]
                               for j, stride in zip(chosen, strides)}
+                    val = _valuation(atoms, ups, _digits(hi * reps + v, u, len(atoms)))
+                    mm = MaskModel(names, up, *val,
+                                   picked[None] if frame is FrameClass.FSM else picked)
                     point = next(i for i, x in enumerate(out) if x >> b & 1)
-                    return (Status.FOUND, MaskModel(names, up, vp, vn, access), names[point],
-                            models + b + 1)
+                    return Status.FOUND, mm, names[point], models + b + 1
     except _TimedOut:
         return Status.TIMED_OUT, None, None, models
     return Status.EXHAUSTED, None, None, models
@@ -594,20 +578,29 @@ def find_countermodel(logic: Logic, c: Consecution, bounds: SearchBounds) -> Sea
     within the bounds (and, for conditional classes, within the documented
     index restriction).  The witness is the first refuting model of the full
     enumeration, at its first refuting world; models counts the models up to
-    it, or all of them, by their positions in the passes (module docstring).
-    The deadline is checked while frames are built (before each preorder
-    extended or kept and each relation row entered), before each pass and
-    each piece of a pass's rows.  On a timeout, models counts those of the
-    passes done."""
+    it, or all of them, by their positions in the passes of _first_hit
+    (module docstring).  The deadline is checked while frames are built
+    (before each preorder extended or kept and each relation row entered),
+    before each pass and each piece of a pass's rows.  On a timeout, models
+    counts those of the passes done.  A search that runs out of memory
+    empties the frame tables and then raises MemoryError."""
     for f in c.gamma | c.delta:
         logic.require(f)
     frame, kind = logic.frame_class, logic.frame_class.kind
     prog = consecution_program(c, kind)
     deadline = (time.monotonic() + bounds.time_limit
                 if bounds.time_limit is not None else None)
-    search = _first_hit_conditional if prog.antecedents else _first_hit_sliced
     most = min(CHUNK_BITS, (CHUNK_BITS << 10) // max(1, len(prog.nodes)))
-    status, mm, point, models = search(frame, prog, bounds, deadline, most)
+    failed = False
+    try:
+        status, mm, point, models = _first_hit(frame, prog, bounds, deadline, most)
+    except MemoryError:  # only a flag: the traceback still holds the failed build
+        failed = True
+    if failed:  # the build is freed now; free the tables too, which may be most of it
+        _RELATIONS.clear()
+        for key in list(_PREORDERS)[1:]:  # all but the first, (0, False)
+            del _PREORDERS[key]
+        raise MemoryError("the search ran out of memory; lower its bounds or set a time limit")
     if status is not Status.FOUND:
         return SearchOutcome(status, None, models)
     # the model is decoded afresh, so the evidence re-check also covers the

@@ -179,18 +179,18 @@ def _union(rows: tuple[tuple[tuple[int, int], ...], ...], slices: list[int]) -> 
 
 
 def _run_sliced(prog: Program, up: tuple[int, ...], slices: dict, full: int,
-                access: tuple | dict | None = None) -> list[tuple[list[int], list[int]]]:
+                access: dict) -> list[tuple[list[int], list[int]]]:
     """_run on one frame under many models at once.  A slice is an int whose
     bit b stands for the b-th model; full has a bit for each.  slices maps
     each atom to its (pos, neg) lists of per-world slices (an atom it does
     not list is empty).  Rows give, per world, (target, mask) pairs, the
     mask holding the models in which the target is in the world's up_image
-    (the rows of [] and @>) or succ (of <> and ?>).  access holds the
-    (up_image, succ) rows of a modal frame's relation or, on a conditional
-    frame, maps each index some model holds to those of its relation (in
-    which a model without the index has no pair); no model holds an index
-    it lacks, which acts as the empty relation.  Bit b of a node's slice at
-    world i is bit i of its _run on the b-th model."""
+    (the rows of [] and @>) or succ (of <> and ?>).  access maps each slot
+    some model holds to the (up_image, succ) rows of the relation there (in
+    which a model without the slot has no pair): the slot None is a modal
+    frame's relation, and a conditional index (pos, neg) its relation.  A
+    slot no model holds acts as the empty relation.  Bit b of a node's slice
+    at world i is bit i of its _run on the b-th model."""
     above = _plain_rows(up)
     empty = [0] * len(up)
     vals: list[tuple[list[int], list[int]]] = []
@@ -233,18 +233,18 @@ def _run_sliced(prog: Program, up: tuple[int, ...], slices: dict, full: int,
             r = ([full ^ x for x in _union(above, [x & ~y for x, y in zip(ap, bp)])],
                  [full ^ x for x in _union(above, [x & ~y for x, y in zip(ap, bn)])])
         elif op == _BOX or op == _WOULD:
-            (image, _), (p, n) = (access, vals[a]) if op == _BOX else (relations[a], vals[b])
+            (image, _), (p, n) = (access[None], vals[a]) if op == _BOX else (relations[a], vals[b])
             r = ([full ^ x for x in _union(image, [full ^ y for y in p])],
                  [full ^ x for x in _union(image, [full ^ y for y in n])])
         else:
-            (_, succ), (p, n) = (access, vals[a]) if op == _DIA else (relations[a], vals[b])
+            (_, succ), (p, n) = (access[None], vals[a]) if op == _DIA else (relations[a], vals[b])
             r = (_union(succ, p), _union(succ, n))
         push(r)
     return vals
 
 
 def satisfying_slices(prog: Program, up: tuple[int, ...], slices: dict, full: int,
-                      access: tuple | dict | None = None) -> list[int]:
+                      access: dict) -> list[int]:
     """satisfying_worlds under many models at once (see _run_sliced): per
     world, the models in which every gamma root and no delta root of prog is
     verified there."""

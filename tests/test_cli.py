@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from cnx import cli
+from cnx import cli, search
 from cnx.cli import main
 from cnx.corpus import CORPUS_DIR
 from cnx.model import FIXTURE_NAMES
@@ -82,6 +82,27 @@ def test_valid_timeout_exit_2(capsys):
     assert code == 2
     assert out == ""
     assert "search timed out" in err
+
+
+def test_search_out_of_memory_exit_2(capsys, monkeypatch):
+    # a search that runs out of memory while it builds the frames of CnK on
+    # 3 worlds is an error, not a refutation, and the frame tables are
+    # emptied before it is reported
+    monkeypatch.setattr(search, "_RELATIONS", {})
+    monkeypatch.setattr(search, "_PREORDERS", {(0, False): search._PREORDERS[0, False]})
+    built, real = [], search.relation
+
+    def relation(*args):
+        if len(built) == 10:
+            raise MemoryError
+        built.append(real(*args))
+        return built[-1]
+    monkeypatch.setattr(search, "relation", relation)
+    code, out, err = run(capsys, "valid", "-L", "CnK", "--max-worlds", "3", "p0 -> p0")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert len(built) == 10
+    assert search._RELATIONS == {} and list(search._PREORDERS) == [(0, False)]
 
 
 def test_valid_bounded_wording(capsys):

@@ -279,10 +279,13 @@ def _unpruned_first_hit(logic, c, bounds):
 def test_pruned_search_matches_unpruned_scan():
     rnd = random.Random(5)
     cases = []
-    for bounds in (SearchBounds(2, (0,), max_cond_indices=2),
-                   SearchBounds(1, (0, 1), max_cond_indices=2)):
+    # the last inputs give queries with a conditional three atoms, whose
+    # valuations the search decodes from a pass's position
+    for bounds, count in ((SearchBounds(2, (0,), max_cond_indices=2), 20),
+                          (SearchBounds(1, (0, 1), max_cond_indices=2), 20),
+                          (SearchBounds(1, (0, 1, 2), max_cond_indices=2), 4)):
         for logic in (Logic.CnCK, Logic.CnCK_R):
-            for _ in range(20):
+            for _ in range(count):
                 gamma = [random_formula(rnd, 2, bounds.atoms, CN_CONNS)
                          for _ in range(rnd.randint(0, 1))]
                 delta = [random_formula(rnd, 3, bounds.atoms, CN_CONNS)]
@@ -365,7 +368,7 @@ def test_sliced_run_matches_run_on_every_small_model():
                 accs, reps = rels or [None], len(ups) ** 4
                 full = (1 << reps * len(accs)) - 1
                 slices = dict(zip(atoms, _inner_slices(ups, len(up), len(atoms), len(accs))))
-                access = rels and _access_rows(rels, reps)
+                access = {None: _access_rows(rels, reps)} if rels else {}
                 sliced = _run_sliced(prog, up, slices, full, access)
                 hits = satisfying_slices(prog, up, slices, full, access)
                 for v, (vp, vn) in enumerate(_valuations(atoms, ups)):
@@ -550,12 +553,15 @@ def _count_calls(monkeypatch, name):
 
 def test_timed_out_sliced_search_counts_the_passes_it_finished(monkeypatch):
     # a clock that moves one second per pass: a limit of 2.5 s stops the
-    # search before its fourth pass, and models counts the three run
+    # search before its fourth pass, and models counts the three run (in
+    # CnCK, three valuations of 11 models each)
     passes = _count_calls(monkeypatch, "satisfying_slices")
     monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: float(len(passes))))
     for logic, c, bounds, chunk in (
             (Logic.C, consecution([], [parse("p0 -> p0")]),
              SearchBounds(1, tuple(range(9)), time_limit=2.5), search.CHUNK_BITS),
+            (Logic.CnCK, consecution([], [parse(UNPRUNED_VALID)]),
+             SearchBounds(2, (0, 1), max_cond_indices=2, time_limit=2.5), 64),
             (Logic.CnK, _corpus_goal("neg_box_swap", 1),
              SearchBounds(2, (1,), time_limit=2.5), 8)):
         monkeypatch.setattr(search, "CHUNK_BITS", chunk)
