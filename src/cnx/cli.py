@@ -26,7 +26,7 @@ from .model import (FIXTURE_CLASS, FIXTURE_NAMES, FrameClass, close_valuations,
 from .record import Record
 from .search import SearchBounds, Status, find_countermodel
 from .semantics import biextension, consecution, sat
-from .syntax import atoms_of, parse, render
+from .syntax import parse, render
 
 OK, NEGATIVE, ERROR = 0, 1, 2
 
@@ -64,15 +64,8 @@ def cmd_biext(args) -> int:
     return OK
 
 
-def _bounds_from_args(args, formulas) -> SearchBounds:
-    atoms = set()
-    for f in formulas:
-        atoms |= atoms_of(f)
-    return SearchBounds(args.max_worlds, tuple(sorted(atoms)) or (0,),
-                        args.max_indices, args.timeout)
-
-
-def _run_search(logic: Logic, gamma, delta, bounds) -> int:
+def _run_search(logic: Logic, gamma, delta, args) -> int:
+    bounds = SearchBounds(args.max_worlds, None, args.max_indices, args.timeout)
     outcome = find_countermodel(logic, consecution(gamma, delta), bounds)
     if outcome.status is Status.FOUND:
         pm = outcome.witness
@@ -80,9 +73,8 @@ def _run_search(logic: Logic, gamma, delta, bounds) -> int:
         return NEGATIVE
     if outcome.status is Status.EXHAUSTED:
         detail = f"max {bounds.max_worlds} worlds"
-        if logic.frame_class.value.startswith("FSC"):
-            detail += (f"; conditional indices restricted to hereditary "
-                       f"bi-sets, at most {bounds.max_cond_indices} nonempty")
+        if bounds.max_cond_indices is not None and logic.frame_class.value.startswith("FSC"):
+            detail += f"; at most {bounds.max_cond_indices} nonempty conditional indices"
         print(f"no countermodel within bounds ({detail}); "
               "this is bounded evidence, not a validity proof")
         return OK
@@ -96,15 +88,11 @@ def cmd_countermodel(args) -> int:
     delta = [parse(f) for f in args.delta or []]
     if not gamma and not delta:
         raise CnxError("give at least one --gamma or --delta formula")
-    bounds = _bounds_from_args(args, gamma + delta)
-    return _run_search(logic, gamma, delta, bounds)
+    return _run_search(logic, gamma, delta, args)
 
 
 def cmd_valid(args) -> int:
-    logic = logic_from_name(args.logic)
-    f = parse(args.formula)
-    bounds = _bounds_from_args(args, [f])
-    return _run_search(logic, [], [f], bounds)
+    return _run_search(logic_from_name(args.logic), [], [parse(args.formula)], args)
 
 
 def cmd_prove(args) -> int:
@@ -201,7 +189,8 @@ _FORMULA = Arg("formula")
 _MODEL = Arg("model", ("-m", "--model"), required=True)
 _LOGIC = Arg("logic", ("-L", "--logic"), required=True)
 _SEARCH = (Arg("max_worlds", ("--max-worlds",), type=int, required=True),
-           Arg("max_indices", ("--max-indices",), type=int, default=2),
+           Arg("max_indices", ("--max-indices",), type=int, help="at most this many nonempty "
+               "conditional indices; default: one per conditional antecedent of the query"),
            Arg("timeout", ("--timeout",), type=float))
 
 # name -> (help, handler, its arguments in help order), in help order

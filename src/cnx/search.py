@@ -2,11 +2,9 @@
 
 Enumeration is deterministic: world counts ascend, preorders by bitmask,
 valuations by atom then bitmask, relations by bitmask; conditional indices
-are restricted to pairs of up-closed world sets (only those can ever be
-consulted, since bi-extensions are hereditary) with at most max_cond_indices
-simultaneously nonempty.  Because of that restriction, exhausting the bounds
-for a conditional class is weaker evidence than for P or FSM; it is never a
-theoremhood claim in any case.
+are pairs of up-closed world sets (only those can ever be consulted, since
+bi-extensions are hereditary), at most max_cond_indices of them nonempty.
+Exhausting the bounds is never a theoremhood claim.
 
 Models are generated in mask form (model.MaskModel), frame by frame
 (_frames): a preorder with its up-closed sets and, for every class but P,
@@ -53,11 +51,13 @@ pass allows, a range of the relations a pass.  A query with a conditional
 has k = 0, a contiguous range of a valuation's models a pass: the one
 without indices, then combinations of indices, fewest first, in the orders
 of itertools.combinations and, for their relations, itertools.product.
-When every antecedent is propositional, the slots are only the indices
-equal to the antecedents' bi-extensions under the valuation, since a
-conditional consults no other: a model holding another evaluates like the
-same model without it, which comes earlier, so the first hit and an
-exhausted verdict are those of the full enumeration.
+A model consults one index per conditional antecedent, and the frame
+conditions hold per index, so dropping the indices no antecedent consults
+leaves a model of the class, earlier in its valuation's block, that refutes
+the query where it did.  So the first hit and an exhausted verdict are
+those of the full enumeration at a cap of A indices, A the query's distinct
+antecedents (the default), and, when every antecedent is propositional,
+with only the indices equal to their bi-extensions under the valuation.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ from .logics import Logic
 from .model import (FrameClass, Kind, KripkeModel, MaskModel, PointedModel, Rel,
                     from_masks, masks_of, relation, target_faults, validate_model)
 from .record import Record
-from .semantics import (Consecution, Program, _run, check_consecution,
+from .semantics import (_ATOM, Consecution, Program, _run, check_consecution,
                         consecution_program, satisfying_slices, satisfying_worlds)
 
 
@@ -87,14 +87,14 @@ CHUNK_BITS = 1 << 16
 
 class SearchBounds(Record):
     max_worlds: int
-    atoms: tuple[int, ...] = (0, 1)
-    max_cond_indices: int = 2
+    atoms: tuple[int, ...] | None = None  # None: the query's atoms
+    max_cond_indices: int | None = None  # None: as many as the query consults
     time_limit: float | None = None
 
     def __post_init__(self):
         if self.max_worlds < 1:
             raise ValueError("max_worlds must be at least 1")
-        if self.max_cond_indices < 0:
+        if self.max_cond_indices is not None and self.max_cond_indices < 0:
             raise ValueError("max_cond_indices must not be negative")
         # a NaN deadline is never passed, so nan would mean "no limit"
         if self.time_limit is not None and not 0 < self.time_limit < math.inf:
@@ -147,51 +147,54 @@ def _preorders(n: int, least_only: bool, deadline: float | None) -> tuple:
     key = (n, least_only)
     if key in _PREORDERS:
         return _PREORDERS[key]
-    built = []
-    if least_only:
-        moves = []  # each renaming, with the image of every row
-        for p in permutations(range(n)):
-            image = [0] * (1 << n)
-            for row in range(1, 1 << n):
-                low = row & -row
-                image[row] = image[row ^ low] | 1 << p[low.bit_length() - 1]
-            moves.append((p, image))
-        seen = set()
-        for entry in _preorders(n, False, deadline):
-            if entry[0] not in seen:
+    built, seen = [], set()  # seen: the masks of the preorders kept, and their renamings
+    try:
+        if least_only:
+            moves = []  # each renaming, with the image of every row
+            for p in permutations(range(n)):
+                image = [0] * (1 << n)
+                for row in range(1, 1 << n):
+                    low = row & -row
+                    image[row] = image[row ^ low] | 1 << p[low.bit_length() - 1]
+                moves.append((p, image))
+            for entry in _preorders(n, False, deadline):
+                if entry[0] not in seen:
+                    _check_deadline(deadline)
+                    built.append(entry)
+                    for p, image in moves:
+                        mask = 0
+                        for i, row in enumerate(entry[1]):
+                            mask |= image[row] << p[i] * n
+                        seen.add(mask)
+        else:
+            new = 1 << n - 1  # the new world's bit
+            for _, up, ups in _preorders(n - 1, False, deadline):
                 _check_deadline(deadline)
-                built.append(entry)
-                for p, image in moves:
-                    mask = 0
-                    for i, row in enumerate(entry[1]):
-                        mask |= image[row] << p[i] * n
-                    seen.add(mask)
-    else:
-        new = 1 << n - 1  # the new world's bit
-        for _, up, ups in _preorders(n - 1, False, deadline):
-            _check_deadline(deadline)
-            for closed in ups:
-                below = new - 1 ^ closed  # D
-                meet, rows, mask = new - 1, [], 0  # meet: the worlds above all of D
-                for i, row in enumerate(up):
-                    if below >> i & 1:
-                        meet &= row
-                        row |= new
-                    rows.append(row)
-                    mask |= row << i * n
-                missing = []  # the up-closed sets that miss D
-                for s in ups:
-                    if not s & below:
-                        missing.append(s)
-                for above in ups:  # U
-                    if not above & ~meet:
-                        sets = missing[:]
-                        for s in ups:
-                            if not above & ~s:
-                                sets.append(s | new)
-                        built.append((mask | (above | new) << n * n - n, (*rows, above | new),
-                                      tuple(sets)))
-        built.sort()
+                for closed in ups:
+                    below = new - 1 ^ closed  # D
+                    meet, rows, mask = new - 1, [], 0  # meet: the worlds above all of D
+                    for i, row in enumerate(up):
+                        if below >> i & 1:
+                            meet &= row
+                            row |= new
+                        rows.append(row)
+                        mask |= row << i * n
+                    missing = []  # the up-closed sets that miss D
+                    for s in ups:
+                        if not s & below:
+                            missing.append(s)
+                    for above in ups:  # U
+                        if not above & ~meet:
+                            sets = missing[:]
+                            for s in ups:
+                                if not above & ~s:
+                                    sets.append(s | new)
+                            built.append((mask | (above | new) << n * n - n, (*rows, above | new),
+                                          tuple(sets)))
+            built.sort()
+    except MemoryError:  # the traceback keeps this frame: free the partial build first
+        built = seen = None
+        raise
     _PREORDERS[key] = built = tuple(built)
     return built
 
@@ -438,7 +441,7 @@ def _index_choices(frame: FrameClass, ups: list[int], rels: list[Rel]) -> dict:
 
 def _mask_models(frame: FrameClass, bounds: SearchBounds) -> Iterator[MaskModel]:
     """Every model of the class within the bounds, in mask form and in the
-    fixed enumeration order."""
+    fixed enumeration order; a cap of None allows every set of indices."""
     atoms = tuple(sorted(bounds.atoms))
     for names, up, ups, rels in _frames(frame, bounds.max_worlds, False):
         if frame.kind is not Kind.COND:
@@ -447,7 +450,7 @@ def _mask_models(frame: FrameClass, bounds: SearchBounds) -> Iterator[MaskModel]
                     yield MaskModel(names, up, vp, vn, rel)
             continue
         choices = _index_choices(frame, ups, rels)
-        kmax = min(bounds.max_cond_indices, len(choices))
+        kmax = len(choices) if bounds.max_cond_indices is None else bounds.max_cond_indices
         for vp, vn in _valuations(atoms, ups):
             for k in range(kmax + 1):
                 for chosen in combinations(choices, k):
@@ -573,21 +576,28 @@ def _first_hit(frame: FrameClass, prog: Program, bounds: SearchBounds,
 
 def find_countermodel(logic: Logic, c: Consecution, bounds: SearchBounds) -> SearchOutcome:
     """Search for a pointed model of the logic's class that satisfies every
-    gamma member and refutes every delta member.  Found outcomes re-validate
-    and re-check before being reported; exhausting the bounds refutes only
-    within the bounds (and, for conditional classes, within the documented
-    index restriction).  The witness is the first refuting model of the full
-    enumeration, at its first refuting world; models counts the models up to
-    it, or all of them, by their positions in the passes of _first_hit
-    (module docstring).  The deadline is checked while frames are built
-    (before each preorder extended or kept and each relation row entered),
-    before each pass and each piece of a pass's rows.  On a timeout, models
-    counts those of the passes done.  A search that runs out of memory
-    empties the frame tables and then raises MemoryError."""
+    gamma member and refutes every delta member, over the bounds' atoms
+    (ValueError if they miss one of c's) or else c's, at the bounds' cap on
+    indices or c's count of conditional antecedents, whichever is less.
+    Found outcomes re-validate and re-check before being reported.  The
+    witness is the first refuting model of the full enumeration, at its
+    first refuting world; models counts the models up to it, or all of
+    them, by their positions in the passes of _first_hit.  The deadline is
+    checked while frames are built (before each preorder extended or kept
+    and each relation row entered), before each pass and each piece of a
+    pass's rows.  On a timeout, models counts those of the passes done.  A
+    search out of memory empties the frame tables, then raises MemoryError."""
     for f in c.gamma | c.delta:
         logic.require(f)
     frame, kind = logic.frame_class, logic.frame_class.kind
     prog = consecution_program(c, kind)
+    atoms = {a for op, a, _ in prog.nodes if op == _ATOM}
+    if bounds.atoms is not None and not atoms <= set(bounds.atoms):
+        raise ValueError(f"the search's atoms {bounds.atoms} miss some of the query's")
+    cap = len(prog.antecedents)
+    if bounds.max_cond_indices is not None:
+        cap = min(cap, bounds.max_cond_indices)
+    bounds = SearchBounds(bounds.max_worlds, bounds.atoms or tuple(atoms), cap, bounds.time_limit)
     deadline = (time.monotonic() + bounds.time_limit
                 if bounds.time_limit is not None else None)
     most = min(CHUNK_BITS, (CHUNK_BITS << 10) // max(1, len(prog.nodes)))

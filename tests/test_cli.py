@@ -105,6 +105,23 @@ def test_search_out_of_memory_exit_2(capsys, monkeypatch):
     assert search._RELATIONS == {} and list(search._PREORDERS) == [(0, False)]
 
 
+def test_preorder_build_out_of_memory_exit_2():
+    # the 9,535,241 preorders on 7 worlds do not fit in 256 MB; the partial
+    # table is freed before the error leaves its builder, or the frames it
+    # passes through find no memory for themselves and lose it, which ends
+    # in a SystemError traceback and exit 1
+    script = ("import resource, sys\n"
+              "from cnx import cli, search\n"
+              "resource.setrlimit(resource.RLIMIT_AS,\n"
+              "                   (256 << 20, resource.getrlimit(resource.RLIMIT_AS)[1]))\n"
+              "code = cli.main(sys.argv[1:])\n"
+              "print(code, list(search._PREORDERS), search._RELATIONS)\n")
+    proc = run_python("-c", script, "valid", "-L", "C", "--max-worlds", "7", "p0 -> p0",
+                      timeout=120)
+    assert proc.stdout == "2 [(0, False)] {}\n", proc.stderr
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
+
+
 def test_valid_bounded_wording(capsys):
     code, out, _ = run(capsys, "valid", "-L", "C", "--max-worlds", "2",
                        "p0 -> p0")

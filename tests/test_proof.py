@@ -51,10 +51,9 @@ class TestSystems:
         searched at its own atoms, evaluates before it exhausts the bounds."""
         models = {}
         for name in sorted(SYSTEMS[system].axioms):
-            atoms = tuple(sorted(atoms_of(AXIOMS[name])))
-            if len(atoms) <= max_atoms:
+            if len(atoms_of(AXIOMS[name])) <= max_atoms:
                 out = find_countermodel(logic, consecution([], [AXIOMS[name]]),
-                                        SearchBounds(worlds, atoms))
+                                        SearchBounds(worlds))
                 assert out.status is Status.EXHAUSTED, (system, name)
                 models[name] = out.models
         return models
@@ -72,13 +71,16 @@ class TestSystems:
         # (16,329 models) and the other nine two (3,635,085 each)
         five_worlds = self._scheme_models(Logic.C, "C", 5, max_atoms=2)
         assert len(five_worlds) == 10 and sum(five_worlds.values()) == 32_732_094
-        # positive controls: Peirce's law is not a C theorem, and CnK has
-        # no T axiom
-        for logic, text in ((Logic.C, "((p0 -> p1) -> p0) -> p0"),
-                            (Logic.CnK, "[]p0 -> p0")):
-            out = find_countermodel(logic, consecution([], [parse(text)]),
-                                    SearchBounds(3, (0, 1)))
-            assert out.found, text
+        # every scheme has one conditional antecedent, so the cap of 1 index
+        # covers every model of the class on 2 worlds
+        assert sum(self._scheme_models(Logic.CnCK, "CnCK", 2).values()) == 319_163
+        assert sum(self._scheme_models(Logic.CnCK_R, "CnCKR", 2).values()) == 136_136
+        # positive controls: Peirce's law is not a C theorem, CnK has no T
+        # axiom, and CnCK has no g8
+        for logic, f in ((Logic.C, parse("((p0 -> p1) -> p0) -> p0")),
+                         (Logic.CnK, parse("[]p0 -> p0")), (Logic.CnCK, AXIOMS["g8"])):
+            out = find_countermodel(logic, consecution([], [f]), SearchBounds(3, (0, 1)))
+            assert out.found, f
 
     def test_proofs_transfer_upward(self):
         # a C proof is accepted verbatim in every extension

@@ -114,8 +114,8 @@ def test_repr_names_each_field(cls):
 def test_repr_examples():
     assert repr(Imp(p0, Neg(p1))) == "Imp(left=Atom(index=0), right=Neg(body=Atom(index=1)))"
     assert repr(HypJust()) == "HypJust()"
-    assert repr(SearchBounds(1)) == ("SearchBounds(max_worlds=1, atoms=(0, 1), "
-                                     "max_cond_indices=2, time_limit=None)")
+    assert repr(SearchBounds(1)) == ("SearchBounds(max_worlds=1, atoms=None, "
+                                     "max_cond_indices=None, time_limit=None)")
 
 
 @records
@@ -168,8 +168,8 @@ def test_no_record_is_ordered():
 
 
 def test_defaults_and_keywords():
-    assert SearchBounds(2) == SearchBounds(2, (0, 1), 2, None)
-    assert SearchBounds(2, time_limit=1.5) == SearchBounds(2, (0, 1), 2, 1.5)
+    assert SearchBounds(2) == SearchBounds(2, None, None, None)
+    assert SearchBounds(2, time_limit=1.5) == SearchBounds(2, None, None, 1.5)
     assert SearchBounds(max_worlds=2, atoms=(0,)).atoms == (0,)
     assert ValidationReport(True).violations == ()
     assert CheckResult(False, code="mp") == CheckResult(False, None, "mp", None)

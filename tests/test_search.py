@@ -23,7 +23,7 @@ from cnx.errors import EvidenceError, LanguageMismatch
 from cnx.harness import DEFAULT_BOUNDS, Thesis, _as_consecution, thesis_instance
 from cnx.logics import Logic
 from cnx.model import (FrameClass, Kind, KripkeModel, MaskModel, PointedModel, from_masks,
-                       get_fixture, serialize_model, serialize_pointed, succ_masks,
+                       get_fixture, masks_of, serialize_model, serialize_pointed, succ_masks,
                        transitivity_faults, validate_model, world_bits)
 from cnx.proof import parse_proof
 from cnx import search
@@ -32,7 +32,7 @@ from cnx.search import (SearchBounds, Status, _access_rows, _first_world, _frame
                         check_evidence, enumerate_models, find_countermodel)
 from cnx.semantics import (_run, _run_sliced, check_consecution, consecution,
                            consecution_program, satisfying_slices, satisfying_worlds)
-from cnx.syntax import And, Atom, Imp, Neg, parse
+from cnx.syntax import And, Atom, Imp, Neg, atoms_of, parse
 
 
 def labeled_preorders_oracle(n):
@@ -201,6 +201,20 @@ def test_language_gate():
                           SearchBounds(1, (0, 1)))
 
 
+def test_bounds_default_to_what_the_query_needs():
+    # the search values every atom of the query, and refuses atoms that
+    # leave one out; a cap above the count of conditional antecedents
+    # searches as that count does
+    c = consecution([], [parse("p2 -> p0")])
+    out = find_countermodel(Logic.C, c, SearchBounds(2))
+    assert out.found and masks_of(out.witness.model).val_pos == {2: 1}
+    with pytest.raises(ValueError):
+        find_countermodel(Logic.C, c, SearchBounds(2, (0, 1)))
+    c = consecution([], [parse(UNPRUNED_VALID)])
+    assert (find_countermodel(Logic.CnCK, c, SearchBounds(1, max_cond_indices=5)).models
+            == find_countermodel(Logic.CnCK, c, SearchBounds(1)).models == 176)
+
+
 # valid, and its antecedent is conditional, so a search for a countermodel
 # walks every model with indices the query may consult: all of them (7.17M
 # CnCK models at 2 worlds and 2 indices, exhausted in about 0.1 s; a
@@ -263,12 +277,12 @@ def test_witness_is_first_model_the_reference_refutes():
     assert all(3 <= found[logic] < 12 for logic, _, _ in cases), found
 
 
-def _unpruned_first_hit(logic, c, bounds):
+def _unpruned_first_hit(logic, c, bounds, limit=None):
     """The serialized first refuting point of a plain scan of every
-    enumerated model, or None."""
+    enumerated model, or of the first limit of them, or None."""
     kind = logic.frame_class.kind
     prog = consecution_program(c, kind)
-    for mm in _mask_models(logic.frame_class, bounds):
+    for mm in itertools.islice(_mask_models(logic.frame_class, bounds), limit):
         hits = satisfying_worlds(prog, mm)
         if hits:
             return serialize_pointed(PointedModel(from_masks(kind, mm),
@@ -289,15 +303,36 @@ def test_pruned_search_matches_unpruned_scan():
                 gamma = [random_formula(rnd, 2, bounds.atoms, CN_CONNS)
                          for _ in range(rnd.randint(0, 1))]
                 delta = [random_formula(rnd, 3, bounds.atoms, CN_CONNS)]
-                cases.append((logic, consecution(gamma, delta), bounds))
+                cases.append((logic, consecution(gamma, delta), bounds, bounds))
     for logic in (Logic.CnCK, Logic.CnCK_R):
         for conn in ("@>", "?>", "@=>", "?=>"):
             for thesis in Thesis:
+                bounds = SearchBounds(1, (0, 1), max_cond_indices=2)
                 cases.append((logic, _as_consecution(thesis_instance(conn, thesis)),
-                              SearchBounds(1, (0, 1), max_cond_indices=2)))
+                              bounds, bounds))
+    # queries of A >= 3 conditional antecedents, searched at the derived cap
+    # A: at 1 world against the scan of every subset of the indices, and at
+    # 2 worlds over p0 against the scan at cap A + 1, which reaches only the
+    # first valuations of the first frame in time, so a query is kept if the
+    # scan refutes it there, within its first 600 models
+    deep = Counter()
+    for logic in (Logic.CnCK, Logic.CnCK_R):
+        for worlds, atoms, count in ((1, (0, 1), 20), (2, (0,), 3)):
+            while deep[logic, worlds] < count:
+                gamma = [random_formula(rnd, 2, atoms, CN_CONNS)
+                         for _ in range(rnd.randint(0, 1))]
+                c = consecution(gamma, [random_formula(rnd, 3, atoms, CN_CONNS)])
+                a = len(consecution_program(c, Kind.COND).antecedents)
+                used = tuple(sorted(set().union(*map(atoms_of, c.gamma | c.delta))))
+                scan = SearchBounds(worlds, used, None if worlds == 1 else a + 1)
+                if a < 3 or worlds == 2 and (find_countermodel(logic, c, SearchBounds(1)).found
+                                             or _unpruned_first_hit(logic, c, scan, 600) is None):
+                    continue
+                cases.append((logic, c, SearchBounds(worlds), scan))
+                deep[logic, worlds] += 1
     kinds = Counter()
-    for logic, c, bounds in cases:
-        expected = _unpruned_first_hit(logic, c, bounds)
+    for logic, c, bounds, scan in cases:
+        expected = _unpruned_first_hit(logic, c, scan)
         out = find_countermodel(logic, c, bounds)
         if expected is None:
             assert out.status is Status.EXHAUSTED, c
@@ -518,18 +553,19 @@ def test_sliced_search_across_chunks(monkeypatch):
 def test_conditional_search_across_passes(monkeypatch):
     # passes of at most 64 models cut most valuations of CnCK and CnCKR on
     # 2 worlds into several, and blocks of indices across passes: the
-    # status, the witness and the count of models are those of whole passes
+    # status, the witness and the count of models are those of whole passes;
+    # UNPRUNED_VALID, over p0 and p1, at 1 world (176 and 64 models)
     rnd = random.Random(71)
     bounds = SearchBounds(2, (0,), max_cond_indices=2)
     cases = [(logic, consecution([random_formula(rnd, 2, (0,), CN_CONNS)],
-                                 [random_formula(rnd, 3, (0,), CN_CONNS)]))
+                                 [random_formula(rnd, 3, (0,), CN_CONNS)]), bounds)
              for logic in (Logic.CnCK, Logic.CnCK_R) for _ in range(12)]
-    cases += [(logic, consecution([], [parse(UNPRUNED_VALID)]))
+    cases += [(logic, consecution([], [parse(UNPRUNED_VALID)]), SearchBounds(1))
               for logic in (Logic.CnCK, Logic.CnCK_R)]
-    whole = [find_countermodel(logic, c, bounds) for logic, c in cases]
+    whole = [find_countermodel(*case) for case in cases]
     monkeypatch.setattr(search, "CHUNK_BITS", 64)
     kinds = Counter()
-    for (logic, c), want in zip(cases, whole):
+    for (logic, c, bounds), want in zip(cases, whole):
         out = find_countermodel(logic, c, bounds)
         assert (out.status, out.models) == (want.status, want.models), c
         assert not out.found or (serialize_pointed(out.witness)

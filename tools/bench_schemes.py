@@ -4,25 +4,29 @@ cold set-up of the frames they search.
     python3 tools/bench_schemes.py [--root LABEL=CHECKOUT ...] [--out FILE]
                                    [--only frames|schemes|cond ...]
 
-Two groups of searches of queries without a conditional, each
-`find_countermodel` on a bare formula:
+Every search but the deep one below is `find_countermodel` on a bare
+formula at the defaults of SearchBounds: the formula's own atoms, and as
+many indices as it has distinct conditional antecedents (so a checkout
+from before those defaults searches other bounds).  Two groups of searches
+of queries without a conditional:
 
-- the scheme sweep: every axiom scheme of C, taken at p0/p1/p2 and searched
-  at its own atoms, in C at 3 worlds; every scheme of CnK in CnK at 2
-  worlds; the CnK schemes of one or two atoms in CnK at 3 worlds; and the
-  C schemes of one or two atoms in C at 5 worlds;
+- the scheme sweep: every axiom scheme of C, taken at p0/p1/p2, in C at 3
+  worlds; every scheme of CnK in CnK at 2 worlds; the CnK schemes of one
+  or two atoms in CnK at 3 worlds; and the C schemes of one or two atoms in
+  C at 5 worlds;
 - the corpus goals without a conditional that the `search` benchmark
-  searches exhaustively, at their own atoms: in C (at 3 worlds), in CnK
-  (at 2 worlds), and in CnCKR and CnCK (at 2 worlds and 1 index).
+  searches exhaustively: in C (at 3 worlds), in CnK (at 2 worlds), and in
+  CnCKR and CnCK (at 2 worlds).
 
 And the `cond` group, of queries with a conditional, in a fresh interpreter
 of its own:
 
-- the deep first-hit search of `cnx suite` (CnCKR `?=>` WnonSym), once as
-  the interpreter's first search (cold) and then at its best of WARM_RUNS;
-- UNPRUNED_VALID, whose antecedent is conditional, at 2 worlds and 2
-  indices in CnCK and CnCKR;
-- the CnCK schemes g1-g4 at 3 worlds and 1 index, in CnCK and CnCKR.
+- the deep first-hit search of `cnx suite` (CnCKR `?=>` WnonSym, at the
+  suite's bounds), once as the interpreter's first search (cold) and then
+  at its best of WARM_RUNS;
+- UNPRUNED_VALID, whose antecedent is conditional, at 2 worlds (2
+  indices) in CnCK and CnCKR;
+- the CnCK schemes g1-g4 at 3 worlds (1 index), in CnCK and CnCKR.
 
 Each checkout (default: the one holding this script, as `change`) runs
 them once, in a fresh interpreter with CHECKOUT/src first on the path.  A
@@ -61,7 +65,7 @@ SWEEPS = [("schemes C w3", "C", 3, 3),
           ("schemes C w5", "C", 5, 2)]
 C_GOALS = ("alpha9_instance", "at_arrow", "strong_refl", "strong_dne",
            "neg_inconsistency_imp", "neg_inconsistency_strong", "at_strong")
-# (group, logic, worlds, corpus goals); conditional logics take 1 index
+# (group, logic, worlds, corpus goals)
 GOALS = [("goals C w3", "C", 3, C_GOALS),
          ("goals CnK w2", "CnK", 2,
           ("neg_box_swap", "neg_dia_swap", "at_strict", "at_sstrict",
@@ -98,7 +102,7 @@ from cnx.logics import Logic
 from cnx.proof import AXIOMS
 from cnx.search import SearchBounds, find_countermodel
 from cnx.semantics import consecution
-from cnx.syntax import atoms_of, parse
+from cnx.syntax import parse
 unpruned, warm, limit = json.loads(sys.argv[1])
 
 
@@ -117,13 +121,12 @@ emit("cond deep", "WnonSym cold", *timed("CnCK_R", deep, DEFAULT_BOUNDS))
 emit("cond deep", "WnonSym warm",
      *min((timed("CnCK_R", deep, DEFAULT_BOUNDS) for _ in range(warm)), key=lambda r: r[1]))
 for logic in ("CnCK", "CnCK_R"):
-    bounds = SearchBounds(2, (0, 1), max_cond_indices=2, time_limit=limit)
+    bounds = SearchBounds(2, time_limit=limit)
     emit("cond unpruned w2", logic, *timed(logic, consecution([], [parse(unpruned)]), bounds))
 for logic in ("CnCK", "CnCK_R"):
     for name in ("g1", "g2", "g3", "g4"):
         f = AXIOMS[name]
-        bounds = SearchBounds(3, tuple(sorted(atoms_of(f))), max_cond_indices=1,
-                              time_limit=limit)
+        bounds = SearchBounds(3, time_limit=limit)
         emit(f"cond {logic} w3", name, *timed(logic, consecution([], [f]), bounds))
 """
 
@@ -147,8 +150,7 @@ for group, logic, worlds, names in goals:
         proof = parse_proof((CORPUS_DIR / f"{name}.prf").read_text())
         searches.append((group, name, logic, worlds, proof.goals[0]))
 for group, name, logic, worlds, f in searches:
-    bounds = SearchBounds(worlds, tuple(sorted(atoms_of(f))), max_cond_indices=1,
-                          time_limit=limit)
+    bounds = SearchBounds(worlds, time_limit=limit)
     start = time.perf_counter()
     out = find_countermodel(getattr(Logic, logic), consecution([], [f]), bounds)
     seconds = time.perf_counter() - start
