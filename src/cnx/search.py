@@ -42,16 +42,17 @@ pass is its b-th model in the enumeration's order, so the first set bit is
 the first refuting model, its position the count of models evaluated
 before it, and its point the first world whose slice has it.  A model is
 a valuation and relations assigned to slots: FSM's one slot, None, always
-holds one of the frame's relations, P has none, and a conditional model
-holds a relation at some indices.  The first atoms are constant within a
-pass and the last k vary inside it.  A query without a conditional is
-searched on the models without indices only (P's models, in a conditional
-class, which evaluate it as the models with indices do), k as large as a
-pass allows, a range of the relations a pass.  A query with a conditional
-has k = 0, a contiguous range of a valuation's models a pass: the one
-without indices, then combinations of indices, fewest first, in the orders
-of itertools.combinations and, for their relations, itertools.product.
-A model consults one index per conditional antecedent, and the frame
+holds one of the frame's relations (so [] is @> at an index every model
+holds), P has none, and a conditional model holds a relation at some
+indices.  _passes lays out every pass: a valuation's models, fewest slots
+first, in the orders of itertools.combinations and, for their relations,
+itertools.product, repeated over the valuations of the last k atoms, which
+vary inside a pass while the first are constant.  A query without a
+conditional is searched on the models without indices only (P's models, in
+a conditional class, which evaluate it as the models with indices do), k
+as large as a pass allows, a range of the relations a pass.  A query with
+a conditional has k = 0, a contiguous range of a valuation's models a
+pass.  A model consults one index per conditional antecedent, and the frame
 conditions hold per index, so dropping the indices no antecedent consults
 leaves a model of the class, earlier in its valuation's block, that refutes
 the query where it did.  So the first hit and an exhausted verdict are
@@ -94,6 +95,9 @@ class SearchBounds(Record):
     def __post_init__(self):
         if self.max_worlds < 1:
             raise ValueError("max_worlds must be at least 1")
+        if self.atoms is not None and (len(set(self.atoms)) < len(self.atoms)
+                                       or any(a < 0 for a in self.atoms)):
+            raise ValueError("atoms must be distinct and not negative")
         if self.max_cond_indices is not None and self.max_cond_indices < 0:
             raise ValueError("max_cond_indices must not be negative")
         # a NaN deadline is never passed, so nan would mean "no limit"
@@ -307,7 +311,7 @@ def _repeat(block: int, period: int, length: int) -> int:
     while period < length:
         block |= block << period
         period *= 2
-    return block & ((1 << length) - 1)
+    return block & ((1 << length) - 1) if period > length else block
 
 
 def _inner_slices(ups: list[int], n: int, k: int,
@@ -349,56 +353,57 @@ def _runs(bits: str, run: int, lo: int, hi: int) -> int:
                        for q in range(last, first - 1, -1)), 2)
 
 
-def _rows(n: int, masks: dict) -> tuple:
-    """The (up_image, succ) rows of masks keyed by (field of Rel, world, target)."""
-    return tuple(tuple(tuple((t, masks[f, i, t]) for t in range(n) if (f, i, t) in masks)
+def _rows(n: int, masks: dict, width: int, reps: int) -> tuple:
+    """The (up_image, succ) rows of masks of width bits keyed by (field of
+    Rel, world, target), each mask repeated reps times."""
+    return tuple(tuple(tuple((t, _repeat(masks[f, i, t], width, width * reps))
+                             for t in range(n) if (f, i, t) in masks)
                        for i in range(n)) for f in (1, 0))
 
 
-def _access_rows(rels: list[Rel], reps: int) -> tuple:
-    """The rows of [] and <> for reps valuations under each of rels, bit
-    v*len(rels) + j standing for the v-th valuation under rels[j]."""
-    return _rows(len(rels[0].succ), {key: _runs(bits, 1, 0, reps * len(rels))
-                                     for key, bits in _relation_bits(rels)})
-
-
-def _passes(lists: list[list[Rel]], cap: int, most: int, bits: dict,
-            deadline: float | None, made: dict) -> Iterator[tuple]:
-    """A valuation's models, lists holding the relations its indices may
-    take, in passes of at most most models: (width, pieces, rows).  A piece
-    (chosen, strides, a, b, at) puts the models a to b - 1 of a combination's
-    block at bits at onwards; its o-th model gives each chosen j the
-    (o // stride % len(lists[j]))-th of lists[j].  rows holds each position's
-    rows, () if no model holds it, built from bits (_relation_bits by id),
-    checking the deadline before each piece.  made keeps, by the lists' ids,
-    the pass of a valuation that takes one."""
+def _passes(lists: list[list[Rel]], ks: range | tuple[int, ...], most: int, reps: int,
+            bits: dict, deadline: float | None, made: dict) -> Iterator[tuple]:
+    """A valuation's models, lists holding the relations each slot may take,
+    holding k slots for each k of ks in turn, in passes of at most most
+    models: (width, pieces, rows), bit v*width + o standing for the o-th
+    model under the v-th of reps inner valuations.  A piece (chosen,
+    strides, a, b, at) puts the models a to b - 1 of a combination's block
+    at o = at onwards; its o-th model gives each chosen j the
+    (o // stride % len(lists[j]))-th of lists[j].  rows holds each slot's
+    rows, () if no model holds it, built from bits (_relation_bits by the
+    list's id, filled on first use), checking the deadline before each
+    piece.  made keeps, by the lists' ids, the pass of a valuation whose
+    models fit in one, which the frame's other valuations reuse."""
     if (key := tuple(map(id, lists))) in made:
         yield made[key]
         return
 
-    def rows(pieces: list) -> list:
-        masks = [{} for _ in lists]
+    def cut(width: int, pieces: list) -> tuple:
+        masks: dict[int, dict] = {}
         for chosen, strides, a, b, at in pieces:
             _check_deadline(deadline)
             for j, stride in zip(chosen, strides):
+                if id(lists[j]) not in bits:
+                    bits[id(lists[j])] = _relation_bits(lists[j])
+                cells = masks.setdefault(j, {})
                 for cell, pattern in bits[id(lists[j])]:
-                    masks[j][cell] = masks[j].get(cell, 0) | _runs(pattern, stride, a, b) << at
-        return [m and _rows(len(lists[0][0].succ), m) for m in masks]
+                    cells[cell] = cells.get(cell, 0) | _runs(pattern, stride, a, b) << at
+        return width, pieces, [_rows(len(lists[j][0].succ), masks[j], width, reps)
+                               if j in masks else () for j in range(len(lists))]
     pieces, end = [], 0  # a pass ends at each multiple of most, a piece too
-    for k in range(min(cap, len(lists)) + 1):
+    for k in ks:
         for chosen in combinations(range(len(lists)), k):
             sizes = [len(lists[j]) for j in chosen]
             strides = [math.prod(sizes[q + 1:]) for q in range(k)]
             begin, end = end, end + math.prod(sizes)
             for a in [begin, *range(begin - begin % most + most, end, most)]:
-                b = min(end, a - a % most + most)
-                pieces.append((chosen, strides, a - begin, b - begin, a % most))
-                if not b % most:
-                    yield most, pieces, rows(pieces)
+                if pieces and not a % most:  # the pass is full, and a model follows
+                    yield cut(most, pieces)
                     pieces = []
-    if pieces:
-        last = (end % most, pieces, rows(pieces))
-        yield made.setdefault(key, last) if end < most else last
+                pieces.append((chosen, strides, a - begin,
+                               min(end, a - a % most + most) - begin, a % most))
+    last = cut(end % most or most, pieces)
+    yield made.setdefault(key, last) if end <= most else last
 
 
 class _TimedOut(Exception):
@@ -502,58 +507,51 @@ def check_evidence(frame: FrameClass, c: Consecution, evidence) -> None:
         raise EvidenceError(f"proof {evidence.name} does not prove the instance")
 
 
-def _first_hit(frame: FrameClass, prog: Program, bounds: SearchBounds,
-               deadline: float | None, most: int):
+def _first_hit(frame: FrameClass, prog: Program, atoms: tuple[int, ...], cap: int,
+               max_worlds: int, deadline: float | None, most: int):
     """The first refuting model and point (module docstring), with the
-    models evaluated up to it: (status, mask model, point, models).  Bit
-    v*width + o of a pass is the v-th valuation of its inner atoms under its
-    o-th assignment of relations to slots, as its pieces lay them out."""
-    atoms, cap, models = tuple(sorted(bounds.atoms)), bounds.max_cond_indices, 0
+    models evaluated up to it: (status, mask model, point, models).  Per
+    frame, choices maps each slot to the relations it may take and ks holds
+    the counts of slots a model may hold; _passes lays out each valuation."""
+    models = 0
     # the program of every antecedent, if any; without, FSM is searched as
     # itself and every other class as P
     head = prog.antecedents and prog._replace(nodes=prog.nodes[:max(prog.antecedents) + 1])
     shape = frame if head or frame is FrameClass.FSM else FrameClass.P
     try:
-        for names, up, ups, rels in _frames(shape, bounds.max_worlds, True, deadline):
+        for names, up, ups, rels in _frames(shape, max_worlds, True, deadline):
             n, u = len(up), len(ups)
             sides = [[x >> i & 1 for i in range(n)] for x in ups]  # each up-set per world
             k = 0  # the atoms that vary within a pass: the last k
-            if head:  # a slot per live index, laid out by _passes a valuation at a time
-                choices = _index_choices(frame, ups, rels)
-                bits = {id(r): r for r in choices.values()}
-                bits, made = {key: _relation_bits(r) for key, r in bits.items()}, {}
-            else:  # FSM's one slot, None, takes a range of the relations a pass; P has none
-                slots, lists = ([None], [rels]) if rels else ([], [])
-                step = min(len(rels), most) if rels else 1
+            if head:  # a slot per live index
+                choices, ks = _index_choices(frame, ups, rels), range(cap + 1)
+            else:  # FSM's one slot, None, always holds a relation; P has none
+                choices, ks = ({None: rels}, (1,)) if rels else ({}, (0,))
+                size = len(rels) if rels else 1  # a valuation's models
                 k = len(atoms)
-                while k and u ** (2 * k) * step > most:
+                while k and u ** (2 * k) * size > most:
                     k -= 1
-                passes = [(len(part), [((0,), (1,), j, j + len(part), 0)],
-                           {None: _access_rows(part, u ** (2 * k))})
-                          for j in range(0, len(rels), step) for part in [rels[j:j + step]]
-                          ] if rels else [(1, [((), (), 0, 1, 0)], {})]
             reps, outer = u ** (2 * k), atoms[:len(atoms) - k]
-            inner = dict(zip(atoms[len(outer):], _inner_slices(ups, n, k, step))) if k else {}
+            inner = dict(zip(atoms[len(outer):], _inner_slices(ups, n, k, size))) if k else {}
+            bits, made = {}, {}
             for hi in range(u ** (2 * len(outer))):
                 digits = _digits(hi, u, len(outer))
-                if head:
-                    slots = list(choices)
-                    if prog.pl_antecedents:  # each antecedent then consults one index
-                        val = _valuation(atoms, ups, digits)
-                        vals = _run(head, MaskModel(names, up, *val, {}))
-                        wanted = {vals[a] for a in prog.antecedents}
-                        slots = [idx for idx in slots if idx in wanted]
-                    lists = [choices[idx] for idx in slots]
-                    passes = ((width, pieces, {idx: r for idx, r in zip(slots, rows) if r})
-                              for width, pieces, rows
-                              in _passes(lists, cap, most, bits, deadline, made))
-                for width, pieces, access in passes:
+                slots = list(choices)
+                if head and prog.pl_antecedents:  # each antecedent then consults one index
+                    val = _valuation(atoms, ups, digits)
+                    vals = _run(head, MaskModel(names, up, *val, {}))
+                    wanted = {vals[a] for a in prog.antecedents}
+                    slots = [idx for idx in slots if idx in wanted]
+                lists = [choices[idx] for idx in slots]
+                for width, pieces, rows in _passes(lists, ks, most // reps, reps, bits,
+                                                   deadline, made):
                     _check_deadline(deadline)
                     full = (1 << reps * width) - 1
                     # an outer atom is constant within the pass
                     slices = inner | {a: ([full * x for x in sides[p]],
                                           [full * x for x in sides[q]])
                                       for a, (p, q) in zip(outer, digits)}
+                    access = {idx: r for idx, r in zip(slots, rows) if r}
                     out = satisfying_slices(prog, up, slices, full, access)
                     hits = reduce(or_, out)
                     if not hits:
@@ -591,19 +589,19 @@ def find_countermodel(logic: Logic, c: Consecution, bounds: SearchBounds) -> Sea
         logic.require(f)
     frame, kind = logic.frame_class, logic.frame_class.kind
     prog = consecution_program(c, kind)
-    atoms = {a for op, a, _ in prog.nodes if op == _ATOM}
-    if bounds.atoms is not None and not atoms <= set(bounds.atoms):
+    used = {a for op, a, _ in prog.nodes if op == _ATOM}
+    if bounds.atoms is not None and not used <= set(bounds.atoms):
         raise ValueError(f"the search's atoms {bounds.atoms} miss some of the query's")
     cap = len(prog.antecedents)
     if bounds.max_cond_indices is not None:
         cap = min(cap, bounds.max_cond_indices)
-    bounds = SearchBounds(bounds.max_worlds, bounds.atoms or tuple(atoms), cap, bounds.time_limit)
     deadline = (time.monotonic() + bounds.time_limit
                 if bounds.time_limit is not None else None)
     most = min(CHUNK_BITS, (CHUNK_BITS << 10) // max(1, len(prog.nodes)))
     failed = False
     try:
-        status, mm, point, models = _first_hit(frame, prog, bounds, deadline, most)
+        status, mm, point, models = _first_hit(frame, prog, tuple(sorted(bounds.atoms or used)),
+                                               cap, bounds.max_worlds, deadline, most)
     except MemoryError:  # only a flag: the traceback still holds the failed build
         failed = True
     if failed:  # the build is freed now; free the tables too, which may be most of it

@@ -27,9 +27,9 @@ from cnx.model import (FrameClass, Kind, KripkeModel, MaskModel, PointedModel, f
                        transitivity_faults, validate_model, world_bits)
 from cnx.proof import parse_proof
 from cnx import search
-from cnx.search import (SearchBounds, Status, _access_rows, _first_world, _frames,
-                        _inner_slices, _mask_models, _preorders, _valuations, _world_names,
-                        check_evidence, enumerate_models, find_countermodel)
+from cnx.search import (SearchBounds, Status, _first_world, _frames, _inner_slices,
+                        _mask_models, _preorders, _valuations, _world_names, check_evidence,
+                        enumerate_models, find_countermodel)
 from cnx.semantics import (_run, _run_sliced, check_consecution, consecution,
                            consecution_program, satisfying_slices, satisfying_worlds)
 from cnx.syntax import And, Atom, Imp, Neg, atoms_of, parse
@@ -403,7 +403,12 @@ def test_sliced_run_matches_run_on_every_small_model():
                 accs, reps = rels or [None], len(ups) ** 4
                 full = (1 << reps * len(accs)) - 1
                 slices = dict(zip(atoms, _inner_slices(ups, len(up), len(atoms), len(accs))))
-                access = {None: _access_rows(rels, reps)} if rels else {}
+                # FSM's one slot, None, laid out as every search lays it out
+                lists = [rels] if rels else []
+                [(width, _, rows)] = search._passes(lists, (len(lists),), len(accs),
+                                                    reps, {}, None, {})
+                assert width == len(accs)
+                access = dict(zip([None], rows))
                 sliced = _run_sliced(prog, up, slices, full, access)
                 hits = satisfying_slices(prog, up, slices, full, access)
                 for v, (vp, vn) in enumerate(_valuations(atoms, ups)):
@@ -443,7 +448,8 @@ def test_sliced_run_matches_run_on_every_small_conditional_model():
             bits = {id(r): search._relation_bits(r) for r in choices.values()}
             nothing = (((),) * len(up),) * 2
             for vp, vn in _valuations(atoms, ups):
-                passes = list(search._passes(list(choices.values()), 2, most, bits, None, {}))
+                passes = list(search._passes(list(choices.values()), range(3), most, 1, bits,
+                                             None, {}))
                 split += len(passes) > 1
                 for width, pieces, rows in passes:
                     full = (1 << width) - 1
@@ -608,6 +614,16 @@ def test_timed_out_sliced_search_counts_the_passes_it_finished(monkeypatch):
     assert out.models < 377
 
 
+def test_fsm_search_builds_its_rows_once_per_frame(monkeypatch):
+    # over p0-p3 at 2 worlds, the discrete frame's 16 relations under the
+    # 16**3 valuations of p1-p3 fill a pass of 2**16 models exactly: each of
+    # the 4 kept frames builds its rows once, for every valuation of p0
+    rows = _count_calls(monkeypatch, "_rows")
+    c = consecution([], [parse("(p0 & p1 & p2 & p3) -> []p0 | ~[]p0 | p0")])
+    out = find_countermodel(Logic.CnK, c, SearchBounds(2))
+    assert out.status is Status.EXHAUSTED and len(rows) == 4
+
+
 def test_frame_generation_checks_the_deadline(monkeypatch):
     # a clock that moves 10 us per candidate relation: every frame of CnK on
     # 4 worlds has 65,536 candidates, and the 0.2 s limit must stop the
@@ -741,6 +757,11 @@ def test_bounds_reject_negative_values():
         with pytest.raises(ValueError):
             SearchBounds(1, time_limit=limit)
     assert SearchBounds(1, max_cond_indices=0).max_cond_indices == 0
+    # a repeated atom would search each valuation of it twice over, and no
+    # formula has a negative atom
+    for atoms in ((0, 0), (1, 0, 1), (-1,), (0, -2)):
+        with pytest.raises(ValueError):
+            SearchBounds(2, atoms)
 
 
 def test_enumeration_counts_per_world_count():

@@ -39,10 +39,12 @@ COLD_FRAMES, as a `cnx valid` process pays it: `search._frames` run to its
 end right after the imports, in a fresh interpreter each time, best of
 COLD_RUNS, with the page faults of that run.
 
-Prints a table and writes FILE (default BENCH_sliced.json in the current
-directory) with each set-up's frames, seconds and faults, each search's
-status, models and seconds, the sums per group, and the machine.  Standard
-library only.
+Prints a table and, with --out, writes FILE with each set-up's frames,
+seconds and faults, each search's status, models and seconds, the sums per
+group, and the machine.  With two or more checkouts it names each search
+whose status or count of models differs from the first checkout's, and then
+exits 1; a search that timed out in either checkout is not compared.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -199,7 +201,7 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--root", action="append", metavar="LABEL=CHECKOUT",
                     help="a checkout to time, under a label (repeatable)")
-    ap.add_argument("--out", default="BENCH_sliced.json")
+    ap.add_argument("--out", help="write the results to this JSON file")
     ap.add_argument("--only", action="append", choices=PARTS,
                     help="run only these parts (repeatable; default: all)")
     args = ap.parse_args()
@@ -215,8 +217,8 @@ def main() -> int:
               "checkouts": {label: run_checkout(root, set(args.only or PARTS))
                             for label, root in roots.items()}}
     print(f"{'group':16} " + " ".join(f"{label:>28}" for label in roots))
-    first = next(iter(result["checkouts"].values()))
-    for group in first["groups"]:
+    (ref_label, ref), *others = result["checkouts"].items()
+    for group in ref["groups"]:
         cells = []
         for c in result["checkouts"].values():
             g = c["groups"][group]
@@ -226,8 +228,20 @@ def main() -> int:
             late = f" ({g['timed_out']} timed out)" if g["timed_out"] else ""
             cells.append(f"{g['models']:>12,} {g['seconds']:9.3f} s{late}")
         print(f"{group:16} " + " ".join(f"{cell:>28}" for cell in cells))
-    Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
-    return 0
+    if args.out:
+        Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
+    differs = False
+    for label, c in others:
+        for group, g in c["groups"].items():
+            for name, item in g.get("items", {}).items():
+                want = ref["groups"][group]["items"][name]
+                if "timed-out" in (item["status"], want["status"]):
+                    continue
+                if (item["status"], item["models"]) != (want["status"], want["models"]):
+                    differs = True
+                    print(f"differs: {group} {name}: {ref_label} {want['status']} "
+                          f"{want['models']:,}, {label} {item['status']} {item['models']:,}")
+    return int(differs)
 
 
 if __name__ == "__main__":
