@@ -115,6 +115,10 @@ class ProofEvidence(Record):
     name: str
     system: str
 
+    @property
+    def source(self) -> str:
+        return f"proof:{self.name}"
+
 
 class CountermodelEvidence(Record):
     pointed: PointedModel
@@ -144,8 +148,6 @@ class ThesisStatus(Record):
 
     @property
     def evidence_text(self) -> str:
-        if isinstance(self.evidence, ProofEvidence):
-            return f"proof:{self.evidence.name}"
         return self.evidence.source
 
 

@@ -6,6 +6,13 @@ falsification) over a preordered world set, plus an accessibility component
 whose shape depends on the kind: none (prop), a binary relation (modal), or
 a map from bi-set indices to binary relations (cond).  Conditional access is
 sparse: unlisted indices denote the empty relation.
+
+The mask form (MaskModel) has one access shape for every kind, a map from
+slot to relation: a modal model's relation is at the slot None (the paper
+reads []A as anchor @> A, so the modal relation is a conditional one at a
+slot every model holds), a conditional model's at the (pos, neg) masks of
+each index, and a prop model has no slot.  masks_of and from_masks convert
+between the two forms.
 """
 
 from __future__ import annotations
@@ -135,12 +142,6 @@ class KripkeModel:
         table = self.val_pos if sign == "+" else self.val_neg
         return table.get(atom, frozenset())
 
-    def slice_at(self, idx: BiSet) -> frozenset[tuple[str, str]]:
-        """Conditional accessibility at a bi-set index; absent index = empty."""
-        if self.kind is not Kind.COND:
-            raise StructuralError("slice_at only applies to cond models")
-        return self.access.get(idx, frozenset())
-
     def atoms(self) -> frozenset[int]:
         return frozenset(self.val_pos) | frozenset(self.val_neg)
 
@@ -169,13 +170,16 @@ class Rel(NamedTuple):
 
 class MaskModel(NamedTuple):
     """A model with every world set encoded as an int.  Valuations list only
-    nonempty masks; conditional access is keyed by the (pos, neg) masks of
-    its index and lists only nonempty relations."""
+    nonempty masks.  access maps each slot the model holds to its relation:
+    the slot None to a modal model's relation (always held), and the (pos,
+    neg) masks of a conditional index to the relation there (only nonempty
+    ones are listed; an unlisted index has the empty relation).  A prop
+    model holds no slot."""
     names: tuple[str, ...]     # the sorted worlds
     up: tuple[int, ...]        # the worlds above each world
     val_pos: dict[int, int]
     val_neg: dict[int, int]
-    access: Rel | dict[tuple[int, int], Rel] | None
+    access: dict[tuple[int, int] | None, Rel]
 
 
 def world_bits(names) -> dict[str, int]:
@@ -245,17 +249,12 @@ def masks_of(m: KripkeModel) -> MaskModel:
         names = tuple(sorted(m.worlds))
         bit = world_bits(names)
         up = succ_masks(bit, m.leq)
-        if m.kind is Kind.MODAL:
-            access = relation(up, succ_masks(bit, m.access))
-        elif m.kind is Kind.COND:
-            access = {(to_mask(bit, idx.pos), to_mask(bit, idx.neg)):
-                      relation(up, succ_masks(bit, rel)) for idx, rel in m.access.items()}
-        else:
-            access = None
+        slots = {None: m.access} if m.kind is Kind.MODAL else m.access or {}
         m._masks = MaskModel(names, up,
                              {a: to_mask(bit, ws) for a, ws in m.val_pos.items()},
                              {a: to_mask(bit, ws) for a, ws in m.val_neg.items()},
-                             access)
+                             {None if idx is None else tuple(to_mask(bit, ws) for ws in idx):
+                              relation(up, succ_masks(bit, rel)) for idx, rel in slots.items()})
     return m._masks
 
 
@@ -268,13 +267,9 @@ def from_masks(kind: Kind, mm: MaskModel) -> KripkeModel:
     m.kind = kind
     m.worlds = world_set(names, (1 << len(names)) - 1)
     m.leq = _pair_set(names, mm.up)
-    if kind is Kind.MODAL:
-        m.access = _pair_set(names, mm.access.succ)
-    elif kind is Kind.COND:
-        m.access = {_bi_index(names, p, n): _pair_set(names, r.succ)
-                    for (p, n), r in mm.access.items()}
-    else:
-        m.access = None
+    slots = {None if idx is None else _bi_index(names, *idx): _pair_set(names, r.succ)
+             for idx, r in mm.access.items()}
+    m.access = slots[None] if kind is Kind.MODAL else slots if kind is Kind.COND else None
     m.val_pos = {a: world_set(names, x) for a, x in mm.val_pos.items()}
     m.val_neg = {a: world_set(names, x) for a, x in mm.val_neg.items()}
     m._masks = None
@@ -385,20 +380,14 @@ def validate_model(m: KripkeModel, cls: FrameClass) -> ValidationReport:
                 out.append(Violation("heredity", f"val{sign} p{atom} holds at {names[u]} "
                                                  f"but not at {names[v]}>={names[u]}"))
 
-    if m.kind is Kind.MODAL:
-        rels = [("", mm.access, None)]
-    elif m.kind is Kind.COND:
-        rels = [(f"index ({_show(names, pos)},{_show(names, neg)}): ", mm.access[pos, neg], pos)
-                for pos, neg in sorted(mm.access)]
-    else:
-        rels = []
-    for tag, rel, pos in rels:
+    for idx, rel in sorted(mm.access.items()):  # a modal model's one slot, None, has no tag
+        tag = "" if idx is None else f"index ({_show(names, idx[0])},{_show(names, idx[1])}): "
         for code, x, y, z in fs_faults(up, rel):
             a, b, c = names[x], names[y], names[z]
             pair = f"{a}<={b} and r({a},{c})" if code == "c1" else f"r({a},{b}) and {b}<={c}"
             out.append(Violation(code, f"{tag}no completion for {pair}"))
         if cls is FrameClass.FSC_R:
-            for w, v in target_faults(rel, pos):
+            for w, v in target_faults(rel, idx[0]):
                 out.append(Violation(
                     "refl-target", f"{tag}target {names[v]} of r({names[w]},{names[v]}) "
                                    "outside the positive index component"))

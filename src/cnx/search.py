@@ -41,9 +41,11 @@ a program of more than 1024 nodes), in one loop (_first_hit).  Bit b of a
 pass is its b-th model in the enumeration's order, so the first set bit is
 the first refuting model, its position the count of models evaluated
 before it, and its point the first world whose slice has it.  A model is
-a valuation and relations assigned to slots: FSM's one slot, None, always
-holds one of the frame's relations (so [] is @> at an index every model
-holds), P has none, and a conditional model holds a relation at some
+a valuation and relations assigned to slots, the keys of MaskModel.access,
+which _slots lists for every class (_mask_models and the search read it):
+FSM's one slot, None, always holds one of the frame's relations (so [] is
+@> at an index every model holds, and the evaluators read it so), P has
+none, and a conditional model holds a relation at some of the frame's
 indices.  _passes lays out every pass: a valuation's models, fewest slots
 first, in the orders of itertools.combinations and, for their relations,
 itertools.product, repeated over the valuations of the last k atoms, which
@@ -434,14 +436,21 @@ def _frames(frame: FrameClass, max_worlds: int, least_only: bool,
             yield names, up, ups, None if frame is FrameClass.P else _fs_relations(up, deadline)
 
 
-def _index_choices(frame: FrameClass, ups: list[int], rels: list[Rel]) -> dict:
-    """The indices a model of the conditional class on a frame may hold, in
-    enumeration order, each mapped to the relations it may take: the nonempty
-    ones, for FSC_R only those with targets in the index's positive set."""
+def _slots(frame: FrameClass, ups: list[int], rels: tuple[Rel, ...] | None,
+           cap: int | None) -> tuple[dict, range | tuple[int, ...]]:
+    """The slots a model of the class on a frame may hold, in enumeration
+    order, each mapped to the relations it may take, and the counts of slots
+    a model holds.  FSM's one slot, None, always holds one of the frame's
+    relations, and P has none.  A conditional model holds at most cap (None:
+    any number) of the frame's indices, each with a nonempty relation, for
+    FSC_R only one with targets in the index's positive set."""
+    if frame.kind is not Kind.COND:
+        return ({None: rels}, (1,)) if rels else ({}, (0,))
     nonempty = [r for r in rels if any(r.succ)]
     fits = {x: nonempty if frame is FrameClass.FSC else
             [r for r in nonempty if not any(target_faults(r, x))] for x in ups}
-    return {(x, y): fits[x] for x in ups for y in ups if fits[x]}
+    choices = {(x, y): fits[x] for x in ups for y in ups if fits[x]}
+    return choices, range((len(choices) if cap is None else cap) + 1)
 
 
 def _mask_models(frame: FrameClass, bounds: SearchBounds) -> Iterator[MaskModel]:
@@ -449,17 +458,11 @@ def _mask_models(frame: FrameClass, bounds: SearchBounds) -> Iterator[MaskModel]
     fixed enumeration order; a cap of None allows every set of indices."""
     atoms = tuple(sorted(bounds.atoms))
     for names, up, ups, rels in _frames(frame, bounds.max_worlds, False):
-        if frame.kind is not Kind.COND:
-            for vp, vn in _valuations(atoms, ups):
-                for rel in rels or [None]:
-                    yield MaskModel(names, up, vp, vn, rel)
-            continue
-        choices = _index_choices(frame, ups, rels)
-        kmax = len(choices) if bounds.max_cond_indices is None else bounds.max_cond_indices
+        choices, ks = _slots(frame, ups, rels, bounds.max_cond_indices)
         for vp, vn in _valuations(atoms, ups):
-            for k in range(kmax + 1):
+            for k in ks:
                 for chosen in combinations(choices, k):
-                    for picked in product(*(choices[idx] for idx in chosen)):
+                    for picked in product(*(choices[slot] for slot in chosen)):
                         yield MaskModel(names, up, vp, vn, dict(zip(chosen, picked)))
 
 
@@ -511,8 +514,8 @@ def _first_hit(frame: FrameClass, prog: Program, atoms: tuple[int, ...], cap: in
                max_worlds: int, deadline: float | None, most: int):
     """The first refuting model and point (module docstring), with the
     models evaluated up to it: (status, mask model, point, models).  Per
-    frame, choices maps each slot to the relations it may take and ks holds
-    the counts of slots a model may hold; _passes lays out each valuation."""
+    frame, _slots gives the slots a model may hold (choices) and how many
+    (ks), and _passes lays out each valuation."""
     models = 0
     # the program of every antecedent, if any; without, FSM is searched as
     # itself and every other class as P
@@ -522,12 +525,10 @@ def _first_hit(frame: FrameClass, prog: Program, atoms: tuple[int, ...], cap: in
         for names, up, ups, rels in _frames(shape, max_worlds, True, deadline):
             n, u = len(up), len(ups)
             sides = [[x >> i & 1 for i in range(n)] for x in ups]  # each up-set per world
+            choices, ks = _slots(shape, ups, rels, cap)
             k = 0  # the atoms that vary within a pass: the last k
-            if head:  # a slot per live index
-                choices, ks = _index_choices(frame, ups, rels), range(cap + 1)
-            else:  # FSM's one slot, None, always holds a relation; P has none
-                choices, ks = ({None: rels}, (1,)) if rels else ({}, (0,))
-                size = len(rels) if rels else 1  # a valuation's models
+            if not head:  # a valuation's models: every slot is held, each by any of its relations
+                size = math.prod(map(len, choices.values()))
                 k = len(atoms)
                 while k and u ** (2 * k) * size > most:
                     k -= 1
@@ -563,8 +564,7 @@ def _first_hit(frame: FrameClass, prog: Program, atoms: tuple[int, ...], cap: in
                     picked = {slots[j]: lists[j][(a + o - at) // stride % len(lists[j])]
                               for j, stride in zip(chosen, strides)}
                     val = _valuation(atoms, ups, _digits(hi * reps + v, u, len(atoms)))
-                    mm = MaskModel(names, up, *val,
-                                   picked[None] if frame is FrameClass.FSM else picked)
+                    mm = MaskModel(names, up, *val, picked)
                     point = next(i for i, x in enumerate(out) if x >> b & 1)
                     return Status.FOUND, mm, names[point], models + b + 1
     except _TimedOut:

@@ -141,21 +141,12 @@ def _run(prog: Program, mm: MaskModel) -> list[tuple[int, int]]:
             ap = vals[a][0]
             bp, bn = vals[b]
             r = _every(up, ap & ~bp, ap & ~bn)
-        elif op == _BOX:
-            p, n = vals[a]
-            r = _every(acc.up_image, ~p, ~n)
-        elif op == _DIA:
-            p, n = vals[a]
-            r = _some(acc.succ, p, n)
+        elif op == _BOX or op == _WOULD:  # [] reads the slot None, @> its antecedent's index
+            rel, (p, n) = (acc.get(None), vals[a]) if op == _BOX else (acc.get(vals[a]), vals[b])
+            r = (full, full) if rel is None else _every(rel.up_image, ~p, ~n)
         else:
-            rel = acc.get(vals[a])
-            bp, bn = vals[b]
-            if op == _WOULD:
-                r = (full, full) if rel is None else _every(rel.up_image, ~bp, ~bn)
-            elif rel is None:
-                r = (0, 0)
-            else:
-                r = _some(rel.succ, bp, bn)
+            rel, (p, n) = (acc.get(None), vals[a]) if op == _DIA else (acc.get(vals[a]), vals[b])
+            r = (0, 0) if rel is None else _some(rel.succ, p, n)
         push(r)
     return vals
 

@@ -13,7 +13,7 @@ from typing import Optional
 
 from .errors import FrameViolation, KindMismatch, LanguageMismatch, TooManyWorlds
 from .model import (LANGUAGES, BiSet, FrameClass, Kind, KripkeModel,
-                    PointedModel, _up_sets, validate_model)
+                    PointedModel, _up_sets, bi, validate_model)
 from .record import Record
 from .semantics import biextension
 from .syntax import (And, Box, Dia, Formula, Imp, MightTo, WouldTo,
@@ -133,7 +133,7 @@ def modal_to_conditional(m: KripkeModel, mode: LiftMode) -> KripkeModel:
 def conditional_to_modal(m: KripkeModel, anchor: Formula) -> KripkeModel:
     """The modal slice of a conditional model at the anchor's bi-extension."""
     _require(m, FrameClass.FSC)
-    rel = m.slice_at(biextension(m, anchor))
+    rel = m.access.get(biextension(m, anchor), frozenset())
     out = KripkeModel(Kind.MODAL, m.worlds, m.leq, rel, m.val_pos, m.val_neg)
     _require(out, FrameClass.FSM)
     return out
@@ -155,6 +155,14 @@ def _fresh(base: str, taken: set[str]) -> str:
     while cand in taken:
         cand += "'"
     return cand
+
+
+def _extend_index(access: dict, idx: BiSet, rel: frozenset, extra: list) -> None:
+    """Add rel to access at the index (idx.pos | x, idx.neg | y) for every x
+    and y in extra."""
+    for xe, ye in product(extra, repeat=2):
+        j = BiSet(idx.pos | xe, idx.neg | ye)
+        access[j] = access.get(j, frozenset()) | rel
 
 
 def dp_join(pm1: PointedModel, pm2: PointedModel) -> JoinResult:
@@ -206,16 +214,10 @@ def dp_join(pm1: PointedModel, pm2: PointedModel) -> JoinResult:
         extra2 = _up_sets(worlds - set(wmap.values()), ())
         access = {}
         for idx, rel in m1.access.items():
-            for xe, ye in product(extra, repeat=2):
-                j = BiSet(idx.pos | xe, idx.neg | ye)
-                access[j] = access.get(j, frozenset()) | rel
+            _extend_index(access, idx, rel, extra)
         for idx, rel in m2.access.items():
-            mapped = frozenset((wmap[a], wmap[b]) for (a, b) in rel)
-            pos = frozenset(wmap[w] for w in idx.pos)
-            neg = frozenset(wmap[w] for w in idx.neg)
-            for xe, ye in product(extra2, repeat=2):
-                j = BiSet(pos | xe, neg | ye)
-                access[j] = access.get(j, frozenset()) | mapped
+            _extend_index(access, bi(map(wmap.get, idx.pos), map(wmap.get, idx.neg)),
+                          frozenset((wmap[a], wmap[b]) for (a, b) in rel), extra2)
 
     out = KripkeModel(m1.kind, worlds, leq, access, val_pos, val_neg)
     return JoinResult(PointedModel(out, root), pm1.point, wmap[pm2.point],
@@ -237,13 +239,10 @@ def extend_refuting_would(pm: PointedModel, anchor: Formula) -> PointedModel:
     targets = frozenset((v, u) for u in m.up(pm.point))
 
     access: dict[BiSet, frozenset] = {}
+    extra = _up_sets({v}, ())
     for idx, rel in m.access.items():
-        for xe, ye in product((frozenset(), frozenset({v})), repeat=2):
-            j = BiSet(idx.pos | xe, idx.neg | ye)
-            access[j] = access.get(j, frozenset()) | rel
-    for xe, ye in product((frozenset(), frozenset({v})), repeat=2):
-        j = BiSet(ext.pos | xe, ext.neg | ye)
-        access[j] = access.get(j, frozenset()) | targets
+        _extend_index(access, idx, rel, extra)
+    _extend_index(access, ext, targets, extra)
 
     out = KripkeModel(Kind.COND, worlds, leq, access, m.val_pos, m.val_neg)
     _require(out, FrameClass.FSC)

@@ -309,6 +309,14 @@ def test_validate_output_is_the_same_under_every_hash_seed(tmp_path):
          "r a / a b c ; / b\nr c / a b c ; / a\n", "FSC_R",
          "c1: index ({'a', 'b', 'c'},{}): no completion for a<=b and r(a,b)\n"
          "c2: index ({'a', 'b', 'c'},{}): no completion for r(c,a) and a<=b\n"),
+        # two indices, listed against their (pos, neg) order, one with a
+        # target outside its positive component
+        ("kind cond\nworld a\nworld b\nworld c\nleq a b\n"
+         "r a / b ; c / b\nr c / a ; / c\nr b / a ; / a\n", "FSC_R",
+         "c2: index ({'a'},{}): no completion for r(b,a) and a<=b\n"
+         "refl-target: index ({'a'},{}): target c of r(c,c) outside the positive index "
+         "component\n"
+         "c1: index ({'b'},{'c'}): no completion for a<=b and r(a,b)\n"),
     ]
     for i, (text, cls, expected) in enumerate(cases):
         f = tmp_path / f"m{i}.kmd"

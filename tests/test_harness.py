@@ -92,6 +92,7 @@ def test_positive_cells_cite_proofs():
     assert st.verdict == "holds"
     assert isinstance(st.evidence, ProofEvidence)
     assert st.evidence.name == "at_arrow"
+    assert st.evidence_text == st.evidence.source == "proof:at_arrow"
     # scheme inclusion: the same C proof serves CnK and both conditional logics
     for lg in (Logic.CnK, Logic.CnCK, Logic.CnCK_R):
         st = run_thesis(lg, "->", Thesis.AT, DEFAULT_BOUNDS)

@@ -109,7 +109,7 @@ def test_mask_fs_checks_match_the_composition_oracle():
         kept = {}
         for mm in _mask_models(FrameClass.FSM, SearchBounds(n, ())):
             if len(mm.names) == n:
-                kept.setdefault(mm.up, []).append(mm.access)
+                kept.setdefault(mm.up, []).append(mm.access[None])
         oracle = {}
         for leq in preorders(worlds):
             up = succ_masks(bit, leq)

@@ -404,17 +404,17 @@ def test_sliced_run_matches_run_on_every_small_model():
                 full = (1 << reps * len(accs)) - 1
                 slices = dict(zip(atoms, _inner_slices(ups, len(up), len(atoms), len(accs))))
                 # FSM's one slot, None, laid out as every search lays it out
-                lists = [rels] if rels else []
-                [(width, _, rows)] = search._passes(lists, (len(lists),), len(accs),
+                choices, ks = search._slots(frame, ups, rels, None)
+                [(width, _, rows)] = search._passes(list(choices.values()), ks, len(accs),
                                                     reps, {}, None, {})
                 assert width == len(accs)
-                access = dict(zip([None], rows))
+                access = dict(zip(choices, rows))
                 sliced = _run_sliced(prog, up, slices, full, access)
                 hits = satisfying_slices(prog, up, slices, full, access)
                 for v, (vp, vn) in enumerate(_valuations(atoms, ups)):
                     for j, acc in enumerate(accs):
                         b = v * len(accs) + j
-                        mm = MaskModel(names, up, vp, vn, acc)
+                        mm = MaskModel(names, up, vp, vn, {} if acc is None else {None: acc})
                         for want, (pos, neg) in zip(_run(prog, mm), sliced):
                             assert want == (_bits_at(pos, b), _bits_at(neg, b))
                         assert _bits_at(hits, b) == satisfying_worlds(prog, mm)
@@ -444,11 +444,11 @@ def test_sliced_run_matches_run_on_every_small_conditional_model():
         reference = _mask_models(frame, SearchBounds(2, atoms, max_cond_indices=2))
         models, split, lacking, refuted = 0, 0, 0, Counter()
         for names, up, ups, rels in _frames(frame, 2, False):
-            choices = search._index_choices(frame, ups, rels)
+            choices, ks = search._slots(frame, ups, rels, 2)
             bits = {id(r): search._relation_bits(r) for r in choices.values()}
             nothing = (((),) * len(up),) * 2
             for vp, vn in _valuations(atoms, ups):
-                passes = list(search._passes(list(choices.values()), range(3), most, 1, bits,
+                passes = list(search._passes(list(choices.values()), ks, most, 1, bits,
                                              None, {}))
                 split += len(passes) > 1
                 for width, pieces, rows in passes:

@@ -6,7 +6,8 @@ from conftest import (MD_CONNS, random_cond_model, random_formula,
                       random_modal_model, random_prop_model, shift_atoms)
 from cnx.errors import KindMismatch, LanguageMismatch, TooManyWorlds
 from cnx.model import (FrameClass, Kind, KripkeModel, PointedModel, bi,
-                       get_fixture, validate_model)
+                       get_fixture, serialize_model, validate_model)
+from cnx.search import SearchBounds, enumerate_models
 from cnx.semantics import biextension, sat
 from cnx.syntax import Atom, parse, render
 from cnx.transform import (CLOSED, FULL, conditional_to_modal, dp_join,
@@ -85,6 +86,23 @@ class TestLifts:
                 for sign in "+-":
                     assert sat(m, w, f, sign) == sat(lift, w, tf, sign)
 
+    def test_translation_lemmas_on_every_small_modal_model(self):
+        # on every FSM model of at most 2 worlds over p0, under each lift
+        # with its anchor: []p0 and <>p0 have the bi-extensions of their
+        # tr_phi images on the lift (so [] is @> at the anchor's index, as
+        # the evaluator reads it), and the slice at the anchor gives the
+        # model's relation back
+        modes = ((FULL, parse("p0")), (CLOSED, parse("p0 -> p0")),
+                 (refl(parse("p0 -> p0")), parse("p0 -> p0")))
+        models = list(enumerate_models(FrameClass.FSM, SearchBounds(2, (0,))))
+        assert len(models) == 458
+        for m in models:
+            for mode, anchor in modes:
+                lift = modal_to_conditional(m, mode)
+                for f in (parse("[]p0"), parse("<>p0")):
+                    assert biextension(m, f) == biextension(lift, tr_phi(anchor, f)), (m, mode)
+                assert conditional_to_modal(lift, anchor).access == m.access, (m, mode)
+
 
 class TestSlice:
     def test_slice_examples_on_fixtures(self):
@@ -157,6 +175,26 @@ class TestDpJoin:
         assert validate_model(res.pointed.model, FrameClass.FSM).ok
         res = dp_join(get_fixture("M0c"), get_fixture("M2"))
         assert validate_model(res.pointed.model, FrameClass.FSC).ok
+        # each component's indices, extended by every bi-set over the worlds
+        # outside it
+        assert serialize_model(res.pointed.model) == (
+            "kind cond\nworld root\nworld w\nworld w'\nleq root w\nleq root w'\nr w' /  ;  / w'\n"
+            "r w' /  ; root / w'\nr w' /  ; root w / w'\nr w' /  ; w / w'\nr w' / root ;  / w'\n"
+            "r w' / root ; root / w'\nr w' / root ; root w / w'\nr w' / root ; w / w'\n"
+            "r w / root w ;  / w\nr w' / root w ;  / w'\nr w / root w ; root / w\n"
+            "r w' / root w ; root / w'\nr w / root w ; root w / w\nr w' / root w ; root w / w'\n"
+            "r w / root w ; root w w' / w\nr w / root w ; root w' / w\nr w / root w ; w / w\n"
+            "r w' / root w ; w / w'\nr w / root w ; w w' / w\nr w / root w ; w' / w\n"
+            "r w / root w w' ;  / w\nr w / root w w' ; root / w\nr w / root w w' ; root w / w\n"
+            "r w / root w w' ; root w w' / w\nr w / root w w' ; root w' / w\n"
+            "r w / root w w' ; w / w\nr w / root w w' ; w w' / w\nr w / root w w' ; w' / w\n"
+            "r w / w ;  / w\nr w' / w ;  / w'\nr w / w ; root / w\nr w' / w ; root / w'\n"
+            "r w / w ; root w / w\nr w' / w ; root w / w'\nr w / w ; root w w' / w\n"
+            "r w / w ; root w' / w\nr w / w ; w / w\nr w' / w ; w / w'\nr w / w ; w w' / w\n"
+            "r w / w ; w' / w\nr w / w w' ;  / w\nr w / w w' ; root / w\n"
+            "r w / w w' ; root w / w\nr w / w w' ; root w w' / w\nr w / w w' ; root w' / w\n"
+            "r w / w w' ; w / w\nr w / w w' ; w w' / w\nr w / w w' ; w' / w\nval+ p0 w\n"
+            "val+ p1 w\nval- p1 w\n")
 
     def test_triv_join_preserves_component_satisfaction(self):
         res = dp_join(get_fixture("triv"), get_fixture("triv"))
@@ -242,6 +280,18 @@ class TestRootedWouldExtension:
         out = extend_refuting_would(PointedModel(base, "w"), parse("p0"))
         assert validate_model(out.model, FrameClass.FSC).ok
         assert not sat(out.model, out.point, parse("p0 @> (p0 | ~p0)"))
+        # M1c's one index and p0's bi-extension, each extended by every
+        # bi-set over the new world v'
+        out = extend_refuting_would(get_fixture("M1c"), parse("p0"))
+        assert out.point == "v'"
+        assert serialize_model(out.model) == (
+            "kind cond\nworld v\nworld v'\nworld w\nleq w v\nr v' / v v' w ; v / v\n"
+            "r v' / v v' w ; v / w\nr v' / v v' w ; v v' / v\nr v' / v v' w ; v v' / w\n"
+            "r v / v v' w ; v v' w / v\nr w / v v' w ; v v' w / w\nr v / v v' w ; v w / v\n"
+            "r w / v v' w ; v w / w\nr v' / v w ; v / v\nr v' / v w ; v / w\n"
+            "r v' / v w ; v v' / v\nr v' / v w ; v v' / w\nr v / v w ; v v' w / v\n"
+            "r w / v w ; v v' w / w\nr v / v w ; v w / v\nr w / v w ; v w / w\nval+ p0 v w\n"
+            "val+ p1 v\nval- p0 v\n")
 
     def test_inner_satisfaction_untouched(self):
         rnd = random.Random(47)
