@@ -37,11 +37,14 @@ def _read(path: str) -> str:
     return Path(path).read_text()
 
 
+_FRAME_CLASSES = {fc.value: fc for fc in FrameClass}
+
+
 def _frame_class(name: str) -> FrameClass:
-    for fc in FrameClass:
-        if fc.value == name:
-            return fc
-    raise CnxError(f"unknown frame class {name!r}; use P, FSM, FSC, or FSC_R")
+    fc = _FRAME_CLASSES.get(name)
+    if fc is None:
+        raise CnxError(f"unknown frame class {name!r}; use P, FSM, FSC, or FSC_R")
+    return fc
 
 
 def cmd_parse(args) -> int:
@@ -97,11 +100,10 @@ def cmd_valid(args) -> int:
 
 def cmd_prove(args) -> int:
     from .corpus import corpus_registry
-    from .proof import Registry, check_proof, parse_proof
+    from .proof import Registry, check_proof, parse_proofs
     registry = Registry() if args.no_corpus else corpus_registry()
     status = OK
-    for path in args.files:
-        proof = parse_proof(_read(path))
+    for path, proof in zip(args.files, parse_proofs(map(_read, args.files))):
         result = check_proof(proof, registry)
         if result.ok:
             print("OK" if len(args.files) == 1 else f"{path}: OK")

@@ -1,7 +1,8 @@
 """Loader for the shipped proof corpus.
 
-Checks every file in manifest order, registering accepted theorem-kind
-proofs so later files (and user files) can cite them as lemmas.
+Reads every file in manifest order, all with one group memo (parse_proofs),
+and checks each proof from scratch as it is read, registering accepted
+theorem-kind proofs so later files (and user files) can cite them as lemmas.
 """
 
 from __future__ import annotations
@@ -9,7 +10,7 @@ from __future__ import annotations
 from functools import lru_cache
 from pathlib import Path
 
-from .proof import Proof, Registry, check_proof, parse_proof
+from .proof import Proof, Registry, check_proof, parse_proofs
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
 
@@ -23,9 +24,9 @@ def load_corpus() -> tuple[Registry, dict[str, Proof]]:
     """(registry of theorem statements, every checked proof by name)."""
     registry = Registry()
     index: dict[str, Proof] = {}
-    manifest = CORPUS_DIR / "manifest.txt"
-    for fname in manifest.read_text().split():
-        proof = parse_proof((CORPUS_DIR / fname).read_text())
+    names = (CORPUS_DIR / "manifest.txt").read_text().split()
+    proofs = parse_proofs((CORPUS_DIR / fname).read_text() for fname in names)
+    for fname, proof in zip(names, proofs):
         result = check_proof(proof, registry)
         if not result.ok:
             raise CorpusError(f"{fname}: {result.describe()}")

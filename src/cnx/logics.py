@@ -36,8 +36,11 @@ _FRAME_CLASSES = {Logic.C: FrameClass.P, Logic.CnK: FrameClass.FSM,
                   Logic.CnCK: FrameClass.FSC, Logic.CnCK_R: FrameClass.FSC_R}
 
 
+_BY_NAME = {lg.value: lg for lg in Logic}
+
+
 def logic_from_name(name: str) -> Logic:
-    for lg in Logic:
-        if lg.value == name:
-            return lg
-    raise ValueError(f"unknown logic {name!r}; use C, CnK, CnCK, or CnCKR")
+    lg = _BY_NAME.get(name)
+    if lg is None:
+        raise ValueError(f"unknown logic {name!r}; use C, CnK, CnCK, or CnCKR")
+    return lg

@@ -17,14 +17,15 @@ Kinds differ in what they admit:
 
 from __future__ import annotations
 
-from typing import Optional, Union
+import re
+from typing import Iterable, Iterator, Optional, Union
 
 from .errors import FormulaSyntaxError, ProofFormatError
 from .model import LANGUAGES, Kind
 from .record import Record
-from .syntax import (And, Atom, Box, Dia, Formula, Imp, MightTo, Neg, Or, Parser,
-                     WouldTo, check_lexable, iff, language_of, map_formula, render,
-                     strong_iff)
+from .syntax import (_ATOM, _NUM, _WORD, And, Atom, Box, Dia, Formula, Imp, MightTo,
+                     Neg, Or, Parser, WouldTo, check_lexable, iff, language_of, map_formula,
+                     render, strong_iff)
 
 PHI, PSI, CHI = Atom(0), Atom(1), Atom(2)
 METAVARS = {0: "phi", 1: "psi", 2: "chi"}
@@ -366,46 +367,53 @@ def _check_refs(no: int, refs) -> Optional[CheckResult]:
 # proof file format
 
 def parse_proof(text: str) -> Proof:
-    header: dict[str, str] = {}  # system, kind and name
-    hyps, goals, lines = [], [], []
-    memo: dict = {}  # one for the file, whose lines repeat each other's groups
+    return next(parse_proofs((text,)))
 
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        code, _, comment = raw.partition("#")
-        if comment.startswith((">", "=>")):
-            raise ProofFormatError(f"line {ln}: strict arrows (#>, #=>, <#>, <#=>) "
-                                   "cannot be used in a proof file, where '#' "
-                                   "begins a comment")
-        code = code.rstrip()
-        stripped = code.lstrip()
-        if not stripped:
-            continue
-        head = stripped.split(None, 1)[0]
-        rest = stripped[len(head):].lstrip()
-        at = len(code) - len(rest)  # where rest starts in the line
-        try:
-            if head in ("system", "kind", "name"):
-                if head in header:
-                    raise ProofFormatError(f"line {ln}: a second {head!r} line")
-                header[head] = rest
-            elif head in ("hyp", "goal"):
-                (hyps if head == "hyp" else goals).append(
-                    _parse_line(code, at, ln, memo, justified=False))
-            elif head.isascii() and head.isdigit():
-                idx = int(head)
-                if idx != len(lines) + 1:
-                    raise ProofFormatError(
-                        f"line {ln}: expected index {len(lines) + 1}, got {idx}")
-                lines.append(_parse_line(code, at, ln, memo, justified=True))
-            else:
-                raise ProofFormatError(f"line {ln}: unknown directive {head!r}")
-        except FormulaSyntaxError as e:
-            raise FormulaSyntaxError(f"line {ln}: {e.message}", e.offset, e.expected) from None
 
-    if "system" not in header or "kind" not in header:
-        raise ProofFormatError("proof file needs 'system' and 'kind' lines")
-    return Proof(header["system"], header["kind"], header.get("name"), tuple(hyps),
-                 tuple(goals), tuple(lines))
+def parse_proofs(texts: Iterable[str]) -> Iterator[Proof]:
+    """The proof of each text, in order, read as it is asked for.  The texts
+    share one group memo, since proofs repeat each other's subformulas."""
+    memo: dict = {}
+    for text in texts:
+        header: dict[str, str] = {}  # system, kind and name
+        hyps, goals, lines = [], [], []
+        for ln, raw in enumerate(text.splitlines(), start=1):
+            code, _, comment = raw.partition("#")
+            if comment.startswith((">", "=>")):
+                raise ProofFormatError(f"line {ln}: strict arrows (#>, #=>, <#>, <#=>) "
+                                       "cannot be used in a proof file, where '#' "
+                                       "begins a comment")
+            code = code.rstrip()
+            stripped = code.lstrip()
+            if not stripped:
+                continue
+            head = stripped.split(None, 1)[0]
+            rest = stripped[len(head):].lstrip()
+            at = len(code) - len(rest)  # where rest starts in the line
+            try:
+                if head in ("system", "kind", "name"):
+                    if head in header:
+                        raise ProofFormatError(f"line {ln}: a second {head!r} line")
+                    header[head] = rest
+                elif head in ("hyp", "goal"):
+                    (hyps if head == "hyp" else goals).append(
+                        _parse_line(code, at, ln, memo, justified=False))
+                elif head.isascii() and head.isdigit():
+                    idx = int(head)
+                    if idx != len(lines) + 1:
+                        raise ProofFormatError(
+                            f"line {ln}: expected index {len(lines) + 1}, got {idx}")
+                    lines.append(_parse_line(code, at, ln, memo, justified=True))
+                else:
+                    raise ProofFormatError(f"line {ln}: unknown directive {head!r}")
+            except FormulaSyntaxError as e:
+                raise FormulaSyntaxError(f"line {ln}: {e.message}", e.offset,
+                                         e.expected) from None
+
+        if "system" not in header or "kind" not in header:
+            raise ProofFormatError("proof file needs 'system' and 'kind' lines")
+        yield Proof(header["system"], header["kind"], header.get("name"), tuple(hyps),
+                    tuple(goals), tuple(lines))
 
 
 def _parse_line(code: str, at: int, ln: int, memo: dict, justified: bool):
@@ -423,48 +431,56 @@ def _parse_line(code: str, at: int, ln: int, memo: dict, justified: bool):
         raise
 
 
-# what each justification but axiom takes after its name
-_ARGS = {"hyp": ((), "takes no arguments"), "mp": (("num", "num"), "takes two line numbers"),
-         "lemma": (("word",), "takes one name"),
-         **{rule: (("num",), "takes one line number") for rule in RULES}}
+# a justification up to its bindings, in one match: its name, then its
+# arguments when they are one or two line numbers or a name (an atom is no
+# name), then `end` when nothing follows them
+_NAME = rf"(?!{_ATOM}){_WORD}"
+_JUST_RE = re.compile(rf"(?P<word>{_NAME})?(?:[ \t]+(?:(?P<i>{_NUM})(?:[ \t]+(?P<j>{_NUM}))?"
+                      rf"|(?P<name>{_NAME})))?(?P<end>[ \t]*\Z)?")
+
+# what each justification but axiom takes after its name: which of _JUST_RE's
+# groups i, j and name hold an argument
+_ARGS = {"hyp": ((False, False, False), "takes no arguments"),
+         "mp": ((True, True, False), "takes two line numbers"),
+         "lemma": ((False, False, True), "takes one name"),
+         **{rule: ((True, False, False), "takes one line number") for rule in RULES}}
 
 
 def _parse_just(p: Parser, ln: int) -> Justification:
-    word = p.tok
-    if p.kind != "word":
+    m = _JUST_RE.match(p.text, p.start)
+    word, i, j, name, end = m.groups()
+    if word is None:
         raise ProofFormatError(f"line {ln}: missing justification")
-    p.seek(p.end)
-    if word != "axiom":
-        args = []
+    if word == "axiom":
+        if name is None:
+            raise ProofFormatError(f"line {ln}: axiom takes a scheme name")
+        if end is not None:
+            return AxiomJust(name, None)
+        # the bindings, at least one
+        p.seek(m.end("name"))
+        binding: dict[str, Formula] = {}
         while p.kind != "end":
-            args.append((p.kind, p.tok))
+            var = p.tok
+            if p.kind != "word" or var not in _NAMES:
+                raise ProofFormatError(f"line {ln}: expected phi=/psi=/chi= binding")
             p.seek(p.end)
-        if word not in _ARGS:
-            raise ProofFormatError(f"line {ln}: unknown justification {word!r}")
-        kinds, usage = _ARGS[word]
-        if tuple(k for k, _ in args) != kinds:
-            raise ProofFormatError(f"line {ln}: {word} {usage}")
-        vals = [int(v) if k == "num" else v for k, v in args]
-        if word in RULES:
-            return RuleJust(word, *vals)
-        return {"hyp": HypJust, "mp": MpJust, "lemma": LemmaJust}[word](*vals)
-    ax = p.tok
-    if p.kind != "word":
-        raise ProofFormatError(f"line {ln}: axiom takes a scheme name")
-    p.seek(p.end)
-    binding: dict[str, Formula] = {}
-    while p.kind != "end":
-        name = p.tok
-        if p.kind != "word" or name not in _NAMES:
-            raise ProofFormatError(f"line {ln}: expected phi=/psi=/chi= binding")
-        p.seek(p.end)
-        if p.kind != "eq":
-            raise ProofFormatError(f"line {ln}: expected '=' after {name}")
-        if name in binding:
-            raise ProofFormatError(f"line {ln}: {name} is bound twice")
-        p.seek(p.end)
-        binding[name] = p.formula()
-    return AxiomJust(ax, binding or None)
+            if p.kind != "eq":
+                raise ProofFormatError(f"line {ln}: expected '=' after {var}")
+            if var in binding:
+                raise ProofFormatError(f"line {ln}: {var} is bound twice")
+            p.seek(p.end)
+            binding[var] = p.formula()
+        return AxiomJust(name, binding)
+    if word not in _ARGS:
+        raise ProofFormatError(f"line {ln}: unknown justification {word!r}")
+    shape, usage = _ARGS[word]
+    if end is None or (i is not None, j is not None, name is not None) != shape:
+        raise ProofFormatError(f"line {ln}: {word} {usage}")
+    if word == "mp":
+        return MpJust(int(i), int(j))
+    if word in RULES:
+        return RuleJust(word, int(i))
+    return LemmaJust(name) if word == "lemma" else HypJust()
 
 
 def render_proof(proof: Proof) -> str:

@@ -11,8 +11,9 @@ from __future__ import annotations
 import functools
 import re
 from enum import Enum
+from operator import attrgetter
 from typing import Callable
-from weakref import KeyedRef
+from weakref import ref
 
 from .errors import FormulaSyntaxError
 from .record import Record, field_values
@@ -27,12 +28,19 @@ class LanguageTag(Enum):
     MIXED = "Mixed"
 
 
+class _NodeRef(ref):
+    """A weak reference to a node that holds the node's table key, so that the
+    entry can go when the node is freed.  It has no Python-level constructor
+    (weakref.KeyedRef has one), so building it runs no Python code."""
+    __slots__ = ("key",)
+
+
 # the one node of each distinct formula: (class, *fields) -> a weak reference
 # to the node, whose entry goes when the node is freed
-_NODES: dict[tuple, KeyedRef] = {}
+_NODES: dict[tuple, _NodeRef] = {}
 
 
-def _forget(dead: KeyedRef, nodes=_NODES) -> None:
+def _forget(dead: _NodeRef, nodes=_NODES) -> None:
     # the entry may already hold a newer node of the same key
     if nodes.get(dead.key) is dead:
         del nodes[dead.key]
@@ -42,9 +50,11 @@ class Formula(Record):
     """A core formula: one of the nine constructors below.  Formulas are
     hash-consed: a call cls(*fields) returns the one node of its class and
     fields (_NODES), built the first time, so equal formulas are one object
-    and == is `is`.  A node's hash (that of its field tuple), language code
-    (language_of) and depth are computed when it is built, from its
-    children; a field that is not a formula counts as an atom."""
+    and == is `is`.  Called positionally, it runs no other Python code,
+    whether it finds the node or builds it.  A node's hash (that of its field tuple, as for a
+    frozen dataclass), language code (language_of) and depth are computed
+    when it is built, from its children; a field that is not a formula
+    counts as an atom."""
 
     __eq__ = object.__eq__
 
@@ -70,11 +80,14 @@ class Formula(Record):
         _set(f, "_hash", hash(args))
         _set(f, "_language", code)
         _set(f, "_depth", 0 if cls is Atom else height + 1)
-        _NODES[key] = KeyedRef(f, _forget, key)
+        node = _NODES[key] = _NodeRef(f, _forget)
+        node.key = key
         return f
 
-    def __hash__(self):
-        return self._hash
+    # hash(f) is f._hash, found without running Python code (so the table
+    # lookup in __new__ runs none): the hash slot calls what this property
+    # gives, the bound __int__ of the stored hash
+    __hash__ = property(attrgetter("_hash.__int__"))
 
     # interned and immutable: a copy is the formula itself
     def __copy__(self):
@@ -343,17 +356,21 @@ def check_lexable(text: str, start: int, extended: bool) -> None:
 
 
 # ---------------------------------------------------------------------------
-# parser (recursive descent; precedence: prefix > & > | > arrows > equivalences)
+# parser (precedence climbing; precedence: prefix > & > | > arrows > equivalences)
 
 # Cap on formula depth (connectives after sugar expansion) and on parenthesis
-# nesting.  Parsing recurses about six frames per parenthesis, and the cap
-# keeps it far from the interpreter's recursion limit.  No other formula walk
-# recurses (they all go through subformulas), so for them the cap is input
-# validation only.  The deepest corpus formula is 13 deep.
+# nesting.  Parsing recurses two frames per parenthesis, and the cap keeps it
+# far from the interpreter's recursion limit.  No other formula walk recurses
+# (they all go through subformulas), so for them the cap is input validation
+# only.  The deepest corpus formula is 13 deep.
 MAX_DEPTH = 100
 
 _PREFIX = {op: cls for cls, op in _PREFIX_OPS.items()}
 _BINARY = {**{op: cls for cls, op in _BINARY_OPS.items()}, **SUGAR}
+# how tightly each binary operator binds; arrows associate to the right,
+# equivalences not at all, & and | to the left
+_ARROW, _EQUIV = 2, 1
+_POWER = {"&": 4, "|": 3, **dict.fromkeys(_ARROWS, _ARROW), **dict.fromkeys(_EQUIVS, _EQUIV)}
 
 # a balanced parenthesized group nested at most 16 deep (the corpus nests 13);
 # a deeper group is parsed afresh each time
@@ -364,11 +381,13 @@ _GROUP_RE = re.compile(functools.reduce(
 class Parser:
     """Reads formulas from text[pos:], lexing each token when it is needed:
     the current one is `tok` of `kind` (a group of _TOKEN_RE, "end" at the
-    end), from `start` to `end`.  Each node's depth is checked against the
-    cap as it is built; only parentheses recurse.  `memo` maps each group's
-    text to (formula, parenthesis depth inside), so a group seen again in the
-    same parse or proof file is not lexed again; formulas are interned, so
-    it is one node wherever it occurs."""
+    end), from `start` to `end`.  One loop reads a formula by precedence
+    climbing (Pratt, "Top down operator precedence", 1973); only parentheses
+    recurse.  Each node is built, and its depth checked against the cap, at
+    the token after its last operand.  `memo` maps each group's text to
+    (formula, parenthesis depth inside), so a group seen again in the texts
+    read with the same memo is not lexed again; formulas are interned, so it
+    is one node wherever it occurs."""
 
     def __init__(self, text: str, memo: dict, pos: int = 0):
         self.text = text
@@ -383,79 +402,54 @@ class Parser:
         self.tok = m.group(kind)
         self.start, self.end = m.span(kind)
 
-    def take_op(self, ops) -> str | None:
-        # no word, number or bad character is spelled like an operator
-        tok = self.tok
-        if tok in ops:
-            self.seek(self.end)
-            return tok
-        return None
-
     def _too_deep(self) -> FormulaSyntaxError:
         return FormulaSyntaxError(f"formula nested more than {MAX_DEPTH} levels deep",
                                   self.start)
 
-    def _capped(self, f: Formula) -> Formula:
-        if f._depth > MAX_DEPTH:
-            raise self._too_deep()
-        return f
-
     def formula(self) -> Formula:
-        return self.equiv()
-
-    def equiv(self) -> Formula:
-        left = self.arrow()
-        op = self.take_op(_EQUIVS)
-        if op is None:
-            return left
-        right = self.arrow()
-        if self.tok in _EQUIVS:
-            raise FormulaSyntaxError("equivalences do not associate", self.start,
-                                     expected="parentheses around the inner equivalence")
-        return self._capped(_BINARY[op](left, right))
-
-    def arrow(self) -> Formula:
-        # right-associative across the whole family
-        operands = [self.disj()]
-        ops = []
-        while (op := self.take_op(_ARROWS)) is not None:
-            ops.append(op)
-            operands.append(self.disj())
-        f = operands.pop()
-        while ops:
-            f = self._capped(_BINARY[ops.pop()](operands.pop(), f))
-        return f
-
-    def disj(self) -> Formula:
-        f = self.conj()
-        while self.take_op({"|"}):
-            f = self._capped(Or(f, self.conj()))
-        return f
-
-    def conj(self) -> Formula:
-        f = self.unary()
-        while self.take_op({"&"}):
-            f = self._capped(And(f, self.unary()))
-        return f
-
-    def unary(self) -> Formula:
-        prefixes = []
-        while (op := self.take_op(_PREFIX)) is not None:
-            prefixes.append(_PREFIX[op])
-        if self.kind == "atom":
-            f = Atom(int(self.tok[1:]))
+        """The formula from the current token to the first token after it
+        that no binary operator joins on.  `pending` holds each left operand
+        read so far, with the operator after it and that operator's power,
+        the powers rising up the stack; an operator first builds every
+        pending node that binds at least as tightly as it does."""
+        pending = []
+        while True:
+            # an operand: prefix operators, then an atom or a group
+            prefixes = []
+            while (cls := _PREFIX.get(self.tok)) is not None:
+                prefixes.append(cls)
+                self.seek(self.end)
+            if self.kind == "atom":
+                f = Atom(int(self.tok[1:]))
+                self.seek(self.end)
+            elif self.tok == "(":
+                f = self.group()
+            else:
+                raise FormulaSyntaxError("formula ended unexpectedly" if self.kind == "end"
+                                         else f"unexpected token {self.tok!r}", self.start,
+                                         expected="an atom, '~', '[]', '<>' or '('")
+            for cls in reversed(prefixes):
+                f = cls(f)
+            if f._depth > MAX_DEPTH:
+                raise self._too_deep()
+            # no word, number or bad character is spelled like an operator
+            power = _POWER.get(self.tok, 0)
+            while pending:
+                left, op, top = pending[-1]
+                if top < power or top == power == _ARROW:
+                    break
+                if top == power == _EQUIV:
+                    raise FormulaSyntaxError("equivalences do not associate", self.start,
+                                             expected="parentheses around the inner "
+                                                      "equivalence")
+                pending.pop()
+                f = _BINARY[op](left, f)
+                if f._depth > MAX_DEPTH:
+                    raise self._too_deep()
+            if not power:
+                return f
+            pending.append((f, self.tok, power))
             self.seek(self.end)
-        elif self.tok == "(":
-            f = self.group()
-        else:
-            raise FormulaSyntaxError("formula ended unexpectedly" if self.kind == "end"
-                                     else f"unexpected token {self.tok!r}", self.start,
-                                     expected="an atom, '~', '[]', '<>' or '('")
-        for cls in reversed(prefixes):
-            f = cls(f)
-        if f._depth > MAX_DEPTH:
-            raise self._too_deep()
-        return f
 
     def group(self) -> Formula:
         start, outer = self.start, self.parens
@@ -471,7 +465,7 @@ class Parser:
             raise self._too_deep()
         enclosing, self.deepest = self.deepest, inner
         self.seek(self.end)
-        f = self.equiv()
+        f = self.formula()
         if self.tok != ")":
             raise FormulaSyntaxError("unclosed parenthesis", self.start, expected="')'")
         self.memo[self.text[start:self.end]] = f, self.deepest - outer

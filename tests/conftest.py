@@ -10,9 +10,10 @@ import random
 import re
 from itertools import permutations
 
-from cnx.errors import FormulaSyntaxError
+from cnx.errors import FormulaSyntaxError, ProofFormatError
 from cnx.model import (BiSet, FrameClass, Kind, KripkeModel, _up_sets, fs_faults, relation,
                        transitivity_faults, up_closed, validate_model)
+from cnx.proof import AxiomJust, HypJust, LemmaJust, MpJust, RuleJust
 from cnx.semantics import Consecution
 from cnx.search import _preorders, _world_names
 from cnx.syntax import (MAX_DEPTH, SUGAR, And, Atom, Box, Dia, Formula, Imp,
@@ -352,3 +353,61 @@ def ref_parse_prefix(text: str) -> tuple[Formula, int]:
     p = _RefParser(toks, len(text))
     f = p.equiv()[0]
     return f, p._pos()
+
+
+# reference reader of a numbered proof line's justification, over the tokens
+# of the eager lexer: the formula is read with ref_parse_prefix, then the
+# tokens after it are taken as the justification
+
+_REF_JUST_ARGS = {"hyp": ((), "takes no arguments"),
+                  "mp": (("num", "num"), "takes two line numbers"),
+                  "lemma": (("word",), "takes one name"),
+                  **{rule: (("num",), "takes one line number")
+                     for rule in ("nec", "ra-box", "rc-box", "ra-dia", "rc-dia")}}
+
+
+def _ref_prefix_at(code: str, at: int) -> tuple[Formula, int]:
+    """ref_parse_prefix of code[at:], its offsets those of code."""
+    try:
+        f, end = ref_parse_prefix(code[at:])
+    except FormulaSyntaxError as e:
+        raise FormulaSyntaxError(e.message, e.offset + at, e.expected) from None
+    return f, end + at
+
+
+def ref_read_line(code: str, at: int):
+    """(formula, justification) of a numbered proof line whose formula starts
+    at code[at:], as proof.parse_proof reads it, with the same errors (their
+    messages without the "line N: " that parse_proof puts in front).  A bad
+    character anywhere in the line is reported first."""
+    tokens = ref_lex(code, extended=True)
+    f, end = _ref_prefix_at(code, at)
+    toks = [t for t in tokens if t[2] >= end]
+    if not toks or toks[0][0] != "word":
+        raise ProofFormatError("missing justification")
+    word, args = toks[0][1], toks[1:]
+    if word != "axiom":
+        if word not in _REF_JUST_ARGS:
+            raise ProofFormatError(f"unknown justification {word!r}")
+        kinds, usage = _REF_JUST_ARGS[word]
+        if tuple(kind for kind, _, _ in args) != kinds:
+            raise ProofFormatError(f"{word} {usage}")
+        vals = [int(text) if kind == "num" else text for kind, text, _ in args]
+        make = {"hyp": HypJust, "mp": MpJust, "lemma": LemmaJust}.get(word)
+        return f, make(*vals) if make else RuleJust(word, *vals)
+    if not args or args[0][0] != "word":
+        raise ProofFormatError("axiom takes a scheme name")
+    name, binding = args[0][1], {}
+    toks = args[1:]
+    while toks:
+        kind, var, _ = toks[0]
+        if kind != "word" or var not in ("phi", "psi", "chi"):
+            raise ProofFormatError("expected phi=/psi=/chi= binding")
+        if len(toks) < 2 or toks[1][0] != "eq":
+            raise ProofFormatError(f"expected '=' after {var}")
+        if var in binding:
+            raise ProofFormatError(f"{var} is bound twice")
+        after = toks[1][2] + 1
+        binding[var], end = _ref_prefix_at(code, after)
+        toks = [t for t in toks if t[2] >= end]
+    return f, AxiomJust(name, binding or None)

@@ -205,6 +205,25 @@ def test_fixture_round_trip_through_validate(tmp_path, capsys):
         assert out3 == out
 
 
+def test_unknown_logic_or_frame_class_exit_2(tmp_path, capsys):
+    _, out, _ = run(capsys, "fixture", "show", "trivm")
+    model = tmp_path / "trivm.kmd"
+    model.write_text(out)
+    for argv, message in [
+            (("valid", "-L", "CnCK_R", "--max-worlds", "1", "p0"),
+             "error: unknown logic 'CnCK_R'; use C, CnK, CnCK, or CnCKR\n"),
+            (("suite", "-L", "c"), "error: unknown logic 'c'; use C, CnK, CnCK, or CnCKR\n"),
+            (("validate", "-m", str(model), "-C", "FSCR"),
+             "error: unknown frame class 'FSCR'; use P, FSM, FSC, or FSC_R\n")]:
+        assert run(capsys, *argv) == (2, "", message), argv
+    # each name is found by its value
+    for logic in ("C", "CnK", "CnCK", "CnCKR"):
+        assert run(capsys, "valid", "-L", logic, "--max-worlds", "1", "p0 -> p0")[0] == 0
+    from cnx.model import FIXTURE_CLASS
+    assert run(capsys, "validate", "-m", str(model), "-C",
+               FIXTURE_CLASS["trivm"].value) == (0, "ok\n", "")
+
+
 @pytest.mark.parametrize("text, argv, message", [
     # each was read, its r line dropped, and gave the answer in the comment
     ("kind prop\nworld a\nr a a\n", ("validate", "-C", "P"),

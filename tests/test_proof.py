@@ -1,14 +1,16 @@
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from conftest import CN_CONNS, MD_CONNS, PL_CONNS, random_formula
+from conftest import CN_CONNS, MD_CONNS, PL_CONNS, random_formula, ref_read_line
 from cnx.corpus import CORPUS_DIR, corpus_proof, corpus_registry, load_corpus
-from cnx.errors import ProofFormatError
+from cnx.errors import FormulaSyntaxError, ProofFormatError
 from cnx.logics import Logic
 from cnx.proof import (AXIOMS, SYSTEMS, Proof, Registry, check_proof, instantiate,
-                       match_scheme, parse_proof, render_proof, system_includes)
+                       match_scheme, parse_proof, parse_proofs, render_proof,
+                       system_includes)
 from cnx.proofgen import (Hyp, b_strong_dne, build_corpus, discharge, mp,
                           subst_strong_eq, theorem)
 from cnx.search import SearchBounds, Status, find_countermodel
@@ -261,6 +263,86 @@ class TestProofFiles:
         assert result.describe() == "empty-proof: a proof needs at least one line"
         result = check_proof(parse_proof("system C\nkind theorem\ngoal p0\n1 p0 hyp\n"))
         assert result.describe().startswith(f"line 1: {result.code}: ")
+
+    def test_proofs_read_together_are_those_read_alone(self):
+        # one group memo for all the texts, as load_corpus reads them
+        texts = [path.read_text() for path in sorted(CORPUS_DIR.rglob("*.prf"))]
+        proofs = parse_proofs(texts)
+        assert [next(proofs) for _ in texts] == [parse_proof(t) for t in texts]
+        # a text is read when its proof is asked for, and fails as it would alone
+        bad = "system C\nkind theorem\n1 (p0 -> (p1 & p0) hyp\n"
+        proofs = parse_proofs([texts[0], bad, texts[1]])
+        assert next(proofs) == parse_proof(texts[0])
+        with pytest.raises(FormulaSyntaxError) as alone:
+            parse_proof(bad)
+        with pytest.raises(FormulaSyntaxError) as together:
+            next(proofs)
+        assert (together.value.message, together.value.offset) == \
+            (alone.value.message, alone.value.offset) == ("line 3: unclosed parenthesis", 19)
+
+    def test_justifications_match_the_reference_reader(self):
+        # random tails after a valid line formula, against conftest.ref_read_line
+        outcomes = Counter()
+        for line in random_justified_lines(11, 10_000):
+            text = f"system C\nkind theorem\n{line}\n"
+            got = read_outcome(lambda: parse_proof(text).lines[0])
+            want = read_outcome(lambda: ref_read_line(line.rstrip(), 2), prefix="line 3: ")
+            assert got == want, repr(line)
+            outcomes[got[0] if got[0] != "ok" else type(got[2]).__name__] += 1
+        # every kind of justification is read, and every kind of error is met
+        assert min(outcomes[k] for k in ("AxiomJust", "MpJust", "RuleJust", "HypJust",
+                                         "LemmaJust")) > 100, outcomes
+        assert min(outcomes["ProofFormatError"], outcomes["FormulaSyntaxError"]) > 1000
+
+
+def read_outcome(read, prefix=""):
+    """What reading gives: the line's formula and justification, or the error."""
+    try:
+        line = read()
+    except FormulaSyntaxError as e:
+        return "FormulaSyntaxError", prefix + e.message, e.offset, e.expected
+    except ProofFormatError as e:
+        return "ProofFormatError", prefix + str(e)
+    formula, just = line if isinstance(line, tuple) else (line.formula, line.just)
+    return "ok", formula, just
+
+
+_TAIL_WORDS = ["mp", "nec", "ra-box", "rc-dia", "hyp", "lemma", "axiom", "a1", "g8", "foo_2",
+               "x-", "mp1", "p3", "p3x", "phi", "psi", "chi"]
+_TAIL_NUMS = ["1", "2", "12", "007"]
+_TAIL_FORMULAS = ["p0", "p1 & p2", "(p0 -> p1)", "~[]p2", "p0 <-> p1 <-> p2", "(p0", "p0 ->"]
+_TAIL_JUNK = ["\t", "\u0663", "\u00b2", "$", "-", ">", "\u00e9", "4x", "="]
+_LINE_FORMULAS = ["p0", "p0 -> p1", "(p0 & ~p1)", "[]p0", "p0 @=> p1", "~(p2)"]
+
+
+def random_justified_lines(seed: int, n: int):
+    """Numbered proof lines: a valid formula, then a justification made of
+    words, numbers, '=', formulas and junk, often a well-formed one with a
+    piece spliced in."""
+    rnd = random.Random(seed)
+
+    def piece():
+        pool = rnd.choice((_TAIL_WORDS, _TAIL_WORDS, _TAIL_NUMS, _TAIL_NUMS, ["="],
+                           _TAIL_FORMULAS, _TAIL_JUNK))
+        return rnd.choice(pool)
+
+    def sep():
+        return rnd.choice(("", " ", " ", " ", "\t", "  "))
+
+    for _ in range(n):
+        num, word, f = rnd.choice(_TAIL_NUMS), rnd.choice(_TAIL_WORDS), rnd.choice(_TAIL_FORMULAS)
+        v, w = rnd.choice(("phi", "psi", "chi")), rnd.choice(("phi", "psi", "chi"))
+        if rnd.random() < 0.6:
+            tail = rnd.choice((f"mp {num} {rnd.choice(_TAIL_NUMS)}", f"nec {num}",
+                               f"ra-box {num}", "hyp", f"lemma {word}", f"axiom a{num}",
+                               f"axiom {word} phi={f}", f"axiom a1 {v} = {f} {w}= p1",
+                               f"axiom a2{sep()}chi{sep()}={sep()}{f}"))
+            for _ in range(rnd.choice((0, 0, 1, 2))):
+                i = rnd.randrange(len(tail) + 1)
+                tail = tail[:i] + sep() + piece() + sep() + tail[i + rnd.randint(0, 2):]
+        else:
+            tail = "".join(piece() + sep() for _ in range(rnd.randint(0, 5)))
+        yield f"1 {rnd.choice(_LINE_FORMULAS)}{sep()}{tail}{sep()}"
 
 
 class TestCorpus:

@@ -235,14 +235,20 @@ def test_timed_out_conditional_search_holds_one_pass_at_a_time():
     # past the 7,171,577 models of 2 worlds, a valuation of the discrete
     # frame on 3 worlds has 526,452,641 (each of its 64 indices takes 511
     # relations, up to two indices at a time): it runs in passes of at most
-    # CHUNK_BITS models, each with rows built for its range only
+    # CHUNK_BITS models, each with rows built for its range only.  The 3-world
+    # search is given twice the time the 2-world one takes under tracemalloc,
+    # so that it gets past the 2-world models on a host of any speed
     c = consecution([], [parse(UNPRUNED_VALID)])
     two = find_countermodel(Logic.CnCK, c, SearchBounds(2, (0, 1), max_cond_indices=2))
     assert two.status is Status.EXHAUSTED and two.models == 7_171_577
     tracemalloc.start()
     try:
+        start = time.perf_counter()
+        find_countermodel(Logic.CnCK, c, SearchBounds(2, (0, 1), max_cond_indices=2))
+        limit = 2 * (time.perf_counter() - start)
+        tracemalloc.reset_peak()
         out = find_countermodel(Logic.CnCK, c, SearchBounds(3, (0, 1), max_cond_indices=2,
-                                                             time_limit=1.0))
+                                                             time_limit=limit))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -214,6 +214,28 @@ def test_dropped_formulas_leave_the_table():
     assert _NODES[(Imp, g.left, g.right)]() is g
 
 
+def test_building_a_formula_runs_no_other_python_function():
+    # neither finding a node in the table nor adding one runs Python code
+    # but Formula.__new__ (no __hash__ of a child, no weak reference's __init__)
+    f = parse("(p0 -> ~p1) & [](p2 @> p0)")
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        found = [And(f.left, f.right), Imp(p0, f.left.right), Neg(p1), Atom(2),
+                 Box(f.right.body), WouldTo(p2, p0)]
+        built = MightTo(f.right, Neg(Atom(900_003)))
+    finally:
+        sys.setprofile(None)
+    assert found == [f, f.left, f.left.right, p2, f.right, f.right.body]
+    assert built.right.body.index == 900_003
+    assert calls == ["__new__"] * (len(found) + 3)
+
+
 def tree_language(f):
     """language_of from its definition: which operators occur in f's tree."""
     def classes(g):
