@@ -101,7 +101,9 @@ def cmd_valid(args) -> int:
 def cmd_prove(args) -> int:
     from .corpus import corpus_registry
     from .proof import Registry, check_proof, parse_proofs
-    registry = Registry() if args.no_corpus else corpus_registry()
+    # the theorems accepted here are cited by the later files, but are not
+    # registered in the corpus's own registry, which load_corpus shares
+    registry = Registry() if args.no_corpus else corpus_registry().copy()
     status = OK
     for path, proof in zip(args.files, parse_proofs(map(_read, args.files))):
         result = check_proof(proof, registry)

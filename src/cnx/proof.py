@@ -207,6 +207,12 @@ class Registry:
     def register(self, name: str, system: str, formula: Formula) -> None:
         self._store[name] = RegisteredTheorem(name, system, formula)
 
+    def copy(self) -> "Registry":
+        """A registry of the same theorems, which registers apart from this one."""
+        out = Registry()
+        out._store = dict(self._store)
+        return out
+
     def get(self, name: str) -> Optional[RegisteredTheorem]:
         return self._store.get(name)
 

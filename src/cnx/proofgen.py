@@ -8,7 +8,8 @@ standard a1/a2 translation) and `subst_strong_eq` (lift a strong equivalence
 through an arbitrary context).  Everything here is verified by the checker in
 proof.py; nothing is trusted.
 
-Run `python -m cnx.proofgen` to regenerate src/cnx/corpus.
+Run `python -m cnx.proofgen` to regenerate src/cnx/corpus: the proof files,
+then the proof table that cnx.corpus loads them from.
 """
 
 from __future__ import annotations
@@ -1021,6 +1022,7 @@ def check_corpus(proofs: list[Proof]) -> Registry:
 
 def emit_corpus(outdir) -> None:
     from pathlib import Path
+    from .corpus import TABLE, build_table
     from .proof import render_proof
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
@@ -1036,6 +1038,7 @@ def emit_corpus(outdir) -> None:
     neg.mkdir(exist_ok=True)
     for fname, text in NEGATIVE_FIXTURES.items():
         (neg / fname).write_text(text)
+    (out / TABLE).write_bytes(build_table(out))
 
 
 if __name__ == "__main__":

@@ -2,14 +2,19 @@
 from-the-definition satisfaction relation that the evaluator is tested
 against, the frames of the search from the definition (a filter over every
 candidate preorder and relation), and an eager lexer and token-list parser
-that the parser is tested against."""
+that the parser is tested against; and fixtures that load the corpus afresh,
+from the shipped files or from a copy of them."""
 
 from __future__ import annotations
 
 import random
 import re
+import shutil
 from itertools import permutations
 
+import pytest
+
+from cnx import corpus
 from cnx.errors import FormulaSyntaxError, ProofFormatError
 from cnx.model import (BiSet, FrameClass, Kind, KripkeModel, _up_sets, fs_faults, relation,
                        transitivity_faults, up_closed, validate_model)
@@ -411,3 +416,21 @@ def ref_read_line(code: str, at: int):
         binding[var], end = _ref_prefix_at(code, after)
         toks = [t for t in toks if t[2] >= end]
     return f, AxiomJust(name, binding or None)
+
+
+@pytest.fixture
+def fresh_corpus():
+    """load_corpus's cache, emptied before and after the test, so that the
+    test's loads and the next test's first load read the files again."""
+    corpus.load_corpus.cache_clear()
+    yield corpus.load_corpus
+    corpus.load_corpus.cache_clear()
+
+
+@pytest.fixture
+def corpus_copy(tmp_path, monkeypatch, fresh_corpus):
+    """A copy of the shipped corpus directory, which load_corpus reads."""
+    copy = tmp_path / "corpus"
+    shutil.copytree(corpus.CORPUS_DIR, copy)
+    monkeypatch.setattr(corpus, "CORPUS_DIR", copy)
+    return copy

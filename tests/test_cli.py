@@ -185,6 +185,67 @@ def test_prove_lemma_needs_corpus(tmp_path, capsys):
     assert code == 1 and "unknown-lemma" in out
 
 
+def test_prove_registers_apart_from_the_corpus(tmp_path, capsys):
+    from cnx.corpus import corpus_registry
+    from cnx.proof import render_proof
+    from cnx.proofgen import pf_id, theorem
+    from cnx.syntax import Atom, render
+    # a theorem named as a corpus one, and a file that cites it
+    first = tmp_path / "first.prf"
+    first.write_text(render_proof(theorem("at_arrow", "C", pf_id(Atom(0)))))
+    second = tmp_path / "second.prf"
+    second.write_text("system C\nkind theorem\nname cites_it\ngoal p0 -> p0\n"
+                      "1 p0 -> p0 lemma at_arrow\n")
+    code, out, _ = run(capsys, "prove", str(first), str(second))
+    assert (code, out) == (0, f"{first}: OK\n{second}: OK\n")
+    # the corpus's registry still holds the corpus statement, which a later
+    # command cites
+    assert render(corpus_registry().get("at_arrow").formula) == "~((~(p0) -> p0))"
+    code, out, _ = run(capsys, "prove", str(second))
+    assert code == 1 and "lemma-formula-mismatch" in out
+
+
+STALE = ("error: {} differs from the proof table proofs.json; "
+         "regenerate it with `python -m cnx.proofgen`\n")
+
+
+def test_corpus_file_edited_since_the_table_exits_2(corpus_copy, capsys):
+    from cnx.corpus import CorpusError, load_corpus
+    # one byte of one file: its first p0 made p1
+    f = corpus_copy / "strong_dne.prf"
+    text = f.read_text()
+    edited = text.replace("p0", "p1", 1)
+    assert len(edited) == len(text) and sum(map(str.__ne__, edited, text)) == 1
+    f.write_text(edited)
+    with pytest.raises(CorpusError, match="^strong_dne.prf differs from the proof table"):
+        load_corpus()
+    code, out, err = run(capsys, "suite", "-L", "C")
+    assert (code, out, err) == (2, "", STALE.format("strong_dne.prf"))
+    # a manifest that lists other files than the table
+    f.write_text(text)
+    manifest = corpus_copy / "manifest.txt"
+    manifest.write_text(manifest.read_text().replace("strong_dne.prf\n", ""))
+    code, out, err = run(capsys, "suite", "-L", "C")
+    assert (code, out, err) == (2, "", STALE.format("manifest.txt"))
+
+
+def test_rejected_corpus_proof_exits_2(corpus_copy, capsys):
+    from cnx.corpus import TABLE, build_table
+    f = corpus_copy / "at_would_refl.prf"
+    f.write_text(f.read_text().replace(" axiom g8\n", " axiom a1\n", 1))
+    argvs = [("suite", "-L", "C", "-c", "->"), ("prove", str(corpus_copy / "at_arrow.prf"))]
+    for argv in argvs:
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", STALE.format("at_would_refl.prf")), argv
+    # a table written from the edited text: its proof is read, and rejected
+    (corpus_copy / TABLE).write_bytes(build_table(corpus_copy))
+    for argv in argvs:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err == ("error: at_would_refl.prf: line 1: bad-scheme-instance: "
+                       "line is not an instance of a1\n"), argv
+
+
 def test_translate(capsys):
     code, out, _ = run(capsys, "translate", "--tr", "p0", "[]p1")
     assert code == 0 and out.strip() == "(p0 @> p1)"

@@ -1,11 +1,19 @@
+import io
+import json
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import cnx
+
 from conftest import CN_CONNS, MD_CONNS, PL_CONNS, random_formula, ref_read_line
-from cnx.corpus import CORPUS_DIR, corpus_proof, corpus_registry, load_corpus
+from cnx.corpus import (CORPUS_DIR, TABLE, build_table, corpus_proof, corpus_registry,
+                        decode_table, encode_table, load_corpus)
 from cnx.errors import FormulaSyntaxError, ProofFormatError
 from cnx.logics import Logic
 from cnx.proof import (AXIOMS, SYSTEMS, Proof, Registry, check_proof, instantiate,
@@ -265,7 +273,7 @@ class TestProofFiles:
         assert result.describe().startswith(f"line 1: {result.code}: ")
 
     def test_proofs_read_together_are_those_read_alone(self):
-        # one group memo for all the texts, as load_corpus reads them
+        # one group memo for all the texts, as build_table reads them
         texts = [path.read_text() for path in sorted(CORPUS_DIR.rglob("*.prf"))]
         proofs = parse_proofs(texts)
         assert [next(proofs) for _ in texts] == [parse_proof(t) for t in texts]
@@ -375,6 +383,70 @@ class TestCorpus:
         for proof in build_corpus():
             on_disk = (CORPUS_DIR / f"{proof.name}.prf").read_text()
             assert on_disk == render_proof(proof), proof.name
+        # and the table is the one written from the shipped texts
+        assert (CORPUS_DIR / TABLE).read_bytes() == build_table(CORPUS_DIR)
+
+    def test_table_holds_the_parsed_texts(self):
+        # the parser still reads every shipped file, and the table gives
+        # back what it reads
+        names = (CORPUS_DIR / "manifest.txt").read_text().split()
+        parsed = [*parse_proofs((CORPUS_DIR / fname).read_text() for fname in names)]
+        decoded = decode_table(json.loads((CORPUS_DIR / TABLE).read_bytes()))
+        assert len(decoded) == len(names) == 71
+        # records compare field by field, and formulas by `is`
+        for fname, d, p in zip(names, decoded, parsed):
+            assert d == p, fname
+
+    def test_table_bytes_do_not_depend_on_the_hash_seed(self):
+        script = ("import sys; from cnx.corpus import CORPUS_DIR, build_table; "
+                  "sys.stdout.buffer.write(build_table(CORPUS_DIR))")
+        shipped = (CORPUS_DIR / TABLE).read_bytes()
+        for seed in ("0", "1"):
+            env = {**os.environ, "PYTHONHASHSEED": seed,
+                   "PYTHONPATH": str(Path(cnx.__file__).parents[1])}
+            out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                 stdout=subprocess.PIPE).stdout
+            assert out == shipped, seed
+
+    def test_table_holds_no_axiom_binding_and_no_nameless_proof(self):
+        text = "system C\nkind theorem\n{}goal p0 -> (p1 -> p0)\n1 p0 -> (p1 -> p0) axiom a1{}\n"
+        with pytest.raises(ValueError, match="^b.prf: line 1: the proof table holds no "):
+            encode_table({"b.prf": 0}, [parse_proof(text.format("name b\n", " phi=p0"))])
+        with pytest.raises(ValueError, match="^n.prf: corpus proofs must be named$"):
+            encode_table({"n.prf": 0}, [parse_proof(text.format("", ""))])
+
+    def test_every_load_checks_every_proof(self, fresh_corpus, monkeypatch):
+        checked = []
+
+        def counting_check(proof, registry=None):
+            checked.append(proof.name)
+            return check_proof(proof, registry)
+
+        monkeypatch.setattr(cnx.corpus, "check_proof", counting_check)
+        fresh_corpus()
+        names = (CORPUS_DIR / "manifest.txt").read_text().split()
+        assert checked == [Path(fname).stem for fname in names] and len(checked) == 71
+
+    def test_every_file_the_load_opens_is_package_data(self, fresh_corpus, monkeypatch):
+        # an installed wheel holds only the package data's files
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+        root = Path(__file__).resolve().parents[1]
+        setuptools = tomllib.loads((root / "pyproject.toml").read_text())["tool"]["setuptools"]
+        package = CORPUS_DIR.parent
+        shipped = {path for glob in setuptools["package-data"]["cnx"]
+                   for path in package.glob(glob)}
+        opened = []
+        real_open = io.open
+
+        def recording_open(file, *args, **kwargs):
+            opened.append(Path(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(io, "open", recording_open)
+        fresh_corpus()
+        monkeypatch.undo()
+        assert CORPUS_DIR / TABLE in opened and CORPUS_DIR / "manifest.txt" in opened
+        assert set(opened) <= shipped, set(opened) - shipped
 
 
 class TestGenerators:
