@@ -28,6 +28,10 @@ order, registering accepted theorem-kind proofs so that later files (and
 user files) can cite them as lemmas.  Only the parse is skipped: whatever
 the table holds is checked as a parsed proof would be, and the tests keep it
 equal to the parser's reading of the shipped files.
+
+Each load also files every checked proof under its statement (its set of
+hypotheses, its set of goals) for corpus_proofs, by which a `cnx suite` cell
+finds its proof: that of its instance, in a system the logic includes.
 """
 
 from __future__ import annotations
@@ -51,6 +55,10 @@ _CODES = {cls: code for code, cls in enumerate(_CLASSES)}
 # justification codes
 HYP, MP, AXIOM, RULE, LEMMA = range(5)
 
+# every checked proof by its statement (hypotheses, goals), in manifest
+# order; refilled by each load
+_BY_STATEMENT: dict[tuple[frozenset, frozenset], list[Proof]] = {}
+
 
 class CorpusError(CnxError):
     """A shipped proof is rejected, or a corpus file differs from the table."""
@@ -66,12 +74,15 @@ def load_corpus() -> tuple[Registry, dict[str, Proof]]:
     """(registry of theorem statements, every checked proof by name)."""
     registry = Registry()
     index: dict[str, Proof] = {}
+    _BY_STATEMENT.clear()
     names = (CORPUS_DIR / "manifest.txt").read_text().split()
     for fname, proof in zip(names, _read_table(names)):
         result = check_proof(proof, registry)
         if not result.ok:
             raise CorpusError(f"{fname}: {result.describe()}")
         index[proof.name] = proof
+        statement = frozenset(proof.hypotheses), frozenset(proof.goals)
+        _BY_STATEMENT.setdefault(statement, []).append(proof)
         if proof.kind == "theorem":
             registry.register(proof.name, proof.system, proof.goals[0])
     return registry, index
@@ -201,3 +212,10 @@ def corpus_registry() -> Registry:
 
 def corpus_proof(name: str) -> Proof | None:
     return load_corpus()[1].get(name)
+
+
+def corpus_proofs(gamma: frozenset, delta: frozenset) -> tuple[Proof, ...]:
+    """The corpus proofs with hypotheses gamma and goals delta, in manifest
+    order."""
+    load_corpus()
+    return tuple(_BY_STATEMENT.get((gamma, delta), ()))

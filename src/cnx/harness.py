@@ -3,9 +3,13 @@ in a logic and derive the taxonomy label, with machine-checked evidence for
 every verdict.
 
 Positive verdicts cite a checked proof from the shipped corpus (at the
-reserved scheme atoms p0, p1; instantiable by substitution).  When no proof
-is available, a bounded countermodel search stands in: an exhausted search is
-reported as non-conclusive bounded evidence.  Negative verdicts carry a
+reserved scheme atoms p0, p1; instantiable by substitution): the first
+corpus proof, in manifest order, whose statement is the instance (its
+hypotheses the instance's gamma, its goals its delta) and whose system the
+logic includes, re-checked against the instance.  So a proof added to the
+corpus, or renamed there, backs its cell with no other edit.  When no proof
+is available, a bounded countermodel search stands in: an exhausted search
+is reported as non-conclusive bounded evidence.  Negative verdicts carry a
 pointed model that is re-validated against the logic's frame class and
 re-refutes the instance at report time.
 """
@@ -16,7 +20,7 @@ from enum import Enum
 from functools import cache
 from typing import Callable, Optional
 
-from .corpus import corpus_proof, load_corpus
+from .corpus import corpus_proofs
 from .errors import LanguageMismatch
 from .logics import Logic
 from .model import (FIXTURE_NAMES, Kind, KripkeModel, PointedModel,
@@ -26,9 +30,7 @@ from .record import Record
 from .search import (SearchBounds, Status, check_evidence, find_countermodel,
                      refuting_point)
 from .semantics import Consecution, consecution
-from .syntax import (Atom, Formula, Neg, WouldTo, MightTo, Imp,
-                     strong_imp, strict_imp, strong_strict_imp, strong_would,
-                     strong_might)
+from .syntax import _BINARY, Atom, Formula, Neg
 
 
 class Thesis(Enum):
@@ -41,16 +43,9 @@ class Thesis(Enum):
     WNONSYM = "WnonSym"
 
 
+# the parser's own constructor for each connective, in report order
 CONNECTIVES: dict[str, Callable[[Formula, Formula], Formula]] = {
-    "->": Imp,
-    "=>": strong_imp,
-    "#>": strict_imp,
-    "#=>": strong_strict_imp,
-    "@>": WouldTo,
-    "?>": MightTo,
-    "@=>": strong_would,
-    "?=>": strong_might,
-}
+    op: _BINARY[op] for op in ("->", "=>", "#>", "#=>", "@>", "?>", "@=>", "?=>")}
 
 
 def connective_defined_in(conn: str, logic: Logic) -> bool:
@@ -77,38 +72,6 @@ def thesis_instance(conn: str, thesis: Thesis,
     if thesis is Thesis.WNONSYM:
         return consecution([star(a, b)], [star(b, a)])
     raise ValueError(thesis)
-
-
-# corpus proof names backing the positive cells, keyed by (connective, thesis)
-PROOF_EVIDENCE: dict[tuple[str, Thesis], str] = {
-    ("->", Thesis.AT): "at_arrow",
-    ("->", Thesis.BT): "bt_arrow",
-    ("->", Thesis.CBT): "cbt_arrow",
-    ("->", Thesis.WBT): "wbt_arrow",
-    ("->", Thesis.WCBT): "wcbt_arrow",
-    ("=>", Thesis.AT): "at_strong",
-    ("=>", Thesis.BT): "bt_strong",
-    ("=>", Thesis.WBT): "wbt_strong",
-    ("#>", Thesis.AT): "at_strict",
-    ("#>", Thesis.BT): "bt_strict",
-    ("#>", Thesis.CBT): "cbt_strict",
-    ("#>", Thesis.WBT): "wbt_strict",
-    ("#>", Thesis.WCBT): "wcbt_strict",
-    ("#=>", Thesis.AT): "at_sstrict",
-    ("#=>", Thesis.BT): "bt_sstrict",
-    ("#=>", Thesis.WBT): "wbt_sstrict",
-    ("@>", Thesis.AT): "at_would_refl",
-    ("@>", Thesis.BT): "bt_would_refl",
-    ("@>", Thesis.CBT): "cbt_would_refl",
-    ("@>", Thesis.WBT): "wbt_would",
-    ("@>", Thesis.WCBT): "wcbt_would",
-    ("?>", Thesis.WBT): "wbt_might",
-    ("?>", Thesis.WCBT): "wcbt_might",
-    ("@=>", Thesis.AT): "at_swould_refl",
-    ("@=>", Thesis.BT): "bt_swould_refl",
-    ("@=>", Thesis.WBT): "wbt_swould",
-    ("?=>", Thesis.WBT): "wbt_smight",
-}
 
 
 class ProofEvidence(Record):
@@ -225,12 +188,10 @@ def run_thesis(logic: Logic, conn: str, thesis: Thesis,
         logic.require(f)
     frame = logic.frame_class
 
-    name = PROOF_EVIDENCE.get((conn, thesis))
-    if name is not None:
-        proof = corpus_proof(name)
-        if proof is not None and system_includes(proof.system, logic.value):
+    for proof in corpus_proofs(c.gamma, c.delta):
+        if system_includes(proof.system, logic.value):
             check_evidence(frame, c, proof)
-            return ThesisStatus(thesis, "holds", ProofEvidence(name, proof.system))
+            return ThesisStatus(thesis, "holds", ProofEvidence(proof.name, proof.system))
 
     for fixture_name, pm in _candidate_fixtures(logic):
         w = refuting_point(pm.model, c)
@@ -255,7 +216,6 @@ def run_suite(logic: Logic, conn: str) -> ConnexivityReport:
     if not connective_defined_in(conn, logic):
         raise LanguageMismatch(
             f"{conn} is not expressible in the language of {logic.value}")
-    load_corpus()
     statuses = tuple(run_thesis(logic, conn, thesis, DEFAULT_BOUNDS)
                      for thesis in Thesis)
     return ConnexivityReport(logic, conn, statuses)

@@ -494,9 +494,10 @@ def check_evidence(frame: FrameClass, c: Consecution, evidence) -> None:
     """Re-check the evidence for a verdict on c, raising EvidenceError if it
     does not back the verdict.  A pointed model must pass validate_model for
     the frame class and refute c at its point.  A proof must have c's gamma as
-    its hypotheses and some of c's delta as its goals; a proof of a bare
-    formula (empty gamma) must be a theorem proof.  The checks raise rather
-    than assert, so they also run under python -O."""
+    its hypotheses and some of c's delta as its goals, and be an entail proof,
+    or a theorem proof when gamma is empty.  A rulederive proof does not back
+    a consecution: it carries truth across a whole model, not at a world.
+    The checks raise rather than assert, so they also run under python -O."""
     if isinstance(evidence, PointedModel):
         report = validate_model(evidence.model, frame)
         if not report.ok:
@@ -506,7 +507,7 @@ def check_evidence(frame: FrameClass, c: Consecution, evidence) -> None:
             raise EvidenceError("evidence model does not refute the instance")
     elif not (evidence.goals and set(evidence.hypotheses) == c.gamma
               and set(evidence.goals) <= c.delta
-              and (c.gamma or evidence.kind == "theorem")):
+              and evidence.kind == ("entail" if c.gamma else "theorem")):
         raise EvidenceError(f"proof {evidence.name} does not prove the instance")
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+from cnx.corpus import TABLE, build_table
 from cnx.errors import LanguageMismatch
 from cnx.harness import (ALL_CELLS, CONNECTIVES, BoundedEvidence, CountermodelEvidence,
                          ConnexivityReport, ProofEvidence, Thesis,
@@ -103,11 +104,30 @@ def test_positive_cells_cite_proofs():
     assert st.verdict == "fails"
 
 
+def test_renamed_thesis_proof_still_backs_its_cell(corpus_copy):
+    # no lemma cites wbt_might, so its file, name and manifest entry can be
+    # renamed together; the cell then finds it under its new name
+    text = (corpus_copy / "wbt_might.prf").read_text()
+    assert "\nname wbt_might\n" in text
+    (corpus_copy / "wbt_might.prf").unlink()
+    (corpus_copy / "wbt_might_renamed.prf").write_text(
+        text.replace("\nname wbt_might\n", "\nname wbt_might_renamed\n"))
+    manifest = corpus_copy / "manifest.txt"
+    manifest.write_text(manifest.read_text().replace("wbt_might.prf", "wbt_might_renamed.prf"))
+    (corpus_copy / TABLE).write_bytes(build_table(corpus_copy))
+    st = run_thesis(Logic.CnCK, "?>", Thesis.WBT, DEFAULT_BOUNDS)
+    assert st.verdict == "holds"
+    assert st.evidence_text == "proof:wbt_might_renamed"
+
+
 def test_bounded_positive_fallback(monkeypatch):
     import cnx.harness as hz
-    stripped = dict(hz.PROOF_EVIDENCE)
-    del stripped[("@>", Thesis.AT)]
-    monkeypatch.setattr(hz, "PROOF_EVIDENCE", stripped)
+    found = hz.corpus_proofs
+
+    def without_at_would_refl(gamma, delta):
+        return tuple(p for p in found(gamma, delta) if p.name != "at_would_refl")
+
+    monkeypatch.setattr(hz, "corpus_proofs", without_at_would_refl)
     bounds = SearchBounds(1, (0, 1), max_cond_indices=2)
     st = run_thesis(Logic.CnCK_R, "@>", Thesis.AT, bounds)
     assert st.verdict == "holds"

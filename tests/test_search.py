@@ -824,6 +824,20 @@ def test_tampered_witness_raises_evidence_error():
     assert "does not refute" in messages[1]
 
 
+def test_rulederive_proof_backs_no_consecution():
+    # necessitation derives []p0 from p0 across a whole model, but p0 ⊢ []p0
+    # fails at a world: the checked rule proof is no evidence for it
+    from cnx.proof import Registry, check_proof
+    proof = parse_proof("system CnK\nkind rulederive\nhyp p0\ngoal []p0\n"
+                        "1 p0 hyp\n2 []p0 nec 1\n")
+    assert check_proof(proof, Registry()).ok
+    c = consecution([parse("p0")], [parse("[]p0")])
+    outcome = find_countermodel(Logic.CnK, c, SearchBounds(2, (0,)))
+    assert outcome.status is Status.FOUND
+    with pytest.raises(EvidenceError, match="does not prove the instance"):
+        check_evidence(FrameClass.FSM, c, proof)
+
+
 def test_evidence_check_survives_python_O():
     script = textwrap.dedent("""
         import sys
