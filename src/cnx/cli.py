@@ -100,17 +100,15 @@ def cmd_valid(args) -> int:
 
 def cmd_prove(args) -> int:
     from .corpus import corpus_registry
-    from .proof import Registry, check_proof, parse_proofs
+    from .proof import Registry, parse_proofs
     # the theorems accepted here are cited by the later files, but are not
     # registered in the corpus's own registry, which load_corpus shares
     registry = Registry() if args.no_corpus else corpus_registry().copy()
     status = OK
     for path, proof in zip(args.files, parse_proofs(map(_read, args.files))):
-        result = check_proof(proof, registry)
+        result = registry.admit(proof)
         if result.ok:
             print("OK" if len(args.files) == 1 else f"{path}: OK")
-            if proof.kind == "theorem" and proof.name:
-                registry.register(proof.name, proof.system, proof.goals[0])
         else:
             print(f"{path}: {result.describe()}")
             status = NEGATIVE

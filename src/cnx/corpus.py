@@ -43,7 +43,7 @@ from pathlib import Path
 
 from .errors import CnxError
 from .proof import (AxiomJust, HypJust, LemmaJust, MpJust, Proof, ProofLine, Registry,
-                    RuleJust, check_proof, parse_proofs)
+                    RuleJust, parse_proofs)
 from .syntax import And, Atom, Box, Dia, Imp, MightTo, Neg, Or, WouldTo, subformulas
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
@@ -77,14 +77,12 @@ def load_corpus() -> tuple[Registry, dict[str, Proof]]:
     _BY_STATEMENT.clear()
     names = (CORPUS_DIR / "manifest.txt").read_text().split()
     for fname, proof in zip(names, _read_table(names)):
-        result = check_proof(proof, registry)
+        result = registry.admit(proof)
         if not result.ok:
             raise CorpusError(f"{fname}: {result.describe()}")
         index[proof.name] = proof
         statement = frozenset(proof.hypotheses), frozenset(proof.goals)
         _BY_STATEMENT.setdefault(statement, []).append(proof)
-        if proof.kind == "theorem":
-            registry.register(proof.name, proof.system, proof.goals[0])
     return registry, index
 
 

@@ -2,16 +2,17 @@
 in a logic and derive the taxonomy label, with machine-checked evidence for
 every verdict.
 
-Positive verdicts cite a checked proof from the shipped corpus (at the
-reserved scheme atoms p0, p1; instantiable by substitution): the first
-corpus proof, in manifest order, whose statement is the instance (its
-hypotheses the instance's gamma, its goals its delta) and whose system the
-logic includes, re-checked against the instance.  So a proof added to the
-corpus, or renamed there, backs its cell with no other edit.  When no proof
-is available, a bounded countermodel search stands in: an exhausted search
-is reported as non-conclusive bounded evidence.  Negative verdicts carry a
-pointed model that is re-validated against the logic's frame class and
-re-refutes the instance at report time.
+Each thesis is instantiated at the reserved scheme atoms p0, p1 as a
+consecution (a formula-form thesis A as |- A).  Four stages are tried in
+order, and the evidence text opens with the name of the one that decides:
+proof, the first corpus proof, in manifest order, whose statement is the
+instance (hypotheses gamma, goals delta) and whose system the logic
+includes, so a proof added to the corpus or renamed there backs its cell
+with no other edit; fixture, the first named fixture that is a model of the
+logic's frame class and refutes the instance; search, the first
+countermodel of a bounded search; bounded, an exhausted search, reported as
+non-conclusive evidence that the thesis holds.  Every piece of evidence is
+re-checked against the instance and the frame class at report time.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ from typing import Callable, Optional
 from .corpus import corpus_proofs
 from .errors import LanguageMismatch
 from .logics import Logic
-from .model import (FIXTURE_NAMES, Kind, KripkeModel, PointedModel,
-                    get_fixture, validate_model)
+from .model import FIXTURE_NAMES, PointedModel, get_fixture, validate_model
 from .proof import system_includes
 from .record import Record
 from .search import (SearchBounds, Status, check_evidence, find_countermodel,
@@ -52,19 +52,17 @@ def connective_defined_in(conn: str, logic: Logic) -> bool:
     return logic.admits(CONNECTIVES[conn](Atom(0), Atom(1)))
 
 
-def thesis_instance(conn: str, thesis: Thesis,
-                    a: Formula = Atom(0), b: Formula = Atom(1)):
-    """The scheme instance at fixed atoms: a formula for the formula-form
-    theses, a consecution for the rule-form ones."""
-    star = CONNECTIVES[conn]
+def thesis_instance(conn: str, thesis: Thesis) -> Consecution:
+    """The scheme instance at p0, p1; a formula-form thesis A as |- A."""
+    star, a, b = CONNECTIVES[conn], Atom(0), Atom(1)
     if thesis is Thesis.AT:
-        return Neg(star(Neg(a), a))
+        return consecution([], [Neg(star(Neg(a), a))])
     if thesis is Thesis.BT:
-        return star(star(a, Neg(b)), Neg(star(a, b)))
+        return consecution([], [star(star(a, Neg(b)), Neg(star(a, b)))])
     if thesis is Thesis.CBT:
-        return star(Neg(star(a, b)), star(a, Neg(b)))
+        return consecution([], [star(Neg(star(a, b)), star(a, Neg(b)))])
     if thesis is Thesis.NONSYM:
-        return star(star(a, b), star(b, a))
+        return consecution([], [star(star(a, b), star(b, a))])
     if thesis is Thesis.WBT:
         return consecution([star(a, Neg(b))], [Neg(star(a, b))])
     if thesis is Thesis.WCBT:
@@ -157,33 +155,16 @@ class ConnexivityReport(Record):
 
 @cache
 def _candidate_fixtures(logic: Logic) -> tuple:
-    """Named fixtures valid for the logic's frame class, plus the two ad hoc
-    empty-relation models that refute every might-conditional.  The models
-    are constants, so each logic's list is validated once."""
-    frame = logic.frame_class
-    out = []
-    for name in FIXTURE_NAMES:
-        pm = get_fixture(name)
-        if pm.model.kind is frame.kind and validate_model(pm.model, frame).ok:
-            out.append((name, pm))
-    if frame.kind is Kind.COND:
-        empty = KripkeModel(Kind.COND, {"w"}, {("w", "w")}, {},
-                            {0: {"w"}}, {})
-        out.append((None, PointedModel(empty, "w")))
-        bare = KripkeModel(Kind.COND, {"w"}, {("w", "w")}, {}, {}, {})
-        out.append((None, PointedModel(bare, "w")))
-    return tuple(out)
-
-
-def _as_consecution(instance) -> Consecution:
-    if isinstance(instance, Consecution):
-        return instance
-    return consecution([], [instance])
+    """The named fixtures that are models of the logic's frame class.  The
+    models are constants, so each logic's list is validated once."""
+    fixtures = ((name, get_fixture(name)) for name in FIXTURE_NAMES)
+    return tuple((name, pm) for name, pm in fixtures
+                 if validate_model(pm.model, logic.frame_class).ok)
 
 
 def run_thesis(logic: Logic, conn: str, thesis: Thesis,
                bounds: SearchBounds) -> ThesisStatus:
-    c = _as_consecution(thesis_instance(conn, thesis))
+    c = thesis_instance(conn, thesis)
     for f in c.gamma | c.delta:
         logic.require(f)
     frame = logic.frame_class

@@ -207,6 +207,14 @@ class Registry:
     def register(self, name: str, system: str, formula: Formula) -> None:
         self._store[name] = RegisteredTheorem(name, system, formula)
 
+    def admit(self, proof: Proof) -> CheckResult:
+        """Check the proof against this registry, and register it if it is
+        an accepted, named theorem-kind proof."""
+        result = check_proof(proof, self)
+        if result.ok and proof.kind == "theorem" and proof.name:
+            self.register(proof.name, proof.system, proof.goals[0])
+        return result
+
     def copy(self) -> "Registry":
         """A registry of the same theorems, which registers apart from this one."""
         out = Registry()
@@ -250,8 +258,8 @@ def _delta_covers(f: Formula, delta: frozenset[Formula]) -> bool:
 
 def check_proof(proof: Proof, registry: Registry | None = None) -> CheckResult:
     """Line-local deterministic check of a proof against its system and kind.
-    Never registers anything; call registry.register afterwards for accepted
-    theorem-kind proofs."""
+    Never registers anything; Registry.admit checks and then registers an
+    accepted, named theorem-kind proof."""
     registry = registry if registry is not None else Registry()
     if proof.system not in SYSTEMS:
         return _bad(None, "unknown-system", f"unknown system {proof.system!r}")

@@ -456,6 +456,8 @@ def _slots(frame: FrameClass, ups: list[int], rels: tuple[Rel, ...] | None,
 def _mask_models(frame: FrameClass, bounds: SearchBounds) -> Iterator[MaskModel]:
     """Every model of the class within the bounds, in mask form and in the
     fixed enumeration order; a cap of None allows every set of indices."""
+    if bounds.atoms is None:
+        raise ValueError("enumerating models needs explicit atoms in the bounds")
     atoms = tuple(sorted(bounds.atoms))
     for names, up, ups, rels in _frames(frame, bounds.max_worlds, False):
         choices, ks = _slots(frame, ups, rels, bounds.max_cond_indices)

@@ -286,10 +286,9 @@ def sat(m: KripkeModel, w: str, f: Formula, sign: str = "+") -> bool:
     return _has(mm, satisfying_worlds(_formula_program(f, m.kind), mm, sign), w)
 
 
-def check_consecution(pm: PointedModel, c: Consecution, sign: str = "+") -> bool:
-    """True iff every member of gamma and no member of delta is sign-satisfied
-    at the point."""
-    _check_sign(sign)
+def check_consecution(pm: PointedModel, c: Consecution) -> bool:
+    """True iff every member of gamma and no member of delta is verified at
+    the point."""
     m = pm.model
     mm = masks_of(m)
-    return _has(mm, satisfying_worlds(consecution_program(c, m.kind), mm, sign), pm.point)
+    return _has(mm, satisfying_worlds(consecution_program(c, m.kind), mm), pm.point)

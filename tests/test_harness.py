@@ -7,8 +7,9 @@ from cnx.harness import (ALL_CELLS, CONNECTIVES, BoundedEvidence, CountermodelEv
                          ThesisStatus, connective_defined_in, run_suite,
                          run_thesis, thesis_instance, DEFAULT_BOUNDS)
 from cnx.logics import Logic
-from cnx.search import SearchBounds
-from cnx.semantics import Consecution
+from cnx.model import serialize_model
+from cnx.search import SearchBounds, find_countermodel
+from cnx.semantics import Consecution, consecution
 from cnx.syntax import parse
 
 
@@ -30,15 +31,18 @@ def test_connectives_are_defined_by_the_logic_language():
 
 
 def test_thesis_instances():
-    assert thesis_instance("->", Thesis.AT) == parse("~(~p0 -> p0)")
-    assert thesis_instance("->", Thesis.BT) == parse("(p0 -> ~p1) -> ~(p0 -> p1)")
-    assert thesis_instance("->", Thesis.CBT) == parse("~(p0 -> p1) -> (p0 -> ~p1)")
-    assert thesis_instance("->", Thesis.NONSYM) == parse("(p0 -> p1) -> (p1 -> p0)")
+    def theorem(text):
+        return consecution([], [parse(text)])
+
+    assert thesis_instance("->", Thesis.AT) == theorem("~(~p0 -> p0)")
+    assert thesis_instance("->", Thesis.BT) == theorem("(p0 -> ~p1) -> ~(p0 -> p1)")
+    assert thesis_instance("->", Thesis.CBT) == theorem("~(p0 -> p1) -> (p0 -> ~p1)")
+    assert thesis_instance("->", Thesis.NONSYM) == theorem("(p0 -> p1) -> (p1 -> p0)")
     wbt = thesis_instance("@>", Thesis.WBT)
     assert isinstance(wbt, Consecution)
     assert wbt.gamma == {parse("p0 @> ~p1")}
     assert wbt.delta == {parse("~(p0 @> p1)")}
-    assert thesis_instance("@=>", Thesis.AT) == parse("~(~p0 @=> p0)")
+    assert thesis_instance("@=>", Thesis.AT) == theorem("~(~p0 @=> p0)")
 
 
 def _report(verdicts: dict) -> ConnexivityReport:
@@ -144,3 +148,34 @@ def test_fixture_backed_verdicts_stable_under_larger_bounds():
         assert a.verdict == b.verdict
         if isinstance(a.evidence, CountermodelEvidence) and a.evidence.fixture:
             assert b.evidence.fixture == a.evidence.fixture
+
+
+def _suite_statuses():
+    for logic, conn in ALL_CELLS:
+        for st in run_suite(logic, conn).statuses:
+            yield logic, conn, st
+
+
+def test_search_alone_refutes_every_fixture_cell():
+    # the fixture stage only saves time: the search refutes each of its cells
+    # on 1 world, early in the enumeration
+    cells = [(logic, conn, st.thesis) for logic, conn, st in _suite_statuses()
+             if st.evidence_text.startswith("fixture:")]
+    assert len(cells) == 50
+    for logic, conn, thesis in cells:
+        out = find_countermodel(logic, thesis_instance(conn, thesis), SearchBounds(3))
+        assert out.found, (logic, conn, thesis)
+        assert len(out.witness.model.worlds) == 1 and out.models <= 18, (logic, conn, thesis)
+
+
+def test_search_cells_carry_the_search_witness():
+    def text(pm):
+        return serialize_model(pm.model, pm.point)
+
+    searched = 0
+    for logic, conn, st in _suite_statuses():
+        if st.evidence_text.startswith("search:"):
+            searched += 1
+            out = find_countermodel(logic, thesis_instance(conn, st.thesis), DEFAULT_BOUNDS)
+            assert text(st.evidence.pointed) == text(out.witness), (logic, conn, st.thesis)
+    assert searched == 19

@@ -422,7 +422,7 @@ class TestCorpus:
             checked.append(proof.name)
             return check_proof(proof, registry)
 
-        monkeypatch.setattr(cnx.corpus, "check_proof", counting_check)
+        monkeypatch.setattr(cnx.proof, "check_proof", counting_check)
         fresh_corpus()
         names = (CORPUS_DIR / "manifest.txt").read_text().split()
         assert checked == [Path(fname).stem for fname in names] and len(checked) == 71

@@ -20,7 +20,7 @@ from conftest import (CN_CONNS, MD_CONNS, PL_CONNS, definition_frames, least_in_
                       shift_atoms)
 from cnx.corpus import CORPUS_DIR
 from cnx.errors import EvidenceError, LanguageMismatch
-from cnx.harness import DEFAULT_BOUNDS, Thesis, _as_consecution, thesis_instance
+from cnx.harness import DEFAULT_BOUNDS, Thesis, thesis_instance
 from cnx.logics import Logic
 from cnx.model import (FrameClass, Kind, KripkeModel, MaskModel, PointedModel, from_masks,
                        get_fixture, masks_of, serialize_model, serialize_pointed, succ_masks,
@@ -116,6 +116,13 @@ def test_prop_two_worlds_no_atoms_matches_preorder_oracle():
     # one 1-world frame plus the labeled preorders on 2 points
     assert len(models) == 1 + len(labeled_preorders_oracle(2))
     assert len(labeled_preorders_oracle(2)) == 4
+
+
+def test_enumeration_needs_explicit_atoms():
+    # a search reads its atoms off the query; the enumeration has none
+    for frame in FrameClass:
+        with pytest.raises(ValueError, match="needs explicit atoms"):
+            next(enumerate_models(frame, SearchBounds(1)))
 
 
 def test_fsm_one_world_no_atoms():
@@ -314,8 +321,7 @@ def test_pruned_search_matches_unpruned_scan():
         for conn in ("@>", "?>", "@=>", "?=>"):
             for thesis in Thesis:
                 bounds = SearchBounds(1, (0, 1), max_cond_indices=2)
-                cases.append((logic, _as_consecution(thesis_instance(conn, thesis)),
-                              bounds, bounds))
+                cases.append((logic, thesis_instance(conn, thesis), bounds, bounds))
     # queries of A >= 3 conditional antecedents, searched at the derived cap
     # A: at 1 world against the scan of every subset of the indices, and at
     # 2 worlds over p0 against the scan at cap A + 1, which reaches only the
@@ -716,7 +722,7 @@ def test_search_counts_the_models_it_evaluates():
     # The deep first-hit search of the suite: 272,541 models unpruned, and
     # 5,393 with only the indices its propositional antecedents consult
     # (the branch and bound that evaluated 259 of them is gone)
-    c = _as_consecution(thesis_instance("?=>", Thesis.WNONSYM))
+    c = thesis_instance("?=>", Thesis.WNONSYM)
     out = find_countermodel(Logic.CnCK_R, c, DEFAULT_BOUNDS)
     assert out.found and out.models == 5393
     # a conditional antecedent hides which indices are consulted, so every

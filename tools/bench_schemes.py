@@ -99,7 +99,7 @@ WARM_RUNS = 5
 # the cond group in a fresh interpreter, as JSON lines
 COND_CHILD = r"""
 import json, sys, time
-from cnx.harness import DEFAULT_BOUNDS, Thesis, _as_consecution, thesis_instance
+from cnx.harness import DEFAULT_BOUNDS, Thesis, thesis_instance
 from cnx.logics import Logic
 from cnx.proof import AXIOMS
 from cnx.search import SearchBounds, find_countermodel
@@ -118,7 +118,7 @@ def emit(group, name, out, seconds):
     print(json.dumps([group, name, out.status.value, out.models, seconds]), flush=True)
 
 
-deep = _as_consecution(thesis_instance("?=>", Thesis.WNONSYM))
+deep = thesis_instance("?=>", Thesis.WNONSYM)
 emit("cond deep", "WnonSym cold", *timed("CnCK_R", deep, DEFAULT_BOUNDS))
 emit("cond deep", "WnonSym warm",
      *min((timed("CnCK_R", deep, DEFAULT_BOUNDS) for _ in range(warm)), key=lambda r: r[1]))
