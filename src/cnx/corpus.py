@@ -9,10 +9,10 @@ load does not parse them again.  It is JSON, one section a line:
             manifest order;
   words     every name the proofs use (system, kind, proof, axiom, rule and
             lemma names), in order of first use;
-  formulas  every distinct formula of the proofs once, children first, as
-            one flat list of integers: a class code (the index in _CLASSES),
-            then Atom's index, or the rows of the formula's one or two
-            children;
+  formulas  the node table of the proofs' formulas (syntax.node_rows), as
+            one flat list of integers: each row's class code (the class's
+            index in syntax.CLASSES), then Atom's index, or the rows of the
+            formula's one or two children;
   justs     every distinct justification once, as one flat list of
             integers: a code (HYP, MP, AXIOM, RULE or LEMMA), then mp's two
             line numbers, a rule's word and line number, axiom's or lemma's
@@ -44,14 +44,11 @@ from pathlib import Path
 from .errors import CnxError
 from .proof import (AxiomJust, HypJust, LemmaJust, MpJust, Proof, ProofLine, Registry,
                     RuleJust, parse_proofs)
-from .syntax import And, Atom, Box, Dia, Imp, MightTo, Neg, Or, WouldTo, subformulas
+from .syntax import AND, build_rows, node_rows
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
 TABLE = "proofs.json"
 
-# formula class codes; the first four take one field
-_CLASSES = (Atom, Neg, Box, Dia, And, Or, Imp, WouldTo, MightTo)
-_CODES = {cls: code for code, cls in enumerate(_CLASSES)}
 # justification codes
 HYP, MP, AXIOM, RULE, LEMMA = range(5)
 
@@ -103,17 +100,9 @@ def _read_table(names: list[str]) -> list[Proof]:
 def decode_table(table: dict) -> list[Proof]:
     """The proofs of a decoded table, in file order."""
     words = table["words"]
-    nodes = []
-    add = nodes.append
     fields = iter(table["formulas"])
-    for code in fields:
-        cls = _CLASSES[code]
-        if code == 0:
-            add(Atom(next(fields)))
-        elif code < 4:
-            add(cls(nodes[next(fields)]))
-        else:
-            add(cls(nodes[next(fields)], nodes[next(fields)]))
+    nodes = build_rows([(code, next(fields), next(fields) if code >= AND else 0)
+                        for code in fields])
 
     justs = []
     fields = iter(table["justs"])
@@ -154,9 +143,7 @@ def encode_table(files: dict[str, int], proofs: list[Proof]) -> bytes:
     its order.  The same proofs give the same bytes.  ValueError for a proof
     without a name or with an axiom binding, which the table does not hold."""
     words: dict[str, int] = {}
-    rows: dict = {}          # formula -> its row
     just_rows: dict = {}     # justification -> its row
-    formulas: list[int] = []
     justs: list[int] = []
 
     def word(w: str) -> int:
@@ -164,11 +151,8 @@ def encode_table(files: dict[str, int], proofs: list[Proof]) -> bytes:
 
     roots = [f for p in proofs
              for f in (*p.hypotheses, *p.goals, *(line.formula for line in p.lines))]
-    for g in subformulas(*roots):
-        code = _CODES[type(g)]
-        formulas += ((code, g.index) if code == 0 else
-                     (code, *(rows[getattr(g, n)] for n in g.__match_args__)))
-        rows[g] = len(rows)
+    rows, nodes = node_rows(*roots)  # rows: formula -> its row
+    formulas = [x for node in nodes for x in (node if node[0] >= AND else node[:2])]
 
     out = []
     for fname, p in zip(files, proofs):

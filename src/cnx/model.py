@@ -380,17 +380,19 @@ def validate_model(m: KripkeModel, cls: FrameClass) -> ValidationReport:
                 out.append(Violation("heredity", f"val{sign} p{atom} holds at {names[u]} "
                                                  f"but not at {names[v]}>={names[u]}"))
 
-    for idx, rel in sorted(mm.access.items()):  # a modal model's one slot, None, has no tag
-        tag = "" if idx is None else f"index ({_show(names, idx[0])},{_show(names, idx[1])}): "
+    for idx, rel in sorted(mm.access.items()):
+        found = []  # (code, text) of each fault of the relation
         for code, x, y, z in fs_faults(up, rel):
             a, b, c = names[x], names[y], names[z]
             pair = f"{a}<={b} and r({a},{c})" if code == "c1" else f"r({a},{b}) and {b}<={c}"
-            out.append(Violation(code, f"{tag}no completion for {pair}"))
+            found.append((code, f"no completion for {pair}"))
         if cls is FrameClass.FSC_R:
-            for w, v in target_faults(rel, idx[0]):
-                out.append(Violation(
-                    "refl-target", f"{tag}target {names[v]} of r({names[w]},{names[v]}) "
-                                   "outside the positive index component"))
+            found += (("refl-target", f"target {names[v]} of r({names[w]},{names[v]}) "
+                                      "outside the positive index component")
+                      for w, v in target_faults(rel, idx[0]))
+        if found:  # tagged only then; a modal model's one slot, None, has no tag
+            tag = "" if idx is None else f"index ({_show(names, idx[0])},{_show(names, idx[1])}): "
+            out += (Violation(code, tag + text) for code, text in found)
     return ValidationReport(not out, tuple(out))
 
 

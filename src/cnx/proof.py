@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Optional, Union
 from .errors import FormulaSyntaxError, ProofFormatError
 from .model import LANGUAGES, Kind
 from .record import Record
-from .syntax import (_ATOM, _NUM, _WORD, And, Atom, Box, Dia, Formula, Imp, MightTo,
+from .syntax import (_ATOM_TOKEN, _NUM, _WORD, And, Atom, Box, Dia, Formula, Imp, MightTo,
                      Neg, Or, Parser, WouldTo, check_lexable, iff, language_of, map_formula,
                      render, strong_iff)
 
@@ -448,7 +448,7 @@ def _parse_line(code: str, at: int, ln: int, memo: dict, justified: bool):
 # a justification up to its bindings, in one match: its name, then its
 # arguments when they are one or two line numbers or a name (an atom is no
 # name), then `end` when nothing follows them
-_NAME = rf"(?!{_ATOM}){_WORD}"
+_NAME = rf"(?!{_ATOM_TOKEN}){_WORD}"
 _JUST_RE = re.compile(rf"(?P<word>{_NAME})?(?:[ \t]+(?:(?P<i>{_NUM})(?:[ \t]+(?P<j>{_NUM}))?"
                       rf"|(?P<name>{_NAME})))?(?P<end>[ \t]*\Z)?")
 

@@ -78,8 +78,9 @@ from .logics import Logic
 from .model import (FrameClass, Kind, KripkeModel, MaskModel, PointedModel, Rel,
                     from_masks, masks_of, relation, target_faults, validate_model)
 from .record import Record
-from .semantics import (_ATOM, Consecution, Program, _run, check_consecution,
-                        consecution_program, satisfying_slices, satisfying_worlds)
+from .semantics import (Consecution, Program, _run, check_consecution, consecution_program,
+                        satisfying_slices, satisfying_worlds)
+from .syntax import ATOM
 
 
 # find_countermodel runs a query on at most this many models at once, and a
@@ -592,7 +593,7 @@ def find_countermodel(logic: Logic, c: Consecution, bounds: SearchBounds) -> Sea
         logic.require(f)
     frame, kind = logic.frame_class, logic.frame_class.kind
     prog = consecution_program(c, kind)
-    used = {a for op, a, _ in prog.nodes if op == _ATOM}
+    used = {a for op, a, _ in prog.nodes if op == ATOM}
     if bounds.atoms is not None and not used <= set(bounds.atoms):
         raise ValueError(f"the search's atoms {bounds.atoms} miss some of the query's")
     cap = len(prog.antecedents)

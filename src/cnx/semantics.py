@@ -2,11 +2,12 @@
 
 Verification ('+') and falsification ('-') are computed together by one
 bitset evaluator.  A formula or consecution is compiled once per model kind,
-which is when its language is checked, into a program: one node per distinct
-subformula, in the order of syntax.subformulas (children first; formulas are
-interned, so equal subformulas are one node).  A run of the program on a
-model's mask form (model.masks_of, where world sets are ints) labels every
-node with its bi-extension as a (pos, neg) pair of masks, in one loop.
+which is when its language is checked, into a program over its node table
+(syntax.node_rows): one row per distinct subformula, children first
+(formulas are interned, so equal subformulas are one row).  A run of the
+program on a model's mask form (model.masks_of, where world sets are ints)
+labels every row with its bi-extension as a (pos, neg) pair of masks, in one
+loop.
 Compiled programs are cached per (formula or consecution, kind) and the mask
 form on the model; both are pure functions of their keys, so results are
 independent of evaluation order and cache state.
@@ -22,8 +23,8 @@ from .errors import LanguageMismatch, UnknownWorld
 from .model import (LANGUAGES, BiSet, Kind, KripkeModel, MaskModel, PointedModel, masks_of,
                     world_set)
 from .record import Record
-from .syntax import (And, Atom, Box, Dia, Formula, Imp, LanguageTag, MightTo, Neg, Or,
-                     WouldTo, language_of, subformulas)
+from .syntax import (AND, ATOM, BOX, DIA, IMP, NEG, OR, WOULD, Formula, LanguageTag,
+                     language_of, node_rows)
 
 SIGNS = ("+", "-")
 
@@ -40,43 +41,29 @@ def consecution(gamma, delta) -> Consecution:
 # ---------------------------------------------------------------------------
 # compilation
 
-_ATOM, _NEG, _AND, _OR, _IMP, _BOX, _DIA, _WOULD, _MIGHT = range(9)
-_OPS = {Neg: _NEG, Box: _BOX, Dia: _DIA,
-        And: _AND, Or: _OR, Imp: _IMP, WouldTo: _WOULD, MightTo: _MIGHT}
-
-
 class Program(NamedTuple):
-    nodes: tuple[tuple[int, int, int], ...]  # (op, child or atom index, child)
-    gamma: tuple[int, ...]                   # the node of each gamma member
-    delta: tuple[int, ...]                   # the node of each delta member
-    antecedents: tuple[int, ...]             # the node of each @>/?> antecedent
+    """A consecution's node table (syntax.node_rows of its gamma members,
+    then its delta members), the rows of its roots, and its conditional
+    antecedents: what an evaluation of it runs."""
+    nodes: tuple[tuple[int, int, int], ...]  # the node table: (code, a, b) rows
+    gamma: tuple[int, ...]                   # the row of each gamma member
+    delta: tuple[int, ...]                   # the row of each delta member
+    antecedents: tuple[int, ...]             # the row of each @>/?> antecedent
     pl_antecedents: bool                     # every @>/?> antecedent is PL
 
 
 def _compile(gamma: tuple, delta: tuple, kind: Kind) -> Program:
-    ids: dict[int, int] = {}  # id of each subformula -> its node
-    nodes = []
-    antecedents: dict[int, None] = {}
-    pl_antecedents = True
-    for i, f in enumerate(subformulas(*gamma, *delta)):
-        cls = type(f)
-        if cls is Atom:
-            nodes.append((_ATOM, f.index, 0))
-        elif cls in (Neg, Box, Dia):
-            nodes.append((_OPS[cls], ids[id(f.body)], 0))
-        else:
-            nodes.append((_OPS[cls], ids[id(f.left)], ids[id(f.right)]))
-            if cls in (WouldTo, MightTo):
-                antecedents[ids[id(f.left)]] = None
-                pl_antecedents &= language_of(f.left) is LanguageTag.PL
-        ids[id(f)] = i
+    row, nodes = node_rows(*gamma, *delta)
     for f in gamma + delta:
         tag = language_of(f)
         if tag not in LANGUAGES[kind]:
             raise LanguageMismatch(
                 f"{tag.value} formula cannot be evaluated on a {kind.value} model")
-    return Program(tuple(nodes), tuple(ids[id(f)] for f in gamma),
-                   tuple(ids[id(f)] for f in delta), tuple(antecedents), pl_antecedents)
+    antecedents = {a: None for code, a, _ in nodes if code >= WOULD}
+    formulas = [*row]
+    return Program(nodes, tuple(map(row.get, gamma)), tuple(map(row.get, delta)),
+                   tuple(antecedents), all(language_of(formulas[a]) is LanguageTag.PL
+                                           for a in antecedents))
 
 
 @lru_cache(maxsize=4096)
@@ -126,26 +113,26 @@ def _run(prog: Program, mm: MaskModel) -> list[tuple[int, int]]:
     vals: list[tuple[int, int]] = []
     push = vals.append
     for op, a, b in prog.nodes:
-        if op == _ATOM:
+        if op == ATOM:
             r = (vp.get(a, 0), vn.get(a, 0))
-        elif op == _NEG:
+        elif op == NEG:
             p, n = vals[a]
             r = (n, p)
-        elif op == _AND:
+        elif op == AND:
             (ap, an), (bp, bn) = vals[a], vals[b]
             r = (ap & bp, an | bn)
-        elif op == _OR:
+        elif op == OR:
             (ap, an), (bp, bn) = vals[a], vals[b]
             r = (ap | bp, an & bn)
-        elif op == _IMP:
+        elif op == IMP:
             ap = vals[a][0]
             bp, bn = vals[b]
             r = _every(up, ap & ~bp, ap & ~bn)
-        elif op == _BOX or op == _WOULD:  # [] reads the slot None, @> its antecedent's index
-            rel, (p, n) = (acc.get(None), vals[a]) if op == _BOX else (acc.get(vals[a]), vals[b])
+        elif op == BOX or op == WOULD:  # [] reads the slot None, @> its antecedent's index
+            rel, (p, n) = (acc.get(None), vals[a]) if op == BOX else (acc.get(vals[a]), vals[b])
             r = (full, full) if rel is None else _every(rel.up_image, ~p, ~n)
         else:
-            rel, (p, n) = (acc.get(None), vals[a]) if op == _DIA else (acc.get(vals[a]), vals[b])
+            rel, (p, n) = (acc.get(None), vals[a]) if op == DIA else (acc.get(vals[a]), vals[b])
             r = (0, 0) if rel is None else _some(rel.succ, p, n)
         push(r)
     return vals
@@ -191,7 +178,7 @@ def _run_sliced(prog: Program, up: tuple[int, ...], slices: dict, full: int,
     relations: dict[int, tuple] = {}
     nothing = (((),) * len(up),) * 2
     for op, a, b in prog.nodes:
-        if op >= _WOULD and a not in relations:
+        if op >= WOULD and a not in relations:
             ap, an = vals[a]
             picks = []  # per index: the models in which it is a's bi-extension, its rows
             for (x, y), rows in access.items():
@@ -205,30 +192,30 @@ def _run_sliced(prog: Program, up: tuple[int, ...], slices: dict, full: int,
             relations[a] = (picks[0][1] if picks[0][0] == full else tuple(
                 [[(t, m & models) for models, rows in picks for t, m in rows[k][i]]
                  for i in range(len(up))] for k in (0, 1))) if picks else nothing
-        if op == _ATOM:
+        if op == ATOM:
             r = slices.get(a) or (empty, empty)
-        elif op == _NEG:
+        elif op == NEG:
             p, n = vals[a]
             r = (n, p)
-        elif op == _AND:
+        elif op == AND:
             (ap, an), (bp, bn) = vals[a], vals[b]
             r = (list(map(and_, ap, bp)), list(map(or_, an, bn)))
-        elif op == _OR:
+        elif op == OR:
             (ap, an), (bp, bn) = vals[a], vals[b]
             r = (list(map(or_, ap, bp)), list(map(and_, an, bn)))
-        elif op == _IMP:
+        elif op == IMP:
             # no world above where the antecedent holds and the consequent
             # fails to be verified (to be falsified)
             ap = vals[a][0]
             bp, bn = vals[b]
             r = ([full ^ x for x in _union(above, [x & ~y for x, y in zip(ap, bp)])],
                  [full ^ x for x in _union(above, [x & ~y for x, y in zip(ap, bn)])])
-        elif op == _BOX or op == _WOULD:
-            (image, _), (p, n) = (access[None], vals[a]) if op == _BOX else (relations[a], vals[b])
+        elif op == BOX or op == WOULD:
+            (image, _), (p, n) = (access[None], vals[a]) if op == BOX else (relations[a], vals[b])
             r = ([full ^ x for x in _union(image, [full ^ y for y in p])],
                  [full ^ x for x in _union(image, [full ^ y for y in n])])
         else:
-            (_, succ), (p, n) = (access[None], vals[a]) if op == _DIA else (relations[a], vals[b])
+            (_, succ), (p, n) = (access[None], vals[a]) if op == DIA else (relations[a], vals[b])
             r = (_union(succ, p), _union(succ, n))
         push(r)
     return vals

@@ -97,16 +97,9 @@ class Formula(Record):
         return self
 
     def __reduce__(self):
-        # pickle rebuilds the formula from a flat table of its distinct
-        # subformulas, children first, so that no depth makes it recurse
-        row: dict[int, int] = {}
-        table = []
-        for g in subformulas(self):
-            cls = type(g)
-            table.append((cls, g.index) if cls is Atom else
-                         (cls, *(row[id(getattr(g, n))] for n in cls.__match_args__)))
-            row[id(g)] = len(row)
-        return _rebuild, (tuple(table),)
+        # pickle rebuilds the formula from its node table, which is flat, so
+        # that no depth makes it recurse
+        return _rebuild, (node_rows(self)[1],)
 
     def __repr__(self):
         # Record's text, Cls(field=value, ...), gathered by an explicit stack
@@ -126,12 +119,9 @@ class Formula(Record):
         return "".join(out)
 
 
-def _rebuild(table: tuple) -> Formula:
-    """The formula of a Formula.__reduce__ table: its last row."""
-    nodes: list[Formula] = []
-    for cls, *fields in table:
-        nodes.append(cls(*fields) if cls is Atom else cls(*(nodes[i] for i in fields)))
-    return nodes[-1]
+def _rebuild(rows: tuple) -> Formula:
+    """The formula of a Formula.__reduce__ node table: its last row."""
+    return build_rows(rows)[-1]
 
 
 class Atom(Formula):
@@ -174,6 +164,13 @@ class MightTo(Formula):
     left: Formula
     right: Formula
 
+
+# the constructors; a class's code is its index.  Atom and the one-field
+# classes come first, and @> and ?> last: semantics reads the codes from
+# WOULD up as conditionals
+CLASSES = (Atom, Neg, Box, Dia, And, Or, Imp, WouldTo, MightTo)
+ATOM, NEG, BOX, DIA, AND, OR, IMP, WOULD, MIGHT = range(len(CLASSES))
+_CODE = {cls: code for code, cls in enumerate(CLASSES)}
 
 _BINARY_OPS = {And: "&", Or: "|", Imp: "->", WouldTo: "@>", MightTo: "?>"}
 _PREFIX_OPS = {Neg: "~", Box: "[]", Dia: "<>"}
@@ -290,21 +287,46 @@ def language_of(f: Formula) -> LanguageTag:
     return LANGUAGE_OF_CODE[f._language]
 
 
+def node_rows(*roots: Formula) -> tuple[dict[Formula, int], tuple[tuple[int, int, int], ...]]:
+    """The node table of the roots: each distinct subformula's row, in the
+    order of subformulas (children first, so one root's row is the last),
+    and the rows.  A row is (code, a, b): the code of the node's class (its
+    index in CLASSES), then Atom's index and 0, a one-field node's child row
+    and 0, or a two-field node's child rows."""
+    row: dict[Formula, int] = {}
+    rows = []
+    add = rows.append
+    for g in subformulas(*roots):
+        code = _CODE[type(g)]
+        if code == ATOM:
+            add((ATOM, g.index, 0))
+        elif code < AND:
+            add((code, row[g.body], 0))
+        else:
+            add((code, row[g.left], row[g.right]))
+        row[g] = len(row)
+    return row, tuple(rows)
+
+
+def build_rows(rows, fn: Callable[[Formula], Formula] | None = None) -> list[Formula]:
+    """The formula of each row of a node table (see node_rows), built
+    through the hash-consing constructors.  With fn, each row's formula is
+    built from its children's images and then replaced by fn of it, its
+    image; what fn returns is not walked again."""
+    out: list[Formula] = []
+    add = out.append
+    for code, a, b in rows:
+        g = (Atom(a) if code == ATOM else CLASSES[code](out[a]) if code < AND
+             else CLASSES[code](out[a], out[b]))
+        add(g if fn is None else fn(g))
+    return out
+
+
 def map_formula(f: Formula, fn: Callable[[Formula], Formula]) -> Formula:
     """Rebuild f bottom up: each node is first rebuilt from its mapped
     children, then replaced by fn(node).  What fn returns is not walked again.
     A node shared within f is mapped once, and its image is shared."""
-    image = {}
-    for g in subformulas(f):
-        cls = type(g)
-        if cls is Atom:
-            out = g
-        elif cls in _PREFIX_OPS:
-            out = cls(image[id(g.body)])
-        else:
-            out = cls(image[id(g.left)], image[id(g.right)])
-        image[id(g)] = fn(out)
-    return image[id(f)]
+    return build_rows(node_rows(f)[1], fn)[-1]
 
 
 def substitute(phi: Formula, psi: Formula, p: int) -> Formula:
@@ -329,15 +351,16 @@ _EQUIVS = {"<->", "<=>", "<#>", "<#=>"}
 
 # formula tokens, then the words, numbers and '=' of a proof line's justification
 # (ASCII digits only: `\d` would take any Unicode decimal digit, which int() reads)
-_ATOM, _OP = r"p[0-9]+(?!\w)", "|".join(map(re.escape, _OPERATORS))
+_ATOM_TOKEN, _OP = r"p[0-9]+(?!\w)", "|".join(map(re.escape, _OPERATORS))
 _WORD, _NUM = r"[A-Za-z_][A-Za-z0-9_\-]*", r"[0-9]+"
 # the next token after any blanks, as the group named by its kind
-_TOKEN_RE = re.compile(rf"[ \t]*(?:(?P<atom>{_ATOM})|(?P<op>{_OP})|(?P<word>{_WORD})"
+_TOKEN_RE = re.compile(rf"[ \t]*(?:(?P<atom>{_ATOM_TOKEN})|(?P<op>{_OP})|(?P<word>{_WORD})"
                        rf"|(?P<num>{_NUM})|(?P<eq>=)|(?P<bad>.)|(?P<end>))", re.DOTALL)
 # the longest run of tokens from a position, without and with the words, and
 # an atom's head; only a failed parse needs them, so re compiles them (and
 # caches them) on first use
-_LEXABLE = (rf"(?:[ \t]+|{_ATOM}|{_OP})*", rf"(?:[ \t]+|{_ATOM}|{_OP}|{_WORD}|{_NUM}|=)*")
+_LEXABLE = (rf"(?:[ \t]+|{_ATOM_TOKEN}|{_OP})*",
+            rf"(?:[ \t]+|{_ATOM_TOKEN}|{_OP}|{_WORD}|{_NUM}|=)*")
 _ATOM_HEAD = r"p[0-9]*"
 
 

@@ -14,13 +14,14 @@ from conftest import (CN_CONNS, MD_CONNS, PL_CONNS, random_cond_model, random_fo
                       ref_parse_prefix)
 from cnx.corpus import CORPUS_DIR
 from cnx.errors import FormulaSyntaxError
-from cnx.model import LANGUAGES, KripkeModel, get_fixture
+from cnx.model import LANGUAGES, Kind, KripkeModel, get_fixture
 from cnx.proof import AXIOMS, instantiate, match_scheme, parse_proof
-from cnx.semantics import biextension, sat
-from cnx.syntax import (MAX_DEPTH, SUGAR, And, Atom, Box, Dia, Imp, LanguageTag,
-                        MightTo, Neg, Or, Parser, WouldTo, atoms_of, check_lexable,
-                        _NODES, depth, language_of, map_formula, parse, render, strong_iff,
-                        strong_strict_imp, strong_would, subformulas, substitute)
+from cnx.semantics import biextension, consecution, consecution_program, sat
+from cnx.syntax import (CLASSES, MAX_DEPTH, SUGAR, And, Atom, Box, Dia, Imp, LanguageTag,
+                        MightTo, Neg, Or, Parser, WouldTo, atoms_of, build_rows,
+                        check_lexable, _NODES, depth, language_of, map_formula, node_rows,
+                        parse, render, strong_iff, strong_strict_imp, strong_would,
+                        subformulas, substitute)
 from cnx.transform import i_translate, tr_phi
 
 p0, p1, p2 = Atom(0), Atom(1), Atom(2)
@@ -307,6 +308,40 @@ def test_subformulas_match_a_recursive_walk():
     for bad in ((p0, "p1"), (Neg("p1"),), (None,)):
         with pytest.raises(TypeError, match="^not a formula: "):
             subformulas(*bad)
+
+
+def test_node_table_gives_back_every_root():
+    rnd = random.Random(41)
+    sample = [shared_formula(rnd, rnd.randint(0, 3)) for _ in range(150)]
+    deep = p1
+    for _ in range(5_000):
+        deep = strong_would(deep, Neg(deep)).left  # a WouldTo chain built through sugar
+    assert depth(deep) > sys.getrecursionlimit()
+    for fs in [sample[i:i + 3] for i in range(0, 150, 3)] + [[deep], [deep.right, deep, p0]]:
+        row, rows = node_rows(*fs)
+        assert [*row] == subformulas(*fs)
+        for g, (code, a, b) in zip(row, rows):
+            assert CLASSES[code] is type(g)
+            assert (a, b) == ((g.index, 0) if type(g) is Atom else
+                              (row[g.body], 0) if type(g) in (Neg, Box, Dia) else
+                              (row[g.left], row[g.right]))
+        built = build_rows(rows)
+        assert all(built[row[f]] is f for f in fs)
+    # a program's nodes are the node table of its gamma, then its delta
+    kinds = {LanguageTag.PL: Kind.PROP, LanguageTag.MD: Kind.MODAL, LanguageTag.CN: Kind.COND}
+    by_kind = {}
+    for f in sample + [deep]:
+        if language_of(f) in kinds:
+            by_kind.setdefault(kinds[language_of(f)], []).append(f)
+    assert len(by_kind) == 3
+    for kind, fs in by_kind.items():
+        for i in range(0, len(fs), 3):
+            c = consecution(fs[i:i + 2], fs[i + 2:i + 3])
+            prog = consecution_program(c, kind)
+            row, rows = node_rows(*tuple(c.gamma), *tuple(c.delta))
+            assert prog.nodes == rows
+            assert (prog.gamma, prog.delta) == (tuple(map(row.get, c.gamma)),
+                                                tuple(map(row.get, c.delta)))
 
 
 def test_render_is_unchanged_on_the_corpus():

@@ -3,7 +3,9 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-TOOLS = Path(__file__).resolve().parents[1] / "tools"
+ROOT = Path(__file__).resolve().parents[1]
+# the tools, and the benchmark, whose child scripts run cnx in a fresh process
+SCRIPTS = sorted([*(ROOT / "tools").glob("*.py"), *(ROOT / "perfbench").glob("*.py")])
 
 
 def _programs(tree: ast.AST):
@@ -19,7 +21,7 @@ def _programs(tree: ast.AST):
 
 
 def _cnx_imports(path: Path):
-    """(module, name or None) for each cnx import in the tool's code and in
+    """(module, name or None) for each cnx import in the script's code and in
     the child scripts it holds as strings."""
     for program in _programs(ast.parse(path.read_text())):
         for node in ast.walk(program):
@@ -39,11 +41,18 @@ def _exists(module: str, name: str | None) -> bool:
 
 
 def test_every_cnx_import_in_the_tools_exists():
+    # the files are only read: a rename in cnx that would break a tool or
+    # the benchmark fails here first
     seen = set()
-    for path in sorted(TOOLS.glob("*.py")):
+    for path in SCRIPTS:
+        script = path.relative_to(ROOT).as_posix()
         for module, name in _cnx_imports(path):
-            seen.add((path.name, module, name))
-            assert _exists(module, name), (path.name, module, name)
+            seen.add((script, module, name))
+            assert _exists(module, name), (script, module, name)
     # the child scripts are read too: bench_schemes.py's COND_CHILD
-    assert ("bench_schemes.py", "cnx.harness", "thesis_instance") in seen
-    assert ("cli_startup.py", "cnx.harness", None) in seen
+    assert ("tools/bench_schemes.py", "cnx.harness", "thesis_instance") in seen
+    assert ("tools/cli_startup.py", "cnx.harness", None) in seen
+    # and the benchmark's child, whose imports sit inside its functions
+    for module, name in [("cnx.search", "enumerate_models"), ("cnx.proof", "Registry"),
+                         ("cnx.semantics", "check_consecution"), ("cnx", "cli")]:
+        assert ("perfbench/child.py", module, name) in seen

@@ -1,15 +1,18 @@
 import random
+from collections import Counter
 
 import pytest
 
 from conftest import (MD_CONNS, random_cond_model, random_formula,
-                      random_modal_model, random_prop_model, shift_atoms)
+                      random_modal_model, random_prop_model, ref_refutes, shift_atoms)
+from cnx.corpus import load_corpus
 from cnx.errors import KindMismatch, LanguageMismatch, TooManyWorlds
+from cnx.logics import Logic
 from cnx.model import (FrameClass, Kind, KripkeModel, PointedModel, bi,
                        get_fixture, serialize_model, validate_model)
-from cnx.search import SearchBounds, enumerate_models
-from cnx.semantics import biextension, sat
-from cnx.syntax import Atom, parse, render
+from cnx.search import SearchBounds, Status, enumerate_models, find_countermodel
+from cnx.semantics import biextension, consecution, sat
+from cnx.syntax import Atom, Imp, atoms_of, parse, render
 from cnx.transform import (CLOSED, FULL, conditional_to_modal, dp_join,
                            extend_refuting_would, i_translate,
                            modal_to_conditional, refl, tr_phi)
@@ -305,3 +308,41 @@ class TestRootedWouldExtension:
                 for w in m.worlds:
                     for sign in "+-":
                         assert sat(m, w, f, sign) == sat(out.model, w, f, sign)
+
+
+def test_cnk_search_agrees_with_its_conditional_embeddings():
+    # CnK embeds into CnCK by tr_phi at any anchor, and into CnCK_R at an
+    # anchor verified everywhere: a modal countermodel lifts to one of the
+    # translation on the same worlds (FULL for any anchor, refl for the
+    # anchor p0 -> p0), and a conditional one slices to one of the modal
+    # query at the anchor.  So at the same bounds the three searches agree,
+    # and each witness carries over, checked from the definition.  The
+    # random formulas are mostly refuted; the CnK corpus statements, valid,
+    # give the exhausted side.
+    rnd = random.Random(53)
+    p0 = Atom(0)
+    anchors = {Logic.CnCK: p0, Logic.CnCK_R: Imp(p0, p0)}
+    lifts = {Logic.CnCK: (FULL,), Logic.CnCK_R: (FULL, refl(anchors[Logic.CnCK_R]))}
+    cases = [consecution([], [random_formula(rnd, 3, (0, 1), MD_CONNS)]) for _ in range(300)]
+    cases += [consecution(p.hypotheses, p.goals) for p in load_corpus()[1].values()
+              if p.system == "CnK" and p.kind != "rulederive"]
+    seen = Counter()  # the statuses
+    for c in cases:
+        bounds = SearchBounds(2, tuple(sorted({0}.union(*map(atoms_of, c.gamma | c.delta)))))
+        modal = find_countermodel(Logic.CnK, c, bounds)
+        seen[modal.status] += 1
+        for logic, anchor in anchors.items():
+            tr = consecution([tr_phi(anchor, f) for f in c.gamma],
+                             [tr_phi(anchor, f) for f in c.delta])
+            out = find_countermodel(logic, tr, bounds)
+            assert out.status is modal.status, (logic, c)
+            if modal.found:
+                m, w = modal.witness.model, modal.witness.point
+                for mode in lifts[logic]:
+                    assert ref_refutes(modal_to_conditional(m, mode), w, tr), (logic, mode, c)
+            if out.found:
+                sliced = conditional_to_modal(out.witness.model, anchor)
+                assert ref_refutes(sliced, out.witness.point, c), (logic, c)
+                # a first hit is on the fewest worlds, which lifts and slices keep
+                assert len(sliced.worlds) == len(modal.witness.model.worlds), (logic, c)
+    assert seen[Status.FOUND] > 250 and seen[Status.EXHAUSTED] > 20, seen
